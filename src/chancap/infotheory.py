@@ -54,10 +54,11 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float).ravel()
         if p.size == 0:
             raise ValueError("distribution must not be empty")
-        if np.any(p < -_SUM_TOL):
+        # Positive conditions, so that a NaN fails them.
+        if not np.all(p >= -_SUM_TOL):
             raise ValueError("probabilities must be nonnegative")
         total = p.sum()
-        if abs(total - 1.0) > _SUM_TOL:
+        if not abs(total - 1.0) <= _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {total}")
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
 
@@ -72,10 +73,11 @@ class DMC:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"expected a 2-D transition matrix, got shape {m.shape}")
-        if np.any(m < -_SUM_TOL) or np.any(m > 1.0 + _SUM_TOL):
+        # Positive conditions, so that a NaN fails them.
+        if not np.all((m >= -_SUM_TOL) & (m <= 1.0 + _SUM_TOL)):
             raise ValueError("transition probabilities must lie in [0, 1]")
         rowsums = m.sum(axis=1)
-        if np.any(np.abs(rowsums - 1.0) > _SUM_TOL):
+        if not np.all(np.abs(rowsums - 1.0) <= _SUM_TOL):
             raise ValueError(f"rows must sum to 1, got {rowsums}")
         object.__setattr__(self, "matrix", np.clip(m, 0.0, 1.0))
 

@@ -131,10 +131,11 @@ class BinaryChannel:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.any(m < -PROB_CLAMP) or np.any(m > 1.0 + PROB_CLAMP):
+        # Positive conditions, so that a NaN fails them.
+        if not np.all((m >= -PROB_CLAMP) & (m <= 1.0 + PROB_CLAMP)):
             raise ValueError("entries stray from [0, 1] beyond cancellation noise")
         rowsums = m.sum(axis=1)
-        if np.any(np.abs(rowsums - 1.0) > PROB_CLAMP):
+        if not np.all(np.abs(rowsums - 1.0) <= PROB_CLAMP):
             raise ValueError(f"rows must sum to 1, got {rowsums}")
         object.__setattr__(self, "matrix", np.clip(m, 0.0, 1.0))
 

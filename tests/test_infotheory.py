@@ -228,6 +228,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             DMC(matrix=np.array([[0.9, 0.2], [0.5, 0.5]]))
 
+    def test_nan_entries_rejected(self):
+        with pytest.raises(ValueError):
+            Distribution(np.array([math.nan, 1.0]))
+        with pytest.raises(ValueError):
+            Distribution(np.array([math.nan, math.nan]))
+        with pytest.raises(ValueError):
+            DMC(matrix=np.array([[math.nan, 0.5], [0.3, 0.7]]))
+        with pytest.raises(ValueError):
+            DMC(matrix=np.array([[0.2, 0.3, 0.5], [0.1, math.nan, 0.9]]))
+
     def test_capacity_result_unit_tag(self):
         res = capacity_binary(BSC_011, base="nats")
         assert res.base == "nats"

@@ -1,6 +1,7 @@
 """Backend parity: the compiled kernels and the pure-Python fallback must agree."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,8 +43,13 @@ class TestEachBackend:
         assert evals == 10001
 
     def test_grid_step_validation(self, name, impl):
-        with pytest.raises(ValueError):
-            impl.capacity_grid(0.5, 0.4, 0.0)
+        steps = [0.0, -1e-3, 1.5, math.inf, -math.inf]
+        if name == "python":  # the compiled range check still lets NaN through
+            steps.append(math.nan)
+        for step in steps:
+            message = re.escape(f"step must lie in (0, 1], got {step}")
+            with pytest.raises(ValueError, match=message):
+                impl.capacity_grid(0.5, 0.4, step)
 
     def test_ba_identity(self, name, impl):
         cap, q, iters, converged = impl.ba_binary(1.0, 0.0, 1e-12, 100)
@@ -59,6 +65,73 @@ class TestEachBackend:
             impl.ba_binary(0.5, 0.4, -1.0, 100)
         with pytest.raises(ValueError):
             impl.ba_binary(0.5, 0.4, 1e-9, 0)
+
+
+def reference_grid(p00, p10, step):
+    """The grid scan as one unblocked numpy expression over all n + 1 points."""
+    n = int(1.0 / step + 0.5)
+    h0, h1 = _kernels_py._h2(p00), _kernels_py._h2(p10)
+    q = np.arange(n + 1) / n
+    y0 = q * p00 + (1.0 - q) * p10
+    y1 = 1.0 - y0
+    np.clip(y0, _kernels_py._TINY, None, out=y0)
+    np.clip(y1, _kernels_py._TINY, None, out=y1)
+    mi = -y0 * np.log(y0) - y1 * np.log(y1) - q * h0 - (1.0 - q) * h1
+    j = int(np.argmax(mi))
+    return max(float(mi[j]), 0.0), j / n, n + 1
+
+
+def corner_channels(rng):
+    """The adversarial classes: nearly equal rows, entries within 1e-9 of 0 or 1."""
+    a = float(rng.uniform(0.05, 0.95))
+    e, f = (float(x) for x in rng.uniform(0, 1e-9, 2))
+    return [
+        (a, a + float(rng.uniform(-1e-12, 1e-12))),
+        (e, a),
+        (1.0 - e, a),
+        (e, f),
+        (1.0 - e, 1.0 - f),
+    ]
+
+
+class TestGridBitIdentity:
+    """The blocked scan returns exactly what the unblocked expression does."""
+
+    def assert_identical(self, p00, p10, step):
+        got = _kernels_py.capacity_grid(p00, p10, step)
+        want = reference_grid(p00, p10, step)
+        assert got == want, (p00, p10, step)
+        assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+
+    def test_random_and_corner_channels(self):
+        rng = np.random.default_rng(5)
+        chans = random_channels(60, seed=5)
+        for _ in range(4):
+            chans += corner_channels(rng)
+        for p00, p10 in chans:
+            self.assert_identical(p00, p10, 1e-4)
+
+    def test_fine_grid(self):
+        rng = np.random.default_rng(6)
+        for p00, p10 in random_channels(2, seed=6) + corner_channels(rng):
+            self.assert_identical(p00, p10, 1e-6)
+
+    def test_block_boundaries(self):
+        block = _kernels_py._GRID_BLOCK
+        # n + 1 points: two, one short of a block, one block, one past it.
+        # Rows of all 0 or all 1 tie at every point, across blocks too.
+        for n in (1, block - 2, block - 1, block, 3 * block + 5):
+            for p00, p10 in random_channels(3, seed=n) + [(0.0, 0.0), (1.0, 1.0)]:
+                self.assert_identical(p00, p10, 1.0 / n)
+
+    def test_all_points_tie(self):
+        # At step 1 both points of a useless channel give exactly zero
+        # information: the lowest q wins and the capacity is +0.0.
+        for p in (0.5, 0.25, 0.3, 0.75):
+            cap, q, evals = _kernels_py.capacity_grid(p, p, 1.0)
+            assert (cap, q, evals) == (0.0, 0.0, 2)
+            assert math.copysign(1.0, cap) == 1.0
+            self.assert_identical(p, p, 1.0)
 
 
 @pytest.mark.skipif(len(backends) < 2, reason="compiled extension not built")

@@ -254,6 +254,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             BinaryChannel(matrix=np.array([[0.6, 0.5], [0.5, 0.5]]))
 
+    def test_binary_channel_rejects_nan(self):
+        with pytest.raises(ValueError):
+            BinaryChannel(matrix=np.array([[math.nan, 0.5], [0.3, 0.7]]))
+        with pytest.raises(ValueError):
+            BinaryChannel(matrix=np.full((2, 2), math.nan))
+
     def test_binary_channel_clamps_cancellation_noise(self):
         ch = BinaryChannel(matrix=np.array([[1.0 + 5e-13, -5e-13], [0.0, 1.0]]))
         assert ch.matrix[0, 0] == 1.0
