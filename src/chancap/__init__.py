@@ -13,6 +13,7 @@ from .gaussian import (
     GaussianPrep,
     PowerBudget,
     beta,
+    capacity_at_optimum,
     capacity_nats,
     capacity_vs_precision_curve,
     density_at,
@@ -30,6 +31,7 @@ from .infotheory import (
     capacity_grid,
     mutual_information,
     shannon_entropy,
+    two_level_capacities,
     two_level_capacity,
 )
 from .oracle import GridState, discretize, grid_variance, propagate_spectral, unitary_evolve_2x2
@@ -40,6 +42,7 @@ from .twolevel import (
     TwoLevelHamiltonian,
     TwoLevelState,
     channel_at,
+    channel_matrices,
     eigensystem,
     evolve,
     period,
@@ -60,6 +63,7 @@ __all__ = [
     "wavefunction_at",
     "capacity_nats",
     "optimal_sigma2",
+    "capacity_at_optimum",
     "placement_power",
     "beta",
     "capacity_vs_precision_curve",
@@ -73,6 +77,7 @@ __all__ = [
     "transition_probs",
     "period",
     "channel_at",
+    "channel_matrices",
     "Distribution",
     "DMC",
     "CapacityResult",
@@ -82,6 +87,7 @@ __all__ = [
     "capacity_grid",
     "blahut_arimoto",
     "two_level_capacity",
+    "two_level_capacities",
     "GridState",
     "discretize",
     "propagate_spectral",

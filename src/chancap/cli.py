@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -36,18 +37,59 @@ class RunConfig:
     params: dict
 
 
-def _format_cell(v: float) -> str:
-    return f"{float(v):.16e}"
+def finite(text: str) -> float:
+    """argparse type of every float option: NaN and +-inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _write_table(path: Path, columns: list[str], rows: list[tuple], fmt: str) -> None:
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cell(v: float) -> str:
+    # json's own spelling of a float: float.__repr__, or NaN / Infinity.
+    text = repr(v)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _cells(column: np.ndarray, fmt, before: str, after: str = "") -> list[str]:
+    """before + fmt(v) + after for every cell v, calling fmt once per distinct value.
+
+    Values are keyed on their bit pattern, so -0.0 and 0.0 stay apart.
+    """
+    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    texts = [before + fmt(v) + after for v in keys.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _write_table(path: Path, table: dict[str, np.ndarray], fmt: str) -> None:
+    """Write equal-length columns as CSV, or as json.dumps({"columns", "rows"}, indent=1) does.
+
+    Every cell carries the separator that precedes it, so the rows are
+    joined in one pass.
+    """
+    columns, values = list(table), list(table.values())
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
+        cells = [_cells(col, "{:.16e}".format, "," if k else "\n") for k, col in enumerate(values)]
+        head, tail = ",".join(columns), "\n"
     else:
-        payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
-        path.write_text(json.dumps(payload, indent=1) + "\n")
+        last = len(values) - 1
+        cells = [
+            _cells(col, _json_cell, ",\n   " if k else ",\n  [\n   ", "\n  ]" if k == last else "")
+            for k, col in enumerate(values)
+        ]
+        head = json.dumps({"columns": columns, "rows": []}, indent=1)[: -len("]\n}")]
+        tail = "]\n}\n"
+        if cells[0]:
+            cells[0][0] = cells[0][0][1:]  # no comma before the first row
+            tail = "\n ]\n}\n"
+    with path.open("w") as f:
+        f.write(head)
+        f.write("".join(itertools.chain.from_iterable(zip(*cells))))
+        f.write(tail)
 
 
 def _write_meta(path: Path, config: RunConfig, columns: list[str]) -> None:
@@ -57,7 +99,7 @@ def _write_meta(path: Path, config: RunConfig, columns: list[str]) -> None:
     path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
 
 
-def _emit(args, columns: list[str], rows: list[tuple], params: dict) -> int:
+def _emit(args, table: dict[str, np.ndarray], params: dict) -> int:
     out = Path(args.out) if args.out else Path(f"{args.subcommand}.{args.format}")
     config = RunConfig(
         subcommand=args.subcommand,
@@ -67,9 +109,9 @@ def _emit(args, columns: list[str], rows: list[tuple], params: dict) -> int:
         seed=args.seed,
         params=params,
     )
-    _write_table(out, columns, rows, args.format)
-    _write_meta(out, config, columns)
-    print(f"wrote {len(rows)} rows to {out}")
+    _write_table(out, table, args.format)
+    _write_meta(out, config, list(table))
+    print(f"wrote {len(next(iter(table.values())))} rows to {out}")
     return 0
 
 
@@ -88,16 +130,19 @@ def _cmd_fig_gaussian(args) -> int:
     grid = vstar * np.logspace(
         math.log10(args.grid_min), math.log10(args.grid_max), args.grid_points
     )
-    rows = []
-    for ratio in sorted(args.ratios):
-        curve = gaussian.capacity_vs_precision_curve(args.t, args.mass, ratio * vstar, grid, c)
-        rows.extend((u, ratio, cap) for u, cap in curve)
+    ratios = sorted(args.ratios)
+    curves = np.concatenate(
+        [gaussian.capacity_vs_precision_curve(args.t, args.mass, r * vstar, grid, c) for r in ratios]
+    )
     return _emit(
         args,
-        ["sigma2_over_vstar", "ratio", "capacity_nats"],
-        rows,
         {
-            "ratios": sorted(args.ratios),
+            "sigma2_over_vstar": curves[:, 0],
+            "ratio": np.repeat(ratios, grid.size),
+            "capacity_nats": curves[:, 1],
+        },
+        {
+            "ratios": ratios,
             "t": args.t,
             "mass": args.mass,
             "grid_min": args.grid_min,
@@ -119,19 +164,22 @@ def _cmd_fig_two_level(args) -> int:
         raise ValueError("need at least 2 time points")
     c = _constants(args)
     r0 = PrepBias(args.r0)
-    rows = []
-    for gamma in sorted(args.gammas):
+    gammas = sorted(args.gammas)
+    times, caps = [], []
+    for gamma in gammas:
         eps = 2.0 / math.sqrt(gamma**2 + 4.0)
         h = TwoLevelHamiltonian(E=0.0, Delta=gamma * eps, epsilon=eps)
-        t0 = period(h, c)
-        for t in np.linspace(0.0, t0, args.time_points):
-            cap = infotheory.two_level_capacity(h, r0, float(t), c, base="bits").capacity
-            rows.append((gamma, float(t), cap))
+        t = np.linspace(0.0, period(h, c), args.time_points)
+        times.append(t)
+        caps.append(infotheory.two_level_capacities(h, r0, t, c, base="bits"))
     return _emit(
         args,
-        ["gamma", "t", "capacity_bits"],
-        rows,
-        {"gammas": sorted(args.gammas), "r0": args.r0, "time_points": args.time_points},
+        {
+            "gamma": np.repeat(gammas, args.time_points),
+            "t": np.concatenate(times),
+            "capacity_bits": np.concatenate(caps),
+        },
+        {"gammas": gammas, "r0": args.r0, "time_points": args.time_points},
     )
 
 
@@ -147,17 +195,12 @@ def _cmd_contour(args) -> int:
     c = _constants(args)
     masses = np.logspace(math.log10(args.mass_min), math.log10(args.mass_max), args.mass_points)
     times = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points)
-    rows = []
-    for m in masses:
-        for t in times:
-            vstar = gaussian.optimal_sigma2(float(t), float(m), c)
-            prep = gaussian.GaussianPrep(x0=0.0, sigma2_A=vstar, mass=float(m))
-            noise = gaussian.noise_variance(prep, float(t), c)
-            rows.append((float(m), float(t), vstar, gaussian.capacity_nats(args.p_constraint, noise)))
+    # Row order: mass outer, t inner.
+    mass, t = np.repeat(masses, times.size), np.tile(times, masses.size)
+    vstar, cap = gaussian.capacity_at_optimum(t, mass, args.p_constraint, c)
     return _emit(
         args,
-        ["mass", "t", "vstar", "capacity_nats"],
-        rows,
+        {"mass": mass, "t": t, "vstar": vstar, "capacity_nats": cap},
         {
             "mass_min": args.mass_min,
             "mass_max": args.mass_max,
@@ -180,11 +223,11 @@ def _cmd_evolve(args) -> int:
         prep = gaussian.GaussianPrep(x0=args.x0, sigma2_A=args.sigma2, mass=args.mass)
         width = 10.0 * math.sqrt(gaussian.noise_variance(prep, times[-1], c))
         x = np.linspace(prep.x0 - width, prep.x0 + width, args.grid_points)
-        rows = []
-        for t in times:
-            rho = gaussian.density_at(prep, x, t, c)
-            rows.extend((t, float(xi), float(ri)) for xi, ri in zip(x, rho))
-        columns = ["t", "x", "density"]
+        table = {
+            "t": np.repeat(times, x.size),
+            "x": np.tile(x, len(times)),
+            "density": np.concatenate([gaussian.density_at(prep, x, t, c) for t in times]),
+        }
         params = {
             "channel": "gaussian",
             "x0": args.x0,
@@ -196,12 +239,8 @@ def _cmd_evolve(args) -> int:
     else:
         eps = args.epsilon
         h = TwoLevelHamiltonian(E=0.0, Delta=args.gamma * eps, epsilon=eps)
-        p = PrepBias(args.p)
-        rows = []
-        for t in times:
-            prob0, prob1 = transition_probs(h, p, t, c)
-            rows.append((t, prob0, prob1))
-        columns = ["t", "prob0", "prob1"]
+        prob0, prob1 = transition_probs(h, PrepBias(args.p), np.array(times), c)
+        table = {"t": np.array(times), "prob0": prob0, "prob1": prob1}
         params = {
             "channel": "two_level",
             "gamma": args.gamma,
@@ -209,7 +248,7 @@ def _cmd_evolve(args) -> int:
             "p": args.p,
             "times": times,
         }
-    return _emit(args, columns, rows, params)
+    return _emit(args, table, params)
 
 
 def _parse_tolerance_overrides(pairs: list[str]) -> dict[str, float]:
@@ -219,7 +258,7 @@ def _parse_tolerance_overrides(pairs: list[str]) -> dict[str, float]:
         if not value or name not in verify.DEFAULT_TOLERANCES:
             known = ", ".join(sorted(verify.DEFAULT_TOLERANCES))
             raise ValueError(f"--tolerance expects NAME=VALUE with NAME one of: {known}")
-        overrides[name] = float(value)
+        overrides[name] = finite(value)
     return overrides
 
 
@@ -275,46 +314,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig-gaussian", help="capacity vs preparation precision curves")
     _add_common(p, "natural")
-    p.add_argument("--ratios", type=float, nargs="+", default=[0.5, 5.0, 50.0],
+    p.add_argument("--ratios", type=finite, nargs="+", default=[0.5, 5.0, 50.0],
                    help="signal-to-threshold ratios P/v*")
-    p.add_argument("--t", type=float, default=1.0, help="measurement delay")
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--grid-min", type=float, default=1e-2, help="smallest sigma2/v*")
-    p.add_argument("--grid-max", type=float, default=1e2, help="largest sigma2/v*")
+    p.add_argument("--t", type=finite, default=1.0, help="measurement delay")
+    p.add_argument("--mass", type=finite, default=1.0)
+    p.add_argument("--grid-min", type=finite, default=1e-2, help="smallest sigma2/v*")
+    p.add_argument("--grid-max", type=finite, default=1e2, help="largest sigma2/v*")
     p.add_argument("--grid-points", type=int, default=401)
     p.set_defaults(handler=_cmd_fig_gaussian)
 
     p = sub.add_parser("fig-two-level", help="two-level capacity over one period")
     _add_common(p, "natural")
-    p.add_argument("--gammas", type=float, nargs="+", default=[0.0, 1.0, 2.0, 4.0],
+    p.add_argument("--gammas", type=finite, nargs="+", default=[0.0, 1.0, 2.0, 4.0],
                    help="gap-to-tunneling ratios Delta/epsilon")
-    p.add_argument("--r0", type=float, default=0.0, help="preparation bias in [0, 0.5)")
+    p.add_argument("--r0", type=finite, default=0.0, help="preparation bias in [0, 0.5)")
     p.add_argument("--time-points", type=int, default=501)
     p.set_defaults(handler=_cmd_fig_two_level)
 
     p = sub.add_parser("contour", help="capacity over a mass/delay grid at optimal precision")
     _add_common(p, "si")
-    p.add_argument("--mass-min", type=float, default=1e-31)
-    p.add_argument("--mass-max", type=float, default=1e-6)
+    p.add_argument("--mass-min", type=finite, default=1e-31)
+    p.add_argument("--mass-max", type=finite, default=1e-6)
     p.add_argument("--mass-points", type=int, default=201)
-    p.add_argument("--t-min", type=float, default=1e-3)
-    p.add_argument("--t-max", type=float, default=1e3)
+    p.add_argument("--t-min", type=finite, default=1e-3)
+    p.add_argument("--t-max", type=finite, default=1e3)
     p.add_argument("--t-points", type=int, default=201)
-    p.add_argument("--p-constraint", type=float, default=1.0,
+    p.add_argument("--p-constraint", type=finite, default=1.0,
                    help="placement second-moment bound P (m^2 in SI)")
     p.set_defaults(handler=_cmd_contour)
 
     p = sub.add_parser("evolve", help="raw densities or transition probabilities over time")
     _add_common(p, "natural")
     p.add_argument("--channel", choices=["gaussian", "two_level"], required=True)
-    p.add_argument("--times", type=float, nargs="+", required=True)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--mass", type=float, default=1.0)
+    p.add_argument("--times", type=finite, nargs="+", required=True)
+    p.add_argument("--x0", type=finite, default=0.0)
+    p.add_argument("--sigma2", type=finite, default=1.0)
+    p.add_argument("--mass", type=finite, default=1.0)
     p.add_argument("--grid-points", type=int, default=101)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=0.0, help="preparation bias")
+    p.add_argument("--gamma", type=finite, default=1.0)
+    p.add_argument("--epsilon", type=finite, default=1.0)
+    p.add_argument("--p", type=finite, default=0.0, help="preparation bias")
     p.set_defaults(handler=_cmd_evolve)
 
     p = sub.add_parser("verify", help="run the verification suites")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "complex_density_params",
     "capacity_nats",
     "optimal_sigma2",
+    "capacity_at_optimum",
     "placement_power",
     "beta",
     "capacity_vs_precision_curve",
@@ -50,10 +52,14 @@ class GaussianPrep:
     mass: float
 
     def __post_init__(self) -> None:
-        if self.sigma2_A <= 0:
-            raise ValueError(f"sigma2_A must be positive, got {self.sigma2_A}")
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
+        # Positive conditions, so that a NaN fails them. A bare global `inf`
+        # keeps them as cheap as the old sign checks in per-point loops.
+        if not -inf < self.x0 < inf:
+            raise ValueError(f"x0 must be finite, got {self.x0}")
+        if not 0.0 < self.sigma2_A < inf:
+            raise ValueError(f"sigma2_A must be positive and finite, got {self.sigma2_A}")
+        if not 0.0 < self.mass < inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,14 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time delay must be >= 0, got {t}")
 
 
+def _dispersed_variance(sigma2_A, sigma_A, mass, t, hbar):
+    # Scalars or arrays. The caller takes sigma_A = sqrt(sigma2_A) with
+    # math.sqrt or np.sqrt, which agree (both are correctly rounded), so a
+    # scalar caller stays in Python floats.
+    disp = hbar * t / (2.0 * mass * sigma_A)
+    return sigma2_A + disp * disp
+
+
 def noise_variance(prep: GaussianPrep, t: float, c: Constants) -> float:
     """Variance of Bob's position measurement after a delay t.
 
@@ -109,9 +123,7 @@ def noise_variance(prep: GaussianPrep, t: float, c: Constants) -> float:
     in t for fixed preparation variance.
     """
     _check_time(t)
-    sigma_A = math.sqrt(prep.sigma2_A)
-    disp = c.hbar * t / (2.0 * prep.mass * sigma_A)
-    return prep.sigma2_A + disp * disp
+    return _dispersed_variance(prep.sigma2_A, math.sqrt(prep.sigma2_A), prep.mass, t, c.hbar)
 
 
 def density_at(prep: GaussianPrep, x, t: float, c: Constants):
@@ -175,6 +187,33 @@ def optimal_sigma2(t: float, mass: float, c: Constants) -> float:
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass}")
     return c.hbar * t / (2.0 * mass)
+
+
+# math.log1p per element: np.log1p is not bit-identical to it on every double.
+_log1p = np.vectorize(math.log1p, otypes=[float])
+
+
+def capacity_at_optimum(t, mass, P: float, c: Constants) -> tuple[np.ndarray, np.ndarray]:
+    """v* and the capacity at sigma2_A = v*, elementwise over arrays t and mass.
+
+    Equal, bit for bit, to optimal_sigma2, noise_variance of
+    GaussianPrep(0, v*, mass) and capacity_nats applied point by point:
+    the same IEEE operations, with math.log1p per point. Raises the
+    ValueError that this scalar chain raises at the first point, in C
+    order, where it fails.
+    """
+    t, mass = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(mass, dtype=float))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vstar = c.hbar * t / (2.0 * mass)
+    # The scalar chain passes exactly where all of these hold.
+    bad = ~((t > 0.0) & (mass > 0.0) & (0.0 < vstar) & (vstar < inf)) | (P < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        t_i, m_i = float(t.flat[i]), float(mass.flat[i])
+        prep = GaussianPrep(x0=0.0, sigma2_A=optimal_sigma2(t_i, m_i, c), mass=m_i)
+        capacity_nats(P, noise_variance(prep, t_i, c))
+    noise = _dispersed_variance(vstar, np.sqrt(vstar), mass, t, c.hbar)
+    return vstar, 0.5 * _log1p(P / noise)
 
 
 def beta(b: PowerBudget) -> float:

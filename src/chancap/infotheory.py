@@ -15,7 +15,14 @@ from typing import Literal
 import numpy as np
 
 from . import kernels
-from .twolevel import BinaryChannel, PrepBias, TwoLevelHamiltonian, channel_at
+from .twolevel import (
+    BinaryChannel,
+    PrepBias,
+    TwoLevelHamiltonian,
+    channel_at,
+    channel_matrices,
+    stochastic_rows,
+)
 from .units import Constants
 
 __all__ = [
@@ -28,6 +35,7 @@ __all__ = [
     "capacity_grid",
     "blahut_arimoto",
     "two_level_capacity",
+    "two_level_capacities",
 ]
 
 Base = Literal["nats", "bits"]
@@ -73,13 +81,7 @@ class DMC:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"expected a 2-D transition matrix, got shape {m.shape}")
-        # Positive conditions, so that a NaN fails them.
-        if not np.all((m >= -_SUM_TOL) & (m <= 1.0 + _SUM_TOL)):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        rowsums = m.sum(axis=1)
-        if not np.all(np.abs(rowsums - 1.0) <= _SUM_TOL):
-            raise ValueError(f"rows must sum to 1, got {rowsums}")
-        object.__setattr__(self, "matrix", np.clip(m, 0.0, 1.0))
+        object.__setattr__(self, "matrix", stochastic_rows(m))
 
     @classmethod
     def from_binary(cls, ch: BinaryChannel) -> "DMC":
@@ -235,3 +237,23 @@ def two_level_capacity(
     """
     ch = DMC.from_binary(channel_at(h, r0, t, c))
     return capacity_binary(ch, base=base)
+
+
+def two_level_capacities(
+    h: TwoLevelHamiltonian,
+    r0: PrepBias,
+    t,
+    c: Constants,
+    base: Base = "bits",
+) -> np.ndarray:
+    """Capacities of the channels induced at every delay in t, in bits by default.
+
+    The array form of two_level_capacity, equal to its capacity bit for bit:
+    one validated stack of channels (channel_matrices), then the same
+    ternary search per delay.
+    """
+    factor = _base_factor(base)
+    m = channel_matrices(h, r0, t, c)
+    p00, p10 = m[..., 0, 0].ravel().tolist(), m[..., 1, 0].ravel().tolist()
+    caps = [kernels.capacity_ternary(a, b)[0] for a, b in zip(p00, p10)]
+    return np.array(caps).reshape(m.shape[:-2]) * factor

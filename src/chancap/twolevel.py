@@ -40,6 +40,8 @@ __all__ = [
     "transition_probs",
     "period",
     "channel_at",
+    "channel_matrices",
+    "stochastic_rows",
 ]
 
 #: Magnitude below which floating-point excursions outside [0, 1] are
@@ -60,10 +62,13 @@ class TwoLevelHamiltonian:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.Delta < 0:
-            raise ValueError(f"Delta must be >= 0, got {self.Delta}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        # Positive conditions, so that a NaN fails them.
+        if not -math.inf < self.E < math.inf:
+            raise ValueError(f"E must be finite, got {self.E}")
+        if not 0.0 <= self.Delta < math.inf:
+            raise ValueError(f"Delta must be finite and >= 0, got {self.Delta}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
     @property
     def a(self) -> float:
@@ -121,6 +126,23 @@ class EigenSystem:
     v_minus: np.ndarray
 
 
+def stochastic_rows(m) -> np.ndarray:
+    """Validate row-stochastic matrices, rows along the last axis, and clip them to [0, 1].
+
+    Entries may stray from [0, 1], and row sums from 1, by PROB_CLAMP of
+    cancellation noise; anything further, or a NaN, is rejected. A stack of
+    matrices is checked in one pass.
+    """
+    m = np.asarray(m, dtype=float)
+    # Positive conditions, so that a NaN fails them.
+    if not np.all((m >= -PROB_CLAMP) & (m <= 1.0 + PROB_CLAMP)):
+        raise ValueError("transition probabilities stray from [0, 1] beyond cancellation noise")
+    rowsums = m.sum(axis=-1)
+    if not np.all(np.abs(rowsums - 1.0) <= PROB_CLAMP):
+        raise ValueError(f"rows must sum to 1, got {rowsums}")
+    return np.clip(m, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class BinaryChannel:
     """Row-stochastic 2x2 transition matrix p(y|x)."""
@@ -131,13 +153,7 @@ class BinaryChannel:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        # Positive conditions, so that a NaN fails them.
-        if not np.all((m >= -PROB_CLAMP) & (m <= 1.0 + PROB_CLAMP)):
-            raise ValueError("entries stray from [0, 1] beyond cancellation noise")
-        rowsums = m.sum(axis=1)
-        if not np.all(np.abs(rowsums - 1.0) <= PROB_CLAMP):
-            raise ValueError(f"rows must sum to 1, got {rowsums}")
-        object.__setattr__(self, "matrix", np.clip(m, 0.0, 1.0))
+        object.__setattr__(self, "matrix", stochastic_rows(m))
 
 
 def eigensystem(h: TwoLevelHamiltonian) -> EigenSystem:
@@ -184,6 +200,17 @@ def evolve(h: TwoLevelHamiltonian, p: PrepBias, t: float, c: Constants) -> TwoLe
     return TwoLevelState(amp0=amp0, amp1=amp1)
 
 
+def _elementwise(fn, x):
+    """fn of a float, or of every element of an array.
+
+    Scalar math (math.cos rather than np.cos, which is not bit-identical to
+    it on every double) gives the same numbers on both paths.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return fn(x)
+
+
 def _clamp_prob(x: float) -> float:
     if -PROB_CLAMP <= x < 0.0:
         return 0.0
@@ -192,25 +219,25 @@ def _clamp_prob(x: float) -> float:
     return x
 
 
-def transition_probs(
-    h: TwoLevelHamiltonian, p: PrepBias, t: float, c: Constants
-) -> tuple[float, float]:
+def transition_probs(h: TwoLevelHamiltonian, p: PrepBias, t, c: Constants):
     """Probabilities of measuring |0> and |1> a delay t after preparation.
 
     (prob0, prob1) = ( [ zeta_p cos(2at/hbar) + a^2 (1-p) - zeta_p ] / a^2,
                        [-zeta_p cos(2at/hbar) + a^2 p     + zeta_p ] / a^2 ),
 
     with zeta_p = (eps/2)(eps(1-2p) + 2b sqrt(p(1-p))). Static when a = 0.
+    t is a float, giving two floats, or an ndarray, giving two arrays of its
+    shape with the same values as the float path.
     """
     a, b, eps = h.a, h.b, h.epsilon
     if a == 0.0:
-        return 1.0 - p.p, p.p
+        return _elementwise(lambda _: 1.0 - p.p, t), _elementwise(lambda _: p.p, t)
     zeta = 0.5 * eps * (eps * (1.0 - 2.0 * p.p) + 2.0 * b * math.sqrt(p.variance))
     a2 = a * a
-    cos2 = math.cos(2.0 * a * t / c.hbar)
+    cos2 = _elementwise(math.cos, 2.0 * a * t / c.hbar)
     prob0 = (zeta * cos2 + a2 * (1.0 - p.p) - zeta) / a2
     prob1 = (-zeta * cos2 + a2 * p.p + zeta) / a2
-    return _clamp_prob(prob0), _clamp_prob(prob1)
+    return _elementwise(_clamp_prob, prob0), _elementwise(_clamp_prob, prob1)
 
 
 def period(h: TwoLevelHamiltonian, c: Constants) -> float:
@@ -221,15 +248,29 @@ def period(h: TwoLevelHamiltonian, c: Constants) -> float:
     return math.pi * c.hbar / a
 
 
+def _channel_rows(h: TwoLevelHamiltonian, r0: PrepBias, t, c: Constants) -> np.ndarray:
+    if r0.p > 0.5:
+        raise ValueError(f"r0 must lie in [0, 1/2], got {r0.p}")
+    rows = np.array([transition_probs(h, r0, t, c), transition_probs(h, PrepBias(1.0 - r0.p), t, c)])
+    # (row, output, *t.shape) -> (*t.shape, row, output)
+    return np.moveaxis(rows, (0, 1), (-2, -1))
+
+
+def channel_matrices(h: TwoLevelHamiltonian, r0: PrepBias, t, c: Constants) -> np.ndarray:
+    """Transition matrices of the channels induced at delays t, shape np.shape(t) + (2, 2).
+
+    Row 0 is the preparation p = r0 (input 0), row 1 is p = 1 - r0 (input 1).
+    r0 is restricted to [0, 1/2]; larger values merely relabel the inputs.
+    The whole stack is validated and clipped as BinaryChannel does, in one pass.
+    """
+    return stochastic_rows(_channel_rows(h, r0, t, c))
+
+
 def channel_at(
     h: TwoLevelHamiltonian, r0: PrepBias, t: float, c: Constants
 ) -> BinaryChannel:
     """Binary channel induced by the preparations p = r0 (input 0) and p = 1 - r0 (input 1).
 
-    r0 is restricted to [0, 1/2]; larger values merely relabel the inputs.
+    The single-delay case of channel_matrices.
     """
-    if r0.p > 0.5:
-        raise ValueError(f"r0 must lie in [0, 1/2], got {r0.p}")
-    row0 = transition_probs(h, r0, t, c)
-    row1 = transition_probs(h, PrepBias(1.0 - r0.p), t, c)
-    return BinaryChannel(matrix=np.array([row0, row1]))
+    return BinaryChannel(matrix=_channel_rows(h, r0, t, c))

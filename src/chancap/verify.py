@@ -673,17 +673,17 @@ def monotonicity_findings(
     if c is None:
         c = constants_for(UnitMode.NATURAL)
     r0s = np.linspace(0.0, 0.5, r0_points)
+    fracs = np.linspace(0.0, 1.0, time_points)
     cells = []
     for gamma in np.linspace(0.0, 4.0, gamma_points):
         eps = 2.0 / math.sqrt(gamma**2 + 4.0)
         h = TwoLevelHamiltonian(E=0.0, Delta=float(gamma * eps), epsilon=float(eps))
-        t0 = period(h, c)
-        for frac in np.linspace(0.0, 1.0, time_points):
-            t = float(frac * t0)
-            caps = [
-                infotheory.two_level_capacity(h, PrepBias(float(r)), t, c).capacity
-                for r in r0s
-            ]
+        ts = fracs * period(h, c)
+        by_r0 = [
+            infotheory.two_level_capacities(h, PrepBias(float(r)), ts, c).tolist() for r in r0s
+        ]
+        for j, frac in enumerate(fracs):
+            caps = [col[j] for col in by_r0]
             violation = max(
                 (caps[i + 1] - caps[i] for i in range(len(caps) - 1)), default=0.0
             )

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from chancap import cli, gaussian, infotheory
 from chancap.cli import main
+from chancap.twolevel import PrepBias, TwoLevelHamiltonian, period, transition_probs
+from chancap.units import UnitMode, constants_for
+
+NAT = constants_for(UnitMode.NATURAL)
+SI = constants_for(UnitMode.SI)
 
 
 def read_csv(path):
@@ -251,3 +257,170 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["evolve", "--channel", "spin9", "--times", "1"])
         assert exc.value.code == 2
+
+
+def row_table_bytes(columns, rows, fmt):
+    """The row-by-row table format: .16e CSV cells, or json.dumps(indent=1)."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines.extend(",".join(f"{float(v):.16e}" for v in row) for row in rows)
+        return ("\n".join(lines) + "\n").encode()
+    payload = {"columns": columns, "rows": [[float(v) for v in row] for row in rows]}
+    return (json.dumps(payload, indent=1) + "\n").encode()
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.nan, math.inf, -math.inf, 1.0, 1.0, 0.1]
+WRITER_TABLES = {
+    "repeats": {"a": np.repeat([1.5, -2.0, 1.5], 4), "b": np.tile([0.0, -0.0, 1e-310, 3.0], 3)},
+    "special": {"x": np.array(SPECIAL), "y": np.array(SPECIAL[::-1]), "z": np.ones(len(SPECIAL))},
+    "negzero-first": {"x": np.array([-0.0, 0.0, -0.0]), "y": np.array([0.0, -0.0, 0.0])},
+    "one-row": {"x": np.array([math.pi]), "y": np.array([-math.nan]), "z": np.array([1e300])},
+    "one-column": {"only": np.array([2.5, math.inf, 2.5])},
+    "empty": {"x": np.array([]), "y": np.array([])},
+}
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(WRITER_TABLES))
+    def test_bytes_match_row_formatter(self, tmp_path, name, fmt):
+        table = WRITER_TABLES[name]
+        out = tmp_path / f"t.{fmt}"
+        cli._write_table(out, table, fmt)
+        rows = list(zip(*table.values()))
+        assert out.read_bytes() == row_table_bytes(list(table), rows, fmt)
+
+
+def fig_gaussian_rows():
+    vstar = gaussian.optimal_sigma2(1.0, 1.0, NAT)
+    grid = vstar * np.logspace(-2, 2, 401)
+    rows = []
+    for ratio in (0.5, 5.0, 50.0):
+        curve = gaussian.capacity_vs_precision_curve(1.0, 1.0, ratio * vstar, grid, NAT)
+        rows.extend((u, ratio, cap) for u, cap in curve)
+    return ["sigma2_over_vstar", "ratio", "capacity_nats"], rows
+
+
+def fig_two_level_rows(r0=0.0, time_points=501):
+    rows = []
+    for gamma in (0.0, 1.0, 2.0, 4.0):
+        eps = 2.0 / math.sqrt(gamma**2 + 4.0)
+        h = TwoLevelHamiltonian(E=0.0, Delta=gamma * eps, epsilon=eps)
+        for t in np.linspace(0.0, period(h, NAT), time_points):
+            cap = infotheory.two_level_capacity(h, PrepBias(r0), float(t), NAT, base="bits")
+            rows.append((gamma, float(t), cap.capacity))
+    return ["gamma", "t", "capacity_bits"], rows
+
+
+def contour_rows(mass_points=201, t_points=201):
+    rows = []
+    for m in np.logspace(-31, -6, mass_points):
+        for t in np.logspace(-3, 3, t_points):
+            vstar = gaussian.optimal_sigma2(float(t), float(m), SI)
+            prep = gaussian.GaussianPrep(x0=0.0, sigma2_A=vstar, mass=float(m))
+            noise = gaussian.noise_variance(prep, float(t), SI)
+            rows.append((float(m), float(t), vstar, gaussian.capacity_nats(1.0, noise)))
+    return ["mass", "t", "vstar", "capacity_nats"], rows
+
+
+def evolve_gaussian_rows():
+    times = [0.0, 0.5, 1.0, 2.0]
+    prep = gaussian.GaussianPrep(x0=0.0, sigma2_A=1.0, mass=1.0)
+    width = 10.0 * math.sqrt(gaussian.noise_variance(prep, times[-1], NAT))
+    x = np.linspace(-width, width, 101)
+    rows = []
+    for t in times:
+        rows.extend((t, xi, ri) for xi, ri in zip(x, gaussian.density_at(prep, x, t, NAT)))
+    return ["t", "x", "density"], rows
+
+
+def evolve_two_level_rows():
+    h = TwoLevelHamiltonian(E=0.0, Delta=1.0, epsilon=1.0)
+    rows = [(t, *transition_probs(h, PrepBias(0.0), t, NAT)) for t in (0.0, 0.5, 1.0, 2.0)]
+    return ["t", "prob0", "prob1"], rows
+
+
+TABLE_CASES = {
+    "fig-gaussian": (["fig-gaussian"], fig_gaussian_rows),
+    "fig-two-level": (["fig-two-level"], fig_two_level_rows),
+    "fig-two-level-r0": (
+        ["fig-two-level", "--r0", "0.2", "--time-points", "37"],
+        lambda: fig_two_level_rows(r0=0.2, time_points=37),
+    ),
+    "contour": (["contour"], contour_rows),
+    "contour-3x1": (
+        ["contour", "--mass-points", "3", "--t-points", "1"],
+        lambda: contour_rows(mass_points=3, t_points=1),
+    ),
+    "evolve-gaussian": (
+        ["evolve", "--channel", "gaussian", "--times", "0", "0.5", "1", "2"],
+        evolve_gaussian_rows,
+    ),
+    "evolve-two-level": (
+        ["evolve", "--channel", "two_level", "--times", "0", "0.5", "1", "2"],
+        evolve_two_level_rows,
+    ),
+}
+
+
+class TestTablesMatchPointByPoint:
+    """Each table equals its rows built one point at a time from the scalar functions."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(TABLE_CASES))
+    def test_bytes(self, tmp_path, case, fmt):
+        argv, build = TABLE_CASES[case]
+        out = tmp_path / f"table.{fmt}"
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == row_table_bytes(*build(), fmt)
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig-gaussian", "--grid-points", "0"],
+            ["fig-gaussian", "--grid-min", "0"],
+            ["fig-gaussian", "--grid-min", "2", "--grid-max", "1"],
+            ["fig-gaussian", "--ratios", "1", "-1"],
+            ["fig-two-level", "--time-points", "1"],
+            ["fig-two-level", "--gammas", "-1"],
+            ["fig-two-level", "--r0", "-0.1"],
+            ["contour", "--mass-min", "0"],
+            ["contour", "--t-max", "-1"],
+            ["contour", "--mass-points", "-1"],
+            ["contour", "--p-constraint", "-1"],
+            ["evolve", "--channel", "gaussian", "--times", "1", "--grid-points", "-1"],
+        ],
+    )
+    def test_invalid_grid_exits_two(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_underflowed_vstar_names_the_scalar_error(self, tmp_path, capsys):
+        argv = ["contour", "--out", str(tmp_path / "t.csv"), "--mass-min", "1e300",
+                "--mass-max", "1e300", "--mass-points", "1", "--t-min", "1e-300",
+                "--t-max", "1e-300", "--t-points", "1"]
+        assert main(argv) == 2
+        assert "sigma2_A must be positive and finite, got 0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig-gaussian", "--t", "nan"],
+            ["fig-gaussian", "--mass", "inf"],
+            ["fig-gaussian", "--ratios", "1", "nan"],
+            ["fig-two-level", "--gammas", "0", "-inf"],
+            ["contour", "--p-constraint", "nan"],
+            ["evolve", "--channel", "gaussian", "--times", "0", "nan"],
+            ["evolve", "--channel", "two_level", "--times", "1", "--epsilon", "inf"],
+        ],
+    )
+    def test_non_finite_argument_is_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "t.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_non_finite_tolerance_is_usage_error(self):
+        assert main(["verify", "--suite", "gaussian", "--tolerance", "noise-floor=nan"]) == 2

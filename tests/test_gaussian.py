@@ -7,6 +7,7 @@ from chancap.gaussian import (
     GaussianPrep,
     PowerBudget,
     beta,
+    capacity_at_optimum,
     capacity_nats,
     capacity_vs_precision_curve,
     density_at,
@@ -238,3 +239,55 @@ class TestPrepValidation:
             GaussianPrep(x0=0.0, sigma2_A=0.0, mass=1.0)
         with pytest.raises(ValueError):
             GaussianPrep(x0=0.0, sigma2_A=1.0, mass=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prep_rejected(self, bad):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            GaussianPrep(x0=bad, sigma2_A=1.0, mass=1.0)
+        with pytest.raises(ValueError, match="sigma2_A must be positive and finite"):
+            GaussianPrep(x0=0.0, sigma2_A=bad, mass=1.0)
+        with pytest.raises(ValueError, match="mass must be positive and finite"):
+            GaussianPrep(x0=0.0, sigma2_A=1.0, mass=bad)
+
+
+def threshold_point(t, mass, P, c):
+    """The scalar chain that capacity_at_optimum evaluates as arrays."""
+    vstar = optimal_sigma2(t, mass, c)
+    prep = GaussianPrep(x0=0.0, sigma2_A=vstar, mass=mass)
+    return vstar, capacity_nats(P, noise_variance(prep, t, c))
+
+
+class TestCapacityAtOptimum:
+    def test_matches_scalar_chain_bit_for_bit(self):
+        t = np.tile(np.logspace(-3, 3, 23), 19)
+        mass = np.repeat(np.logspace(-31, -6, 19), 23)
+        for P in (0.0, 1.0, 1e-20, 3e7):
+            vstar, cap = capacity_at_optimum(t, mass, P, SI)
+            want = np.array([threshold_point(float(a), float(m), P, SI) for a, m in zip(t, mass)])
+            np.testing.assert_array_equal(vstar.view(np.int64), want[:, 0].view(np.int64))
+            np.testing.assert_array_equal(cap.view(np.int64), want[:, 1].view(np.int64))
+
+    @pytest.mark.parametrize(
+        "t,mass,P",
+        [
+            ([1.0, 1e-300, 1.0], [1.0, 1e300, 1.0], 1.0),  # v* underflows to 0
+            ([1.0, 1e300], [1.0, 1e-300], 1.0),  # v* overflows to inf
+            ([1.0, -1.0], [1.0, 1.0], 1.0),
+            ([1.0, 1.0], [1.0, 0.0], 1.0),
+            ([1.0, -1.0], [1.0, -1.0], 1.0),  # v* > 0, but t and mass are not
+            ([1.0, 1.0], [1.0, math.inf], 1.0),
+            ([1.0, math.nan], [1.0, 1.0], 1.0),
+            ([1.0, 1e-300], [1.0, 1e300], -1.0),  # P fails at the first point
+        ],
+    )
+    def test_raises_the_scalar_chain_error(self, t, mass, P):
+        with pytest.raises(ValueError) as scalar:
+            for a, m in zip(t, mass):
+                threshold_point(a, m, P, NAT)
+        with pytest.raises(ValueError) as array:
+            capacity_at_optimum(np.array(t), np.array(mass), P, NAT)
+        assert str(array.value) == str(scalar.value)
+
+    def test_empty_grid(self):
+        vstar, cap = capacity_at_optimum(np.array([]), np.array([]), 1.0, SI)
+        assert vstar.shape == cap.shape == (0,)

@@ -11,6 +11,7 @@ from chancap.infotheory import (
     capacity_grid,
     mutual_information,
     shannon_entropy,
+    two_level_capacities,
     two_level_capacity,
 )
 from chancap.twolevel import PrepBias, TwoLevelHamiltonian, period
@@ -215,6 +216,22 @@ class TestTwoLevelCapacity:
             )
             cap = two_level_capacity(h, PrepBias(rng.uniform(0, 0.5)), rng.uniform(0, 10), NAT)
             assert -1e-12 <= cap.capacity <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("base", ["bits", "nats"])
+    @pytest.mark.parametrize("r0", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize(
+        "h",
+        [
+            TwoLevelHamiltonian(E=0.0, Delta=1.0, epsilon=0.7),
+            TwoLevelHamiltonian(E=0.0, Delta=0.0, epsilon=1.0),
+            TwoLevelHamiltonian(E=0.0, Delta=2.0, epsilon=0.0),  # static
+        ],
+    )
+    def test_array_form_matches_point_by_point(self, h, r0, base):
+        ts = np.concatenate([np.linspace(0.0, 7.0, 41), [period(h, NAT) if h.a else 1.0]])
+        caps = two_level_capacities(h, PrepBias(r0), ts, NAT, base=base)
+        want = [two_level_capacity(h, PrepBias(r0), float(t), NAT, base=base).capacity for t in ts]
+        np.testing.assert_array_equal(caps.view(np.int64), np.array(want).view(np.int64))
 
 
 class TestValidation:

@@ -67,6 +67,46 @@ class TestEachBackend:
             impl.ba_binary(0.5, 0.4, 1e-9, 0)
 
 
+BAD_CHANNELS = [
+    (math.nan, 0.3),
+    (0.3, math.nan),
+    (-0.1, 0.3),
+    (0.3, 1.0 + 1e-9),
+    (math.inf, 0.3),
+    (0.3, -math.inf),
+]
+
+
+class TestChannelValidation:
+    """kernels rejects a channel entry outside [0, 1], NaN included, on either backend."""
+
+    @pytest.mark.parametrize("p00,p10", BAD_CHANNELS)
+    def test_mi_binary(self, p00, p10):
+        with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+            kernels.mi_binary(p00, p10, 0.5)
+
+    @pytest.mark.parametrize("p00,p10", BAD_CHANNELS)
+    def test_capacity_ternary(self, p00, p10):
+        with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+            kernels.capacity_ternary(p00, p10)
+
+    @pytest.mark.parametrize("p00,p10", BAD_CHANNELS)
+    def test_capacity_grid(self, p00, p10):
+        with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+            kernels.capacity_grid(p00, p10, 1e-3)
+
+    @pytest.mark.parametrize("p00,p10", BAD_CHANNELS)
+    def test_ba_binary(self, p00, p10):
+        with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+            kernels.ba_binary(p00, p10, 1e-9, 100)
+
+    def test_endpoints_accepted(self):
+        assert kernels.capacity_ternary(1.0, 0.0)[0] == pytest.approx(math.log(2), abs=1e-12)
+        assert kernels.capacity_grid(0.0, 1.0, 1e-3)[0] == pytest.approx(math.log(2), abs=1e-6)
+        assert kernels.ba_binary(1.0, 0.0, 1e-12, 100)[3]
+        assert kernels.mi_binary(0.0, 0.0, 0.5) == 0.0
+
+
 def reference_grid(p00, p10, step):
     """The grid scan as one unblocked numpy expression over all n + 1 points."""
     n = int(1.0 / step + 0.5)

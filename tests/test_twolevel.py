@@ -9,9 +9,11 @@ from chancap.twolevel import (
     PrepBias,
     TwoLevelHamiltonian,
     channel_at,
+    channel_matrices,
     eigensystem,
     evolve,
     period,
+    stochastic_rows,
     transition_probs,
 )
 from chancap.units import UnitMode, constants_for
@@ -38,6 +40,15 @@ class TestHamiltonian:
             TwoLevelHamiltonian(E=0.0, Delta=-0.1, epsilon=1.0)
         with pytest.raises(ValueError):
             TwoLevelHamiltonian(E=0.0, Delta=1.0, epsilon=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="E must be finite"):
+            TwoLevelHamiltonian(E=bad, Delta=1.0, epsilon=1.0)
+        with pytest.raises(ValueError, match="Delta must be finite"):
+            TwoLevelHamiltonian(E=0.0, Delta=bad, epsilon=1.0)
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            TwoLevelHamiltonian(E=0.0, Delta=1.0, epsilon=bad)
 
     def test_matrix_layout(self):
         h = TwoLevelHamiltonian(E=1.0, Delta=0.5, epsilon=0.25)
@@ -240,6 +251,59 @@ class TestChannelAt:
         h = TwoLevelHamiltonian(E=0.0, Delta=1.0, epsilon=0.5)
         with pytest.raises(ValueError):
             channel_at(h, PrepBias(0.6), 1.0, NAT)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestChannelMatrices:
+    """The array path gives, bit for bit, what the float path gives point by point."""
+
+    HAMILTONIANS = [
+        TwoLevelHamiltonian(E=0.0, Delta=0.0, epsilon=1.0),
+        TwoLevelHamiltonian(E=0.3, Delta=1.7, epsilon=0.4),
+        TwoLevelHamiltonian(E=0.0, Delta=4 * 2 / math.sqrt(20), epsilon=2 / math.sqrt(20)),
+        TwoLevelHamiltonian(E=1.0, Delta=0.0, epsilon=0.0),  # static
+    ]
+
+    @pytest.mark.parametrize("h", HAMILTONIANS)
+    @pytest.mark.parametrize("r0", [0.0, 0.2, 0.5])
+    def test_matches_channel_at(self, h, r0):
+        t0 = period(h, NAT) if h.a else 1.0
+        ts = np.concatenate([np.linspace(0.0, 2 * t0, 37), np.random.default_rng(3).uniform(0, 50, 40)])
+        stack = channel_matrices(h, PrepBias(r0), ts, NAT)
+        assert stack.shape == (ts.size, 2, 2)
+        want = [channel_at(h, PrepBias(r0), float(t), NAT).matrix for t in ts]
+        np.testing.assert_array_equal(bits(stack), bits(want))
+
+    @pytest.mark.parametrize("h", HAMILTONIANS)
+    def test_transition_probs_arrays_match_floats(self, h):
+        ts = np.random.default_rng(4).uniform(0, 20, (3, 5))
+        p = PrepBias(0.37)
+        prob0, prob1 = transition_probs(h, p, ts, NAT)
+        assert prob0.shape == prob1.shape == ts.shape
+        want = np.array([transition_probs(h, p, float(t), NAT) for t in ts.ravel()])
+        np.testing.assert_array_equal(bits(prob0).ravel(), bits(want[:, 0]))
+        np.testing.assert_array_equal(bits(prob1).ravel(), bits(want[:, 1]))
+
+    def test_float_delay_gives_floats(self):
+        h = self.HAMILTONIANS[1]
+        probs = transition_probs(h, PrepBias(0.1), 0.7, NAT)
+        assert all(type(v) is float for v in probs)
+        assert channel_matrices(h, PrepBias(0.1), 0.7, NAT).shape == (2, 2)
+
+    def test_r0_above_half_rejected(self):
+        with pytest.raises(ValueError, match="r0 must lie in"):
+            channel_matrices(self.HAMILTONIANS[1], PrepBias(0.6), np.linspace(0, 1, 3), NAT)
+
+    def test_stack_validation(self):
+        good = np.array([[1.0 + 5e-13, -5e-13], [0.25, 0.75]])
+        stack = stochastic_rows(np.stack([good, good]))
+        assert stack[1, 0, 0] == 1.0 and stack[1, 0, 1] == 0.0
+        for bad in (np.array([[0.6, 0.5], [0.5, 0.5]]), np.array([[math.nan, 0.5], [0.3, 0.7]])):
+            with pytest.raises(ValueError):
+                stochastic_rows(np.stack([good, bad, good]))
 
 
 class TestValidation:

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from chancap import verify
+from chancap import infotheory, verify
+from chancap.twolevel import PrepBias, TwoLevelHamiltonian, period
+from chancap.units import UnitMode, constants_for
 
 
 class TestSuites:
@@ -85,3 +89,22 @@ class TestMonotonicityFindings:
         cells = verify.monotonicity_findings(gamma_points=6, time_points=6, r0_points=21)
         worst = max(c.max_violation for c in cells)
         assert worst <= 1e-9, f"monotonicity violated by {worst:.3e}"
+
+    def test_cells_match_point_by_point_sweep(self):
+        # The sweep as it reads: one two_level_capacity call per (gamma, t, r0).
+        c = constants_for(UnitMode.NATURAL)
+        want = []
+        for gamma in np.linspace(0.0, 4.0, 5):
+            eps = 2.0 / math.sqrt(gamma**2 + 4.0)
+            h = TwoLevelHamiltonian(E=0.0, Delta=float(gamma * eps), epsilon=float(eps))
+            for frac in np.linspace(0.0, 1.0, 7):
+                t = float(frac * period(h, c))
+                caps = [
+                    infotheory.two_level_capacity(h, PrepBias(float(r)), t, c).capacity
+                    for r in np.linspace(0.0, 0.5, 9)
+                ]
+                rise = max((b - a for a, b in zip(caps, caps[1:])), default=0.0)
+                want.append((float(gamma), float(frac), max(rise, 0.0)))
+        cells = verify.monotonicity_findings(gamma_points=5, time_points=7, r0_points=9)
+        got = [(cell.gamma, cell.t_over_period, cell.max_violation) for cell in cells]
+        assert [tuple(map(float.hex, g)) for g in got] == [tuple(map(float.hex, w)) for w in want]
