@@ -1,9 +1,15 @@
 """Entropies, mutual information, and capacity solvers for discrete channels.
 
 Everything is computed internally in nats; ``base="bits"`` converts at the
-boundary by 1/ln(2). Three independent routes to binary-channel capacity
-are provided (ternary search, alternating maximization, brute-force grid)
-so they can cross-check each other.
+boundary by 1/ln(2). Four independent routes to binary-channel capacity
+cross-check each other:
+
+- the closed form of Muroga (1953) and Silverman (1955), array-valued over
+  channels: the primary solver, behind capacity_binary and the two-level
+  capacities;
+- ternary search on the concave I(q) (kernels.capacity_ternary);
+- alternating maximization (blahut_arimoto);
+- an exhaustive scan of the prior (capacity_grid).
 """
 
 from __future__ import annotations
@@ -131,19 +137,73 @@ def _require_binary(ch: DMC) -> tuple[float, float]:
     return float(ch.matrix[0, 0]), float(ch.matrix[1, 0])
 
 
-def capacity_binary(ch: DMC, base: Base = "nats") -> CapacityResult:
-    """Capacity of a binary channel by ternary search on the concave I(q).
+def _log0(x: np.ndarray) -> np.ndarray:
+    """ln x, with 0 in place of ln 0, so that 0 ln 0 = 0."""
+    return np.log(x, out=np.zeros_like(x), where=x > 0.0)
 
-    The optimizer q (probability of input 0) is located to within 1e-10;
-    degenerate channels with coinciding rows report q = 1/2.
+
+def _xlogx_slope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Divided difference (x ln x - y ln y) / (x - y) of entries in [0, 1], elementwise.
+
+    With lo <= hi the two entries: where lo >= hi/2, lo = hi (1 - u) with
+    u = (hi - lo)/hi <= 1/2, and the quotient is ln hi - (lo/hi) ln(1-u)/u,
+    free of cancellation (ln hi + 1 where the entries are equal). Elsewhere
+    hi - lo >= hi/2, and the direct quotient is stable.
+    """
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    log_hi = _log0(hi)
+    near = lo + lo >= hi
+    # Safe stand-ins keep the branch np.where discards free of 0/0 and ln 0.
+    safe_hi = np.where(hi > 0.0, hi, 1.0)
+    u = (hi - lo) / safe_hi
+    safe_u = np.where(near & (u > 0.0), u, 0.5)
+    log1p_ratio = np.where(u > 0.0, np.log1p(-safe_u) / safe_u, -1.0)
+    near_slope = log_hi - (lo / safe_hi) * log1p_ratio
+    direct_slope = (hi * log_hi - lo * _log0(lo)) / np.where(near, 1.0, hi - lo)
+    return np.where(near, near_slope, direct_slope)
+
+
+def _binary_capacity(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Capacity in nats, and optimal prior q* of input 0, of channels with rows (a, 1-a), (b, 1-b).
+
+    a and b are 1-D float arrays with entries in [0, 1]. The closed form of
+    Muroga (1953) and Silverman (1955): with D = (h(a) - h(b))/(a - b),
+
+        C = -h(b) + log(exp(-(1-b) D) + exp(b D)),  q* = (sigma(-D) - b)/(a - b),
+
+    the output marginal sigma(-D) = 1/(1 + exp(D)) being optimal. D is the
+    difference of two divided differences of x ln x, one per output, each
+    taken stably. Equal rows give C = 0 and q* = 1/2. A single channel goes
+    through here as a 1-element array, so it gets the same bits as a stack.
+    """
+    ca, cb = 1.0 - a, 1.0 - b
+    slopes = _xlogx_slope(np.stack([ca, a]), np.stack([cb, b]))
+    d = slopes[0] - slopes[1]
+    h_b = -(b * _log0(b) + cb * _log0(cb))
+    # log-sum-exp of -(1-b) D and b D, whose difference is |D|
+    e = np.exp(-np.abs(d))
+    cap = -h_b + np.maximum(-cb * d, b * d) + np.log1p(e)
+    y0 = np.where(d > 0.0, e / (1.0 + e), 1.0 / (1.0 + e))
+    same = a == b
+    q = np.clip((y0 - b) / np.where(same, 1.0, a - b), 0.0, 1.0)
+    # Rows a few ulps apart leave cap at -2e-16 or so.
+    return np.where(same, 0.0, np.maximum(cap, 0.0)), np.where(same, 0.5, q)
+
+
+def capacity_binary(ch: DMC, base: Base = "nats") -> CapacityResult:
+    """Capacity of a binary channel from the Muroga-Silverman closed form.
+
+    The optimizer q (probability of input 0) comes from the same closed
+    form, so iterations is 0; channels with coinciding rows report q = 1/2.
     """
     factor = _base_factor(base)
     p00, p10 = _require_binary(ch)
-    cap, q, iters = kernels.capacity_ternary(p00, p10)
+    cap, q = _binary_capacity(np.array([p00]), np.array([p10]))
+    q0 = float(q[0])
     return CapacityResult(
-        capacity=cap * factor,
-        optimizer=Distribution(np.array([q, 1.0 - q])),
-        iterations=iters,
+        capacity=float(cap[0]) * factor,
+        optimizer=Distribution(np.array([q0, 1.0 - q0])),
+        iterations=0,
         converged=True,
         base=base,
     )
@@ -249,11 +309,10 @@ def two_level_capacities(
     """Capacities of the channels induced at every delay in t, in bits by default.
 
     The array form of two_level_capacity, equal to its capacity bit for bit:
-    one validated stack of channels (channel_matrices), then the same
-    ternary search per delay.
+    one validated stack of channels (channel_matrices), solved at once by
+    the same closed form.
     """
     factor = _base_factor(base)
     m = channel_matrices(h, r0, t, c)
-    p00, p10 = m[..., 0, 0].ravel().tolist(), m[..., 1, 0].ravel().tolist()
-    caps = [kernels.capacity_ternary(a, b)[0] for a, b in zip(p00, p10)]
-    return np.array(caps).reshape(m.shape[:-2]) * factor
+    caps, _ = _binary_capacity(m[..., 0, 0].ravel(), m[..., 1, 0].ravel())
+    return caps.reshape(m.shape[:-2]) * factor

@@ -234,6 +234,9 @@ def transition_probs(h: TwoLevelHamiltonian, p: PrepBias, t, c: Constants):
         return _elementwise(lambda _: 1.0 - p.p, t), _elementwise(lambda _: p.p, t)
     zeta = 0.5 * eps * (eps * (1.0 - 2.0 * p.p) + 2.0 * b * math.sqrt(p.variance))
     a2 = a * a
+    # Checked before any division, so float and array t fail alike.
+    if not 0.0 < a2 < math.inf:
+        raise ValueError(f"a*a leaves the floating-point range at a = {a:g}; rescale Delta and epsilon")
     cos2 = _elementwise(math.cos, 2.0 * a * t / c.hbar)
     prob0 = (zeta * cos2 + a2 * (1.0 - p.p) - zeta) / a2
     prob1 = (-zeta * cos2 + a2 * p.p + zeta) / a2

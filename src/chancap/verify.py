@@ -27,6 +27,7 @@ __all__ = [
     "MonotonicityCell",
     "SUITES",
     "DEFAULT_TOLERANCES",
+    "ADVERSARIAL_CHANNELS",
     "run_suite",
     "run_gaussian_suite",
     "run_two_level_suite",
@@ -76,6 +77,29 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 H2_011_BITS = 0.499915958164528
 #: Capacity of the binary symmetric channel with flip probability 0.11.
 BSC_011_CAPACITY_BITS = 0.500084041835472
+
+#: (p00, p10) channels that solver-agreement runs after its random draws:
+#: rows within 1e-12 of each other, entries within 1e-9 of 0 or 1, and
+#: entries far apart in scale. There the naive D = (h(a) - h(b))/(a - b)
+#: loses its digits: 0.08 nats at (0.3, 0.3 + 1e-16) and 2.7e-4 nats at
+#: (0.8, 0.8 + 1e-15), where the capacity is below 1e-30. The divided
+#: difference ln hi - (lo/hi) ln(1-u)/u, taken for every pair, returns inf
+#: at (1e-300, 0.5) and NaN at (0, 5e-324).
+ADVERSARIAL_CHANNELS: tuple[tuple[float, float], ...] = (
+    (0.3, 0.3 + 1e-16),  # adjacent doubles
+    (0.8, 0.8 + 1e-15),
+    (0.5, 0.5 + 1e-12),
+    (0.9, 0.9 - 5e-13),
+    (1e-6, 1e-6 + 1e-12),
+    (1.0, 1.0 - 1e-9),  # Z-channel, capacity about 1e-9/e = 3.68e-10 nats
+    (0.0, 1e-9),
+    (1e-9, 3e-10),
+    (1.0 - 1e-9, 1.0 - 4e-10),
+    (1e-9, 0.7),
+    (1.0 - 1e-9, 0.2),
+    (1e-300, 0.5),
+    (0.0, 5e-324),
+)
 
 
 @dataclass(frozen=True)
@@ -525,6 +549,16 @@ def _random_channel(rng: np.random.Generator) -> infotheory.DMC:
     return infotheory.DMC(matrix=m)
 
 
+def _four_capacities(ch: infotheory.DMC) -> tuple[float, float, float, float]:
+    """Capacity in nats by the closed form, ternary search, Blahut-Arimoto and the 1e-6 grid."""
+    return (
+        infotheory.capacity_binary(ch).capacity,
+        kernels.capacity_ternary(float(ch.matrix[0, 0]), float(ch.matrix[1, 0]))[0],
+        infotheory.blahut_arimoto(ch, tol=1e-9, max_iter=100_000).capacity,
+        infotheory.capacity_grid(ch, step=1e-6).capacity,
+    )
+
+
 def run_infotheory_suite(
     seed: int, trials: int, tolerances: dict[str, float] | None = None
 ) -> SuiteReport:
@@ -545,7 +579,9 @@ def run_infotheory_suite(
     )
     add(_result("entropy-known-values", dev, tol))
 
-    # concavity of I(q) in the input distribution (licenses the ternary search)
+    # concavity of I(q) in the input distribution: its maximum is the one
+    # stationary point the closed form solves for, and the ternary search
+    # and the grid scan find it
     tol = _tol("mi-concavity", tolerances)
     worst = 0.0
     for _ in range(trials):
@@ -558,16 +594,17 @@ def run_infotheory_suite(
         worst = max(worst, 0.5 * (i1 + i2) - im)
     add(_result("mi-concavity", worst, tol))
 
-    # three independent solvers agree
+    # four solvers agree pairwise: the closed form, the ternary search,
+    # Blahut-Arimoto and the 1e-6 grid, on random and adversarial channels
     tol = _tol("solver-agreement", tolerances)
-    worst = 0.0
-    for _ in range(trials):
-        ch = _random_channel(rng)
-        cap_t = infotheory.capacity_binary(ch).capacity
-        cap_g = infotheory.capacity_grid(ch, step=1e-6).capacity
-        cap_b = infotheory.blahut_arimoto(ch, tol=1e-9, max_iter=100_000).capacity
-        worst = max(worst, abs(cap_t - cap_g), abs(cap_t - cap_b), abs(cap_g - cap_b))
-    add(_result("solver-agreement", worst, tol))
+    channels = [_random_channel(rng) for _ in range(trials)]
+    channels += [
+        infotheory.DMC(matrix=np.array([[p00, 1.0 - p00], [p10, 1.0 - p10]]))
+        for p00, p10 in ADVERSARIAL_CHANNELS
+    ]
+    caps = np.array([_four_capacities(ch) for ch in channels])
+    # np.max propagates a NaN, which then fails the check.
+    add(_result("solver-agreement", np.max(caps.max(axis=1) - caps.min(axis=1)), tol))
 
     # the flip-0.11 binary symmetric channel against its hand value
     tol = _tol("bsc-known-capacity", tolerances)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from chancap import gaussian, infotheory, oracle, verify
+from chancap import gaussian, infotheory, kernels, oracle, verify
 from chancap.cli import main
 from chancap.twolevel import (
     PrepBias,
@@ -152,17 +152,26 @@ def test_criterion_4_periodicity():
 
 
 def test_criterion_5_capacity_solver_agreement():
-    """Ternary search, alternating maximization, and the 1e-6-step grid agree."""
+    """Closed form, ternary search, alternating maximization and the 1e-6-step grid agree,
+    on random channels and on verify's adversarial corners."""
     rng = np.random.default_rng(1005)
-    worst = 0.0
+    matrices = []
     for _ in range(1000):
         m = rng.uniform(0, 1, (2, 2))
         m /= m.sum(axis=1, keepdims=True)
+        matrices.append(m)
+    matrices += [np.array([[a, 1 - a], [b, 1 - b]]) for a, b in verify.ADVERSARIAL_CHANNELS]
+    worst = 0.0
+    for m in matrices:
         ch = infotheory.DMC(matrix=m)
-        cap_t = infotheory.capacity_binary(ch).capacity
-        cap_g = infotheory.capacity_grid(ch, step=1e-6).capacity
-        cap_b = infotheory.blahut_arimoto(ch, tol=1e-9, max_iter=100_000).capacity
-        worst = max(worst, abs(cap_t - cap_g), abs(cap_t - cap_b), abs(cap_g - cap_b))
+        caps = (
+            infotheory.capacity_binary(ch).capacity,
+            kernels.capacity_ternary(float(ch.matrix[0, 0]), float(ch.matrix[1, 0]))[0],
+            infotheory.capacity_grid(ch, step=1e-6).capacity,
+            infotheory.blahut_arimoto(ch, tol=1e-9, max_iter=100_000).capacity,
+        )
+        assert all(math.isfinite(c) for c in caps), (m, caps)
+        worst = max(worst, max(caps) - min(caps))
     bsc = infotheory.DMC(matrix=np.array([[0.89, 0.11], [0.11, 0.89]]))
     bsc_dev = max(
         abs(infotheory.capacity_binary(bsc, base="bits").capacity - 0.500084041835472),

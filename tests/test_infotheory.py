@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chancap import cli, kernels, verify
 from chancap.infotheory import (
     DMC,
     Distribution,
@@ -13,6 +16,7 @@ from chancap.infotheory import (
     shannon_entropy,
     two_level_capacities,
     two_level_capacity,
+    _binary_capacity,
 )
 from chancap.twolevel import PrepBias, TwoLevelHamiltonian, period
 from chancap.units import UnitMode, constants_for
@@ -31,6 +35,20 @@ def random_channel(rng, nx=2, ny=2):
     m = rng.uniform(0, 1, (nx, ny))
     m /= m.sum(axis=1, keepdims=True)
     return DMC(matrix=m)
+
+
+def binary(p00, p10):
+    return DMC(matrix=np.array([[p00, 1.0 - p00], [p10, 1.0 - p10]]))
+
+
+_LOG_UNIFORM = st.floats(min_value=-300.0, max_value=0.0).map(lambda e: 10.0**e)
+#: Channel entries: log-uniform on [1e-300, 1], the same distances below 1,
+#: and the exact edges 0, 1 and the smallest subnormal.
+ENTRIES = st.one_of(
+    _LOG_UNIFORM,
+    _LOG_UNIFORM.map(lambda x: 1.0 - x),
+    st.sampled_from([0.0, 1.0, 5e-324]),
+)
 
 
 class TestEntropy:
@@ -124,6 +142,60 @@ class TestCapacityBinary:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             capacity_binary(DMC(matrix=np.eye(3)))
+
+
+class TestClosedForm:
+    @settings(max_examples=400, deadline=None)
+    @given(ENTRIES, ENTRIES)
+    def test_bounded_and_invariant(self, p00, p10):
+        cap = capacity_binary(binary(p00, p10)).capacity
+        assert math.isfinite(cap) and 0.0 <= cap <= math.log(2)
+        assert abs(capacity_binary(binary(p10, p00)).capacity - cap) <= 1e-15
+        # Relabelled, a row (p, 1-p) is read back as (1-p, 1 - (1-p)), and
+        # 1 - (1-p) is p only where 1-p is exact: below 1e-16 it is not (at
+        # p = 5e-17 that moves C by 1.2e-15). p = 1 - (1-p) makes it exact.
+        p00, p10 = 1.0 - (1.0 - p00), 1.0 - (1.0 - p10)
+        cap = capacity_binary(binary(p00, p10)).capacity
+        assert abs(capacity_binary(binary(1.0 - p00, 1.0 - p10)).capacity - cap) <= 1e-15
+
+    @settings(max_examples=400, deadline=None)
+    @given(ENTRIES, ENTRIES)
+    def test_matches_ternary_search_and_its_optimizer(self, p00, p10):
+        res = capacity_binary(binary(p00, p10))
+        assert abs(kernels.capacity_ternary(p00, p10)[0] - res.capacity) <= 1e-12
+        assert abs(kernels.mi_binary(p00, p10, res.optimizer.probs[0]) - res.capacity) <= 1e-12
+
+    @pytest.mark.parametrize("p00,p10", verify.ADVERSARIAL_CHANNELS)
+    def test_adversarial_corners_match_the_grid(self, p00, p10):
+        ch = binary(p00, p10)
+        assert abs(capacity_binary(ch).capacity - capacity_grid(ch, step=1e-6).capacity) <= 1e-12
+
+    def test_z_channel_near_one(self):
+        # Rows (1, 0) and (1-d, d): C = ln(1 + d (1-d)^((1-d)/d)), about d/e.
+        p10 = 1.0 - 1e-9
+        d = 1.0 - p10
+        want = math.log1p(d * math.exp((1.0 - d) / d * math.log1p(-d)))
+        assert capacity_binary(binary(1.0, p10)).capacity == pytest.approx(want, rel=1e-12)
+        assert want == pytest.approx(3.68e-10, rel=1e-3)
+
+    def test_stack_is_bounded_and_matches_single_channels_bit_for_bit(self):
+        rng = np.random.default_rng(35)
+        n = 2000
+        tiny = 10.0 ** rng.uniform(-300.0, 0.0, (2, n))
+        edges = np.array([0.0, 1.0, 5e-324])[rng.integers(0, 3, (2, n))]
+        kind = rng.integers(0, 4, (2, n))
+        pick = [rng.uniform(0.0, 1.0, (2, n)), tiny, 1.0 - tiny, edges]
+        p00, p10 = np.choose(kind, pick)
+        # a quarter of the rows 1e-16 to 1e-10 apart, where rounding
+        # pushes the formula below 0
+        offset = 10.0 ** rng.uniform(-16.0, -10.0, n) * rng.choice([-1.0, 1.0], n)
+        p10 = np.where(np.arange(n) % 4 == 0, np.clip(p00 + offset, 0.0, 1.0), p10)
+        caps, qs = _binary_capacity(p00, p10)
+        assert np.all((caps >= 0.0) & (caps <= math.log(2)))
+        for a, b, cap, q in zip(p00.tolist(), p10.tolist(), caps.tolist(), qs.tolist()):
+            res = capacity_binary(binary(a, b))
+            # Distribution stores -0.0 as 0.0, so q is compared by value.
+            assert res.capacity.hex() == cap.hex() and res.optimizer.probs[0] == q
 
 
 class TestBlahutArimoto:
@@ -232,6 +304,26 @@ class TestTwoLevelCapacity:
         caps = two_level_capacities(h, PrepBias(r0), ts, NAT, base=base)
         want = [two_level_capacity(h, PrepBias(r0), float(t), NAT, base=base).capacity for t in ts]
         np.testing.assert_array_equal(caps.view(np.int64), np.array(want).view(np.int64))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta,eps", [(0.0, 1e-170), (1e200, 1e200)])
+    def test_a_squared_out_of_range_fails_alike(self, delta, eps):
+        # a*a underflows to 0 (eps = 1e-170) or overflows to inf (1e200):
+        # a float and an array of delays raise the same ValueError, with no
+        # numpy warning on the way.
+        h = TwoLevelHamiltonian(E=0.0, Delta=delta, epsilon=eps)
+        with pytest.raises(ValueError, match=r"a\*a leaves the floating-point range"):
+            two_level_capacity(h, PrepBias(0.1), 0.3, NAT)
+        with pytest.raises(ValueError, match=r"a\*a leaves the floating-point range"):
+            two_level_capacities(h, PrepBias(0.1), np.array([0.3, 0.5]), NAT)
+
+    def test_two_level_tables_make_no_per_point_search(self, monkeypatch, tmp_path):
+        def refuse(p00, p10):
+            raise AssertionError("per-point ternary search")
+
+        monkeypatch.setattr(kernels, "capacity_ternary", refuse)
+        assert cli.main(["fig-two-level", "--out", str(tmp_path / "fig.csv")]) == 0
+        assert len(verify.monotonicity_findings()) == 400
 
 
 class TestValidation:
