@@ -167,7 +167,7 @@ def _cmd_fig_two_level(args) -> int:
     gammas = sorted(args.gammas)
     times, caps = [], []
     for gamma in gammas:
-        eps = 2.0 / math.sqrt(gamma**2 + 4.0)
+        eps = 2.0 / math.hypot(gamma, 2.0)
         h = TwoLevelHamiltonian(E=0.0, Delta=gamma * eps, epsilon=eps)
         t = np.linspace(0.0, period(h, c), args.time_points)
         times.append(t)

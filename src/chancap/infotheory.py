@@ -8,8 +8,11 @@ cross-check each other:
   channels: the primary solver, behind capacity_binary and the two-level
   capacities;
 - ternary search on the concave I(q) (kernels.capacity_ternary);
-- alternating maximization (blahut_arimoto);
-- an exhaustive scan of the prior (capacity_grid).
+- alternating maximization (blahut_arimoto, over kernels.ba_binary);
+- an exhaustive scan of the prior (capacity_grid, over kernels.capacity_grid).
+
+The last three are the scalar kernels of ``kernels``; they stay as oracles
+for the closed form.
 """
 
 from __future__ import annotations

@@ -69,7 +69,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "bsc-known-capacity": 1e-6,
     "capacity-bounds": 1e-12,
     "capacity-periodicity": 1e-9,
-    "kernel-backend-parity": 1e-12,
     "r0-monotonicity": 1e-9,
 }
 
@@ -127,7 +126,6 @@ class SuiteReport:
     suite: str
     seed: int
     trials: int
-    backend: str
     checks: list[CheckResult] = field(default_factory=list)
 
     @property
@@ -142,7 +140,6 @@ class SuiteReport:
             "suite": self.suite,
             "seed": self.seed,
             "trials": self.trials,
-            "backend": self.backend,
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
@@ -209,7 +206,7 @@ def run_gaussian_suite(
 ) -> SuiteReport:
     rng = np.random.default_rng(seed)
     c = constants_for(UnitMode.NATURAL)
-    report = SuiteReport(suite="gaussian", seed=seed, trials=trials, backend=kernels.BACKEND)
+    report = SuiteReport(suite="gaussian", seed=seed, trials=trials)
     add = report.checks.append
 
     # noise floor: Delta_t^2 >= hbar t / m with equality exactly at v*
@@ -423,7 +420,7 @@ def run_two_level_suite(
 ) -> SuiteReport:
     rng = np.random.default_rng(seed)
     c = constants_for(UnitMode.NATURAL)
-    report = SuiteReport(suite="two_level", seed=seed, trials=trials, backend=kernels.BACKEND)
+    report = SuiteReport(suite="two_level", seed=seed, trials=trials)
     add = report.checks.append
 
     worst_res = 0.0
@@ -564,7 +561,7 @@ def run_infotheory_suite(
 ) -> SuiteReport:
     rng = np.random.default_rng(seed)
     c = constants_for(UnitMode.NATURAL)
-    report = SuiteReport(suite="infotheory", seed=seed, trials=trials, backend=kernels.BACKEND)
+    report = SuiteReport(suite="infotheory", seed=seed, trials=trials)
     add = report.checks.append
 
     # hand-computed entropies
@@ -641,40 +638,6 @@ def run_infotheory_suite(
         c2 = infotheory.two_level_capacity(h, r0, t + t0, c).capacity
         worst = max(worst, abs(c1 - c2))
     add(_result("capacity-periodicity", worst, tol))
-
-    # compiled and pure-Python kernels agree (skipped when only one exists)
-    tol = _tol("kernel-backend-parity", tolerances)
-    backends = kernels.available_backends()
-    if len(backends) > 1:
-        compiled = backends["compiled"]
-        fallback = backends["python"]
-        worst = 0.0
-        for _ in range(min(trials, 100)):
-            ch = _random_channel(rng)
-            p00, p10 = float(ch.matrix[0, 0]), float(ch.matrix[1, 0])
-            q = float(rng.uniform(0.0, 1.0))
-            worst = max(worst, abs(compiled.mi_binary(p00, p10, q) - fallback.mi_binary(p00, p10, q)))
-            worst = max(
-                worst,
-                abs(compiled.capacity_ternary(p00, p10)[0] - fallback.capacity_ternary(p00, p10)[0]),
-            )
-            worst = max(
-                worst,
-                abs(
-                    compiled.capacity_grid(p00, p10, 1e-3)[0]
-                    - fallback.capacity_grid(p00, p10, 1e-3)[0]
-                ),
-            )
-            worst = max(
-                worst,
-                abs(
-                    compiled.ba_binary(p00, p10, 1e-9, 100_000)[0]
-                    - fallback.ba_binary(p00, p10, 1e-9, 100_000)[0]
-                ),
-            )
-        add(_result("kernel-backend-parity", worst, tol))
-    else:
-        add(_result("kernel-backend-parity", 0.0, tol, details="single backend available"))
 
     # the claimed monotonic decrease of capacity in r0(1-r0): findings only
     tol = _tol("r0-monotonicity", tolerances)

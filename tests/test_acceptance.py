@@ -1,8 +1,8 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see one summary line
-per criterion. The full suite is sized to finish in well under a minute
-with the compiled kernels.
+per criterion. The full suite is sized to finish in well under a minute;
+criterion 5's exhaustive 1e-6 grid scans take most of that time.
 """
 
 import math

@@ -87,6 +87,17 @@ class TestFigTwoLevel:
             spans[gamma] = caps.max() - caps.min()
         assert spans[100.0] < 0.01 < spans[1.0]
 
+    def test_huge_gamma_does_not_overflow(self, tmp_path):
+        # gamma**2 overflows a double; eps = 2/hypot(gamma, 2) does not
+        out = tmp_path / "fig.csv"
+        assert main(["fig-two-level", "--out", str(out), "--gammas", "1e160", "1e200",
+                     "--time-points", "9"]) == 0
+        _, rows = read_csv(out)
+        caps = rows[:, 2]
+        assert caps.size == 18
+        assert np.all(np.isfinite(caps))
+        assert np.all((caps >= 0.0) & (caps <= 1.0))
+
     def test_small_bias_caps_at_bsc_value(self, tmp_path):
         out = tmp_path / "fig.csv"
         main(["fig-two-level", "--out", str(out), "--gammas", "1", "--r0", "0.11",

@@ -1,4 +1,4 @@
-"""Backend parity: the compiled kernels and the pure-Python fallback must agree."""
+"""The scalar capacity kernels: known values, validation and the grid scan's bit identity."""
 
 import math
 import re
@@ -6,11 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from chancap import _kernels_py, kernels
+from chancap import kernels
 
 BSC_NATS = 0.3466318436412791  # capacity of BSC(0.11), hand value
-
-backends = list(kernels.available_backends().items())
 
 
 def random_channels(n, seed=0):
@@ -20,51 +18,47 @@ def random_channels(n, seed=0):
     return [(float(a[0, 0]), float(a[1, 0])) for a in m]
 
 
-@pytest.mark.parametrize("name,impl", backends)
-class TestEachBackend:
-    def test_mi_known_values(self, name, impl):
-        assert impl.mi_binary(1.0, 0.0, 0.5) == pytest.approx(math.log(2), rel=1e-14)
-        assert impl.mi_binary(0.5, 0.5, 0.3) == pytest.approx(0.0, abs=1e-15)
-        assert impl.mi_binary(0.89, 0.11, 0.5) == pytest.approx(BSC_NATS, rel=1e-13)
+class TestKernels:
+    def test_mi_known_values(self):
+        assert kernels.mi_binary(1.0, 0.0, 0.5) == pytest.approx(math.log(2), rel=1e-14)
+        assert kernels.mi_binary(0.5, 0.5, 0.3) == pytest.approx(0.0, abs=1e-15)
+        assert kernels.mi_binary(0.89, 0.11, 0.5) == pytest.approx(BSC_NATS, rel=1e-13)
 
-    def test_ternary_bsc(self, name, impl):
-        cap, q, _ = impl.capacity_ternary(0.89, 0.11)
+    def test_ternary_bsc(self):
+        cap, q, _ = kernels.capacity_ternary(0.89, 0.11)
         assert cap == pytest.approx(BSC_NATS, abs=1e-12)
         assert abs(q - 0.5) < 1e-10
 
-    def test_ternary_degenerate_rows(self, name, impl):
-        cap, q, iters = impl.capacity_ternary(0.37, 0.37)
+    def test_ternary_degenerate_rows(self):
+        cap, q, iters = kernels.capacity_ternary(0.37, 0.37)
         assert cap == 0.0 and q == 0.5 and iters == 0
 
-    def test_grid_identity(self, name, impl):
-        cap, q, evals = impl.capacity_grid(1.0, 0.0, 1e-4)
+    def test_grid_identity(self):
+        cap, q, evals = kernels.capacity_grid(1.0, 0.0, 1e-4)
         assert cap == pytest.approx(math.log(2), abs=1e-8)
         assert q == pytest.approx(0.5, abs=1e-4)
         assert evals == 10001
 
-    def test_grid_step_validation(self, name, impl):
-        steps = [0.0, -1e-3, 1.5, math.inf, -math.inf]
-        if name == "python":  # the compiled range check still lets NaN through
-            steps.append(math.nan)
-        for step in steps:
+    def test_grid_step_validation(self):
+        for step in (0.0, -1e-3, 1.5, math.inf, -math.inf, math.nan):
             message = re.escape(f"step must lie in (0, 1], got {step}")
             with pytest.raises(ValueError, match=message):
-                impl.capacity_grid(0.5, 0.4, step)
+                kernels.capacity_grid(0.5, 0.4, step)
 
-    def test_ba_identity(self, name, impl):
-        cap, q, iters, converged = impl.ba_binary(1.0, 0.0, 1e-12, 100)
+    def test_ba_identity(self):
+        cap, q, iters, converged = kernels.ba_binary(1.0, 0.0, 1e-12, 100)
         assert converged and iters == 1
         assert cap == pytest.approx(math.log(2), rel=1e-14)
 
-    def test_ba_reports_exhaustion(self, name, impl):
-        cap, q, iters, converged = impl.ba_binary(0.15, 0.156, 1e-15, 5)
+    def test_ba_reports_exhaustion(self):
+        cap, q, iters, converged = kernels.ba_binary(0.15, 0.156, 1e-15, 5)
         assert not converged and iters == 5
 
-    def test_ba_parameter_validation(self, name, impl):
+    def test_ba_parameter_validation(self):
         with pytest.raises(ValueError):
-            impl.ba_binary(0.5, 0.4, -1.0, 100)
+            kernels.ba_binary(0.5, 0.4, -1.0, 100)
         with pytest.raises(ValueError):
-            impl.ba_binary(0.5, 0.4, 1e-9, 0)
+            kernels.ba_binary(0.5, 0.4, 1e-9, 0)
 
 
 BAD_CHANNELS = [
@@ -78,7 +72,7 @@ BAD_CHANNELS = [
 
 
 class TestChannelValidation:
-    """kernels rejects a channel entry outside [0, 1], NaN included, on either backend."""
+    """kernels rejects a channel entry outside [0, 1], NaN included."""
 
     @pytest.mark.parametrize("p00,p10", BAD_CHANNELS)
     def test_mi_binary(self, p00, p10):
@@ -110,12 +104,12 @@ class TestChannelValidation:
 def reference_grid(p00, p10, step):
     """The grid scan as one unblocked numpy expression over all n + 1 points."""
     n = int(1.0 / step + 0.5)
-    h0, h1 = _kernels_py._h2(p00), _kernels_py._h2(p10)
+    h0, h1 = kernels._h2(p00), kernels._h2(p10)
     q = np.arange(n + 1) / n
     y0 = q * p00 + (1.0 - q) * p10
     y1 = 1.0 - y0
-    np.clip(y0, _kernels_py._TINY, None, out=y0)
-    np.clip(y1, _kernels_py._TINY, None, out=y1)
+    np.clip(y0, kernels._TINY, None, out=y0)
+    np.clip(y1, kernels._TINY, None, out=y1)
     mi = -y0 * np.log(y0) - y1 * np.log(y1) - q * h0 - (1.0 - q) * h1
     j = int(np.argmax(mi))
     return max(float(mi[j]), 0.0), j / n, n + 1
@@ -138,7 +132,7 @@ class TestGridBitIdentity:
     """The blocked scan returns exactly what the unblocked expression does."""
 
     def assert_identical(self, p00, p10, step):
-        got = _kernels_py.capacity_grid(p00, p10, step)
+        got = kernels.capacity_grid(p00, p10, step)
         want = reference_grid(p00, p10, step)
         assert got == want, (p00, p10, step)
         assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
@@ -157,7 +151,7 @@ class TestGridBitIdentity:
             self.assert_identical(p00, p10, 1e-6)
 
     def test_block_boundaries(self):
-        block = _kernels_py._GRID_BLOCK
+        block = kernels._GRID_BLOCK
         # n + 1 points: two, one short of a block, one block, one past it.
         # Rows of all 0 or all 1 tie at every point, across blocks too.
         for n in (1, block - 2, block - 1, block, 3 * block + 5):
@@ -168,49 +162,8 @@ class TestGridBitIdentity:
         # At step 1 both points of a useless channel give exactly zero
         # information: the lowest q wins and the capacity is +0.0.
         for p in (0.5, 0.25, 0.3, 0.75):
-            cap, q, evals = _kernels_py.capacity_grid(p, p, 1.0)
+            cap, q, evals = kernels.capacity_grid(p, p, 1.0)
             assert (cap, q, evals) == (0.0, 0.0, 2)
             assert math.copysign(1.0, cap) == 1.0
             self.assert_identical(p, p, 1.0)
 
-
-@pytest.mark.skipif(len(backends) < 2, reason="compiled extension not built")
-class TestBackendParity:
-    def test_mi_parity(self):
-        compiled = kernels.available_backends()["compiled"]
-        rng = np.random.default_rng(1)
-        for p00, p10 in random_channels(200, seed=1):
-            q = float(rng.uniform(0, 1))
-            assert compiled.mi_binary(p00, p10, q) == pytest.approx(
-                _kernels_py.mi_binary(p00, p10, q), abs=1e-14
-            )
-
-    def test_ternary_parity(self):
-        compiled = kernels.available_backends()["compiled"]
-        for p00, p10 in random_channels(200, seed=2):
-            c1, q1, _ = compiled.capacity_ternary(p00, p10)
-            c2, q2, _ = _kernels_py.capacity_ternary(p00, p10)
-            assert c1 == pytest.approx(c2, abs=1e-13)
-            assert q1 == pytest.approx(q2, abs=1e-9)
-
-    def test_grid_parity(self):
-        compiled = kernels.available_backends()["compiled"]
-        for p00, p10 in random_channels(50, seed=3):
-            c1, q1, n1 = compiled.capacity_grid(p00, p10, 1e-4)
-            c2, q2, n2 = _kernels_py.capacity_grid(p00, p10, 1e-4)
-            assert n1 == n2
-            assert c1 == pytest.approx(c2, abs=1e-13)
-            assert q1 == pytest.approx(q2, abs=1.01e-4)
-
-    def test_ba_parity(self):
-        compiled = kernels.available_backends()["compiled"]
-        for p00, p10 in random_channels(100, seed=4):
-            c1 = compiled.ba_binary(p00, p10, 1e-10, 100_000)
-            c2 = _kernels_py.ba_binary(p00, p10, 1e-10, 100_000)
-            assert c1[0] == pytest.approx(c2[0], abs=1e-12)
-            assert c1[3] == c2[3]
-
-
-def test_backend_reports_name():
-    assert kernels.BACKEND in ("compiled", "python")
-    assert "python" in kernels.available_backends()

@@ -26,6 +26,10 @@ class TestSuites:
         reports = verify.run_suite("all", seed=3, trials=10)
         assert [r.suite for r in reports] == list(verify.SUITES)
         assert all(r.passed for r in reports)
+        # Every tolerance entry names exactly one check that runs.
+        names = [c.name for r in reports for c in r.checks]
+        assert len(names) == len(set(names))
+        assert set(names) == set(verify.DEFAULT_TOLERANCES)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
@@ -53,6 +57,7 @@ class TestReportStructure:
     def test_to_dict_roundtrip_fields(self):
         report = verify.run_infotheory_suite(seed=1, trials=5)
         payload = report.to_dict()
+        assert set(payload) == {"suite", "seed", "trials", "passed", "checks"}
         assert payload["suite"] == "infotheory"
         assert payload["seed"] == 1
         assert payload["trials"] == 5
