@@ -44,6 +44,7 @@ from .twolevel import (
     channel_at,
     channel_matrices,
     eigensystem,
+    eps_for_gamma,
     evolve,
     period,
     transition_probs,
@@ -76,6 +77,7 @@ __all__ = [
     "evolve",
     "transition_probs",
     "period",
+    "eps_for_gamma",
     "channel_at",
     "channel_matrices",
     "Distribution",

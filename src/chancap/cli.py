@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, gaussian, infotheory, verify
-from .twolevel import PrepBias, TwoLevelHamiltonian, period, transition_probs
+from .twolevel import PrepBias, TwoLevelHamiltonian, eps_for_gamma, period, transition_probs
 from .units import UnitMode, constants_for
 
 USAGE_ERROR = 2
@@ -45,50 +44,60 @@ def finite(text: str) -> float:
     return value
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: Rows gathered and joined per write: bounds the text held at once, whatever the table size.
+_CHUNK_ROWS = 4096
 
 
-def _json_cell(v: float) -> str:
-    # json's own spelling of a float: float.__repr__, or NaN / Infinity.
-    text = repr(v)
-    return _JSON_NONFINITE.get(text, text)
+def _distinct_cells(column: np.ndarray, fmt: str, before: str, after: str):
+    """Texts before + cell + after of a column's distinct values, and the index of each row's text.
 
-
-def _cells(column: np.ndarray, fmt, before: str, after: str = "") -> list[str]:
-    """before + fmt(v) + after for every cell v, calling fmt once per distinct value.
-
-    Values are keyed on their bit pattern, so -0.0 and 0.0 stay apart.
+    Values are keyed on their bit pattern, so -0.0 and 0.0 stay apart. All
+    distinct values are formatted in one call: "%.16e" for CSV, and for
+    JSON json's own spelling, float.__repr__ or NaN / Infinity.
     """
-    bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    texts = [before + fmt(v) + after for v in keys.view(np.float64).tolist()]
-    return np.array(texts, dtype=object)[inverse].tolist()
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    values = keys.view(np.float64).tolist()
+    if fmt == "csv":
+        texts = ("\0".join(["%.16e"] * len(values)) % tuple(values)).split("\0")
+    else:
+        texts = json.dumps(values)[1:-1].split(", ")
+    # No cell or separator contains NUL, so one join and one split frame every text.
+    framed = (before + (after + "\0" + before).join(texts) + after).split("\0")
+    return np.array(framed, dtype=object), inverse
 
 
 def _write_table(path: Path, table: dict[str, np.ndarray], fmt: str) -> None:
     """Write equal-length columns as CSV, or as json.dumps({"columns", "rows"}, indent=1) does.
 
-    Every cell carries the separator that precedes it, so the rows are
-    joined in one pass.
+    Every cell carries the separator that precedes it, so each chunk of
+    _CHUNK_ROWS rows is gathered into one block and joined in one pass.
     """
-    columns, values = list(table), list(table.values())
+    columns = list(table)
+    values = [np.ascontiguousarray(col, dtype=np.float64).ravel() for col in table.values()]
+    nrows = len(values[0]) if values else 0
+    if any(len(col) != nrows for col in values):
+        lengths = ", ".join(f"{name}={len(col)}" for name, col in zip(columns, values))
+        raise ValueError(f"table columns differ in length: {lengths}")
     if fmt == "csv":
-        cells = [_cells(col, "{:.16e}".format, "," if k else "\n") for k, col in enumerate(values)]
+        seps = [("," if k else "\n", "") for k in range(len(values))]
         head, tail = ",".join(columns), "\n"
     else:
         last = len(values) - 1
-        cells = [
-            _cells(col, _json_cell, ",\n   " if k else ",\n  [\n   ", "\n  ]" if k == last else "")
-            for k, col in enumerate(values)
+        seps = [
+            (",\n   " if k else ",\n  [\n   ", "\n  ]" if k == last else "")
+            for k in range(len(values))
         ]
         head = json.dumps({"columns": columns, "rows": []}, indent=1)[: -len("]\n}")]
-        tail = "]\n}\n"
-        if cells[0]:
-            cells[0][0] = cells[0][0][1:]  # no comma before the first row
-            tail = "\n ]\n}\n"
+        tail = "\n ]\n}\n" if nrows else "]\n}\n"
+    cells = [_distinct_cells(col, fmt, *sep) for col, sep in zip(values, seps)]
     with path.open("w") as f:
         f.write(head)
-        f.write("".join(itertools.chain.from_iterable(zip(*cells))))
+        for start in range(0, nrows, _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            block = np.column_stack([texts[inverse[rows]] for texts, inverse in cells])
+            if start == 0 and fmt == "json":
+                block[0, 0] = block[0, 0][1:]  # no comma before the first row
+            f.write("".join(block.ravel().tolist()))
         f.write(tail)
 
 
@@ -167,7 +176,7 @@ def _cmd_fig_two_level(args) -> int:
     gammas = sorted(args.gammas)
     times, caps = [], []
     for gamma in gammas:
-        eps = 2.0 / math.hypot(gamma, 2.0)
+        eps = eps_for_gamma(gamma)
         h = TwoLevelHamiltonian(E=0.0, Delta=gamma * eps, epsilon=eps)
         t = np.linspace(0.0, period(h, c), args.time_points)
         times.append(t)

@@ -189,8 +189,12 @@ def optimal_sigma2(t: float, mass: float, c: Constants) -> float:
     return c.hbar * t / (2.0 * mass)
 
 
-# math.log1p per element: np.log1p is not bit-identical to it on every double.
-_log1p = np.vectorize(math.log1p, otypes=[float])
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """math.log1p of every element: np.log1p is not bit-identical to it on every double.
+
+    One C-level map over the values, with no per-element numpy call.
+    """
+    return np.fromiter(map(math.log1p, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def capacity_at_optimum(t, mass, P: float, c: Constants) -> tuple[np.ndarray, np.ndarray]:

@@ -39,6 +39,7 @@ __all__ = [
     "evolve",
     "transition_probs",
     "period",
+    "eps_for_gamma",
     "channel_at",
     "channel_matrices",
     "stochastic_rows",
@@ -207,11 +208,19 @@ def _elementwise(fn, x):
     it on every double) gives the same numbers on both paths.
     """
     if isinstance(x, np.ndarray):
-        return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return fn(x)
 
 
-def _clamp_prob(x: float) -> float:
+def _clamp_prob(x):
+    """x with excursions of at most PROB_CLAMP below 0 or above 1 snapped to 0 or 1.
+
+    A float or an array, with the same bits either way. -0.0 and NaN pass
+    through; values further out are left for stochastic_rows to reject.
+    """
+    if isinstance(x, np.ndarray):
+        x = np.where((-PROB_CLAMP <= x) & (x < 0.0), 0.0, x)
+        return np.where((1.0 < x) & (x <= 1.0 + PROB_CLAMP), 1.0, x)
     if -PROB_CLAMP <= x < 0.0:
         return 0.0
     if 1.0 < x <= 1.0 + PROB_CLAMP:
@@ -240,7 +249,7 @@ def transition_probs(h: TwoLevelHamiltonian, p: PrepBias, t, c: Constants):
     cos2 = _elementwise(math.cos, 2.0 * a * t / c.hbar)
     prob0 = (zeta * cos2 + a2 * (1.0 - p.p) - zeta) / a2
     prob1 = (-zeta * cos2 + a2 * p.p + zeta) / a2
-    return _elementwise(_clamp_prob, prob0), _elementwise(_clamp_prob, prob1)
+    return _clamp_prob(prob0), _clamp_prob(prob1)
 
 
 def period(h: TwoLevelHamiltonian, c: Constants) -> float:
@@ -249,6 +258,16 @@ def period(h: TwoLevelHamiltonian, c: Constants) -> float:
     if a == 0.0:
         raise ValueError("Delta = epsilon = 0 gives a static channel with no period")
     return math.pi * c.hbar / a
+
+
+def eps_for_gamma(gamma: float) -> float:
+    """Tunneling strength eps = 2/sqrt(gamma^2 + 4) of the Delta = gamma*eps family.
+
+    Every member has a = 1, so the period is pi*hbar whatever gamma is.
+    Taken as 2/hypot(gamma, 2), since gamma**2 overflows for gamma above
+    about 1.3e154.
+    """
+    return 2.0 / math.hypot(gamma, 2.0)
 
 
 def _channel_rows(h: TwoLevelHamiltonian, r0: PrepBias, t, c: Constants) -> np.ndarray:

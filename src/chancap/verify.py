@@ -18,7 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gaussian, infotheory, kernels, oracle
-from .twolevel import PrepBias, TwoLevelHamiltonian, channel_at, eigensystem, evolve, period, transition_probs
+from .twolevel import (
+    PrepBias,
+    TwoLevelHamiltonian,
+    channel_at,
+    eigensystem,
+    eps_for_gamma,
+    evolve,
+    period,
+    transition_probs,
+)
 from .units import Constants, UnitMode, constants_for
 
 __all__ = [
@@ -523,11 +532,11 @@ def run_two_level_suite(
         worst = max(worst, abs(a[0] - b[0]), abs(a[1] - b[1]))
     add(_result("global-phase-invariance", worst, tol))
 
-    # the eps = 2/sqrt(gamma^2+4) family shares the period pi (hbar = 1)
+    # the eps_for_gamma family shares the period pi (hbar = 1)
     tol = _tol("shared-frequency-period", tolerances)
     worst = 0.0
     for gamma in np.linspace(0.0, 8.0, 33):
-        eps = 2.0 / math.sqrt(gamma**2 + 4.0)
+        eps = eps_for_gamma(gamma)
         h = TwoLevelHamiltonian(E=0.0, Delta=float(gamma * eps), epsilon=float(eps))
         worst = max(worst, abs(period(h, c) - math.pi))
     add(_result("shared-frequency-period", worst, tol))
@@ -676,7 +685,7 @@ def monotonicity_findings(
     fracs = np.linspace(0.0, 1.0, time_points)
     cells = []
     for gamma in np.linspace(0.0, 4.0, gamma_points):
-        eps = 2.0 / math.sqrt(gamma**2 + 4.0)
+        eps = eps_for_gamma(gamma)
         h = TwoLevelHamiltonian(E=0.0, Delta=float(gamma * eps), epsilon=float(eps))
         ts = fracs * period(h, c)
         by_r0 = [

@@ -291,6 +291,31 @@ WRITER_TABLES = {
 }
 
 
+CHUNK = cli._CHUNK_ROWS
+EDGE = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310]
+
+
+def chunked_table(nrows):
+    """Every EDGE value in the last row of a chunk and in the first row of the next, in some column.
+
+    Column j holds EDGE rotated by j in the rows edge-4 .. edge+3 around the
+    table's start, end and every chunk boundary, and random normals
+    elsewhere; "same" repeats one value and "distinct" never does.
+    """
+    rng = np.random.default_rng(nrows)
+    table = {}
+    for j in range(len(EDGE)):
+        col = rng.standard_normal(nrows)
+        for edge in {*range(0, nrows, CHUNK), nrows}:
+            for k, i in enumerate(range(edge - 4, edge + 4)):
+                if 0 <= i < nrows:
+                    col[i] = EDGE[(k + j) % len(EDGE)]
+        table[f"s{j}"] = col
+    table["same"] = np.full(nrows, 0.1)
+    table["distinct"] = np.arange(nrows) / 7.0
+    return table
+
+
 class TestColumnWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("name", sorted(WRITER_TABLES))
@@ -300,6 +325,24 @@ class TestColumnWriter:
         cli._write_table(out, table, fmt)
         rows = list(zip(*table.values()))
         assert out.read_bytes() == row_table_bytes(list(table), rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("nrows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_chunk_boundaries_match_row_formatter(self, tmp_path, nrows, fmt):
+        table = chunked_table(nrows)
+        out = tmp_path / f"t.{fmt}"
+        cli._write_table(out, table, fmt)
+        rows = list(zip(*table.values()))
+        assert out.read_bytes() == row_table_bytes(list(table), rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 0)])
+    def test_unequal_columns_rejected(self, tmp_path, lengths, fmt):
+        table = {f"c{k}": np.zeros(n) for k, n in enumerate(lengths)}
+        out = tmp_path / f"t.{fmt}"
+        with pytest.raises(ValueError, match="differ in length"):
+            cli._write_table(out, table, fmt)
+        assert not out.exists()
 
 
 def fig_gaussian_rows():

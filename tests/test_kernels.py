@@ -158,6 +158,16 @@ class TestGridBitIdentity:
             for p00, p10 in random_channels(3, seed=n) + [(0.0, 0.0), (1.0, 1.0)]:
                 self.assert_identical(p00, p10, 1.0 / n)
 
+    def test_buffers_start_on_a_cache_line(self):
+        # Whatever malloc returns, each scan buffer starts on a 64-byte boundary.
+        kept = []
+        for size in (1, 2, 7, 1000, kernels._GRID_BLOCK):
+            for _ in range(8):
+                kept.append(np.empty(size % 5 + 1))  # shift the heap between calls
+                buffers = kernels._aligned_empty(6, size)
+                assert buffers.shape == (6, size)
+                assert buffers.ctypes.data % 64 == 0
+
     def test_all_points_tie(self):
         # At step 1 both points of a useless channel give exactly zero
         # information: the lowest q wins and the capacity is +0.0.

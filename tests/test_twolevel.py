@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from chancap import twolevel
 from chancap.oracle import unitary_evolve_2x2
 from chancap.twolevel import (
+    PROB_CLAMP,
     BinaryChannel,
     PrepBias,
     TwoLevelHamiltonian,
     channel_at,
     channel_matrices,
     eigensystem,
+    eps_for_gamma,
     evolve,
     period,
     stochastic_rows,
@@ -189,6 +192,45 @@ class TestTransitionProbs:
         assert transition_probs(h, PrepBias(0.35), 5.0, NAT) == (0.65, 0.35)
 
 
+class TestClampProb:
+    """Entries within PROB_CLAMP outside [0, 1] are cancellation noise and snap back."""
+
+    BELOW = math.nextafter(-PROB_CLAMP, -math.inf)
+    ABOVE = math.nextafter(1.0 + PROB_CLAMP, math.inf)
+    VALUES = [-1.0, BELOW, -PROB_CLAMP, -5e-13, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0,
+              1.0 + 2**-52, 1.0 + 5e-13, 1.0 + PROB_CLAMP, ABOVE, 2.0, math.nan, math.inf, -math.inf]
+
+    def test_bands_snap_to_zero_and_one(self):
+        for x in (-PROB_CLAMP, -5e-13, -5e-324):
+            assert twolevel._clamp_prob(x) == 0.0
+        for x in (1.0 + 2**-52, 1.0 + 5e-13, 1.0 + PROB_CLAMP):
+            assert twolevel._clamp_prob(x) == 1.0
+
+    def test_negative_zero_and_nan_pass_through(self):
+        assert math.copysign(1.0, twolevel._clamp_prob(-0.0)) == -1.0
+        assert math.isnan(twolevel._clamp_prob(math.nan))
+
+    def test_beyond_the_bands_left_for_stochastic_rows(self):
+        for bad in (self.BELOW, self.ABOVE):
+            assert twolevel._clamp_prob(bad) == bad
+            with pytest.raises(ValueError, match="stray from"):
+                stochastic_rows([[bad, 0.5], [0.5, 0.5]])
+
+    def test_float_and_array_paths_agree_bit_for_bit(self):
+        want = np.array([twolevel._clamp_prob(v) for v in self.VALUES])
+        got = twolevel._clamp_prob(np.array(self.VALUES).reshape(3, 6))
+        assert got.shape == (3, 6)
+        assert got.ravel().view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_transition_probs_snaps_rounding_above_one(self):
+        # p = 1, Delta = 0, t = 0: prob1 = (a^2/2 + a^2 - a^2/2) / a^2, and for eps = 0.3 the
+        # rounded sums leave 1 + 2**-52 before the clamp.
+        h = TwoLevelHamiltonian(E=0.0, Delta=0.0, epsilon=0.3)
+        assert transition_probs(h, PrepBias(1.0), 0.0, NAT) == (0.0, 1.0)
+        prob0, prob1 = transition_probs(h, PrepBias(1.0), np.zeros(3), NAT)
+        assert prob0.tolist() == [0.0] * 3 and prob1.tolist() == [1.0] * 3
+
+
 class TestPeriod:
     def test_hand_value(self):
         # Delta=0, eps=1: 2 pi / sqrt(4) = pi
@@ -198,8 +240,10 @@ class TestPeriod:
 
     def test_shared_frequency_parameterization(self):
         # eps = 2/sqrt(gamma^2+4) pins the period at pi for every gamma
-        for gamma in (0.0, 0.5, 1.0, 2.0, 4.0, 10.0):
-            eps = 2 / math.sqrt(gamma**2 + 4)
+        for gamma in (0.0, 0.5, 1.0, 2.0, 4.0, 10.0, 1e160, 1e300):
+            eps = eps_for_gamma(gamma)
+            if gamma < 1e150:  # gamma**2 overflows beyond about 1.3e154
+                assert eps == pytest.approx(2 / math.sqrt(gamma**2 + 4), rel=1e-15, abs=0)
             h = TwoLevelHamiltonian(E=0.0, Delta=gamma * eps, epsilon=eps)
             assert abs(period(h, NAT) - math.pi) < 1e-12
 
