@@ -75,7 +75,7 @@ class ComplexDensityParams:
     time: float
 
     def __post_init__(self) -> None:
-        if self.complex_width.real <= 0:
+        if not self.complex_width.real > 0:
             raise ValueError("real part of complex_width must be positive")
 
 
@@ -93,18 +93,19 @@ class PowerBudget:
     mean_square_X: float
 
     def __post_init__(self) -> None:
-        if self.prep_time_T <= 0:
+        # Positive conditions, so that a NaN fails them.
+        if not self.prep_time_T > 0:
             raise ValueError(f"prep_time_T must be positive, got {self.prep_time_T}")
-        if self.measure_delay_t < 0:
+        if not self.measure_delay_t >= 0:
             raise ValueError(f"measure_delay_t must be >= 0, got {self.measure_delay_t}")
-        if self.mass <= 0:
+        if not self.mass > 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.mean_square_X < 0:
+        if not self.mean_square_X >= 0:
             raise ValueError(f"mean_square_X must be >= 0, got {self.mean_square_X}")
 
 
 def _check_time(t: float) -> None:
-    if t < 0:
+    if not t >= 0:  # a NaN fails it
         raise ValueError(f"time delay must be >= 0, got {t}")
 
 
@@ -169,9 +170,10 @@ def wavefunction_at(prep: GaussianPrep, x, t: float, c: Constants):
 
 def capacity_nats(P: float, delta2: float) -> float:
     """AWGN capacity (1/2) ln(1 + P / delta2) in nats per use."""
-    if P < 0:
+    # Positive conditions, so that a NaN fails them.
+    if not P >= 0:
         raise ValueError(f"signal constraint P must be >= 0, got {P}")
-    if delta2 <= 0:
+    if not delta2 > 0:
         raise ValueError(f"noise variance must be positive, got {delta2}")
     return 0.5 * math.log1p(P / delta2)
 
@@ -182,9 +184,9 @@ def optimal_sigma2(t: float, mass: float, c: Constants) -> float:
     By AM-GM, sigma2 + (hbar*t/(2m))^2/sigma2 >= hbar*t/m with equality
     iff sigma2 = v*.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"measurement delay must be positive, got {t}")
-    if mass <= 0:
+    if not mass > 0:
         raise ValueError(f"mass must be positive, got {mass}")
     return c.hbar * t / (2.0 * mass)
 
@@ -209,8 +211,8 @@ def capacity_at_optimum(t, mass, P: float, c: Constants) -> tuple[np.ndarray, np
     t, mass = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(mass, dtype=float))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vstar = c.hbar * t / (2.0 * mass)
-    # The scalar chain passes exactly where all of these hold.
-    bad = ~((t > 0.0) & (mass > 0.0) & (0.0 < vstar) & (vstar < inf)) | (P < 0)
+    # The scalar chain passes exactly where all of these hold; a NaN fails each.
+    bad = ~((t > 0.0) & (mass > 0.0) & (0.0 < vstar) & (vstar < inf) & (P >= 0))
     if bad.any():
         i = int(np.argmax(bad))
         t_i, m_i = float(t.flat[i]), float(mass.flat[i])
@@ -246,7 +248,7 @@ def capacity_vs_precision_curve(
     grid = np.asarray(sigma2_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("sigma2_grid must not be empty")
-    if np.any(grid <= 0):
+    if not np.all(grid > 0):
         raise ValueError("sigma2_grid values must be positive")
     vstar = optimal_sigma2(t, mass, c)
     out = np.empty((grid.size, 2))

@@ -265,9 +265,10 @@ def blahut_arimoto(
     very small tol, which is reported through converged=False (the returned
     lower bound is still a valid capacity estimate within the final gap).
     """
-    if tol <= 0.0:
+    # Positive conditions, so that a NaN fails them.
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
+    if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     factor = _base_factor(base)
     m = ch.matrix

@@ -7,7 +7,9 @@ ValueError.
 The grid scan is a cache-blocked, in-place numpy scan: a few buffers of
 _GRID_BLOCK doubles are allocated once per call, on a 64-byte boundary, and
 reused through out= ufuncs, so the working set stays in L2. The rest is
-scalar math.
+scalar math. Blahut-Arimoto is a plain loop over Python floats with two
+math.log calls and one math.exp per iteration: the side with the larger
+divergence keeps its prior as its weight, since exp(0) = 1.
 """
 
 from __future__ import annotations
@@ -181,39 +183,44 @@ def ba_binary(
     with D_x = KL(p(.|x) || output marginal). Returns
     (capacity_nats, q, iterations, converged); capacity is the lower bound.
     """
-    if tol <= 0.0:
+    # Positive conditions, so that a NaN fails them.
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
+    if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    log, exp = math.log, math.exp
     p01, p11 = 1.0 - p00, 1.0 - p10
-    lp00 = math.log(p00) if p00 > 0.0 else 0.0
-    lp01 = math.log(p01) if p01 > 0.0 else 0.0
-    lp10 = math.log(p10) if p10 > 0.0 else 0.0
-    lp11 = math.log(p11) if p11 > 0.0 else 0.0
+    lp00 = log(p00) if p00 > 0.0 else 0.0
+    lp01 = log(p01) if p01 > 0.0 else 0.0
+    lp10 = log(p10) if p10 > 0.0 else 0.0
+    lp11 = log(p11) if p11 > 0.0 else 0.0
     q0 = q1 = 0.5
     it = 0
     converged = False
-    cap = 0.0
     while it < max_iter:
         it += 1
         r0 = q0 * p00 + q1 * p10
         r1 = 1.0 - r0
-        lr0 = math.log(r0) if r0 > 0.0 else 0.0
-        lr1 = math.log(r1) if r1 > 0.0 else 0.0
-        d0 = (p00 * (lp00 - lr0) if p00 > 0.0 else 0.0) + (
-            p01 * (lp01 - lr1) if p01 > 0.0 else 0.0
-        )
-        d1 = (p10 * (lp10 - lr0) if p10 > 0.0 else 0.0) + (
-            p11 * (lp11 - lr1) if p11 > 0.0 else 0.0
-        )
-        il = q0 * d0 + q1 * d1
-        iu = max(d0, d1)
-        cap = il
-        if iu - il < tol:
-            converged = True
-            break
-        w0 = q0 * math.exp(d0 - iu)
-        w1 = q1 * math.exp(d1 - iu)
-        s = w0 + w1
-        q0, q1 = w0 / s, w1 / s
+        lr0 = log(r0) if r0 > 0.0 else 0.0
+        lr1 = log(r1) if r1 > 0.0 else 0.0
+        # A zero entry p adds p * (lp - lr) = +-0.0 (lp = 0, lr <= 0), which
+        # leaves the sum as it is: no branch needed.
+        d0 = p00 * (lp00 - lr0) + p01 * (lp01 - lr1)
+        d1 = p10 * (lp10 - lr0) + p11 * (lp11 - lr1)
+        cap = q0 * d0 + q1 * d1
+        # The larger D (d0 on a tie) bounds the capacity from above. Its
+        # weight is exp(0) = 1 times its prior, so only the other side
+        # needs an exp.
+        if d1 > d0:
+            if d1 - cap < tol:
+                converged = True
+                break
+            q0 *= exp(d0 - d1)
+        else:
+            if d0 - cap < tol:
+                converged = True
+                break
+            q1 *= exp(d1 - d0)
+        s = q0 + q1
+        q0, q1 = q0 / s, q1 / s
     return max(cap, 0.0), q0, it, converged

@@ -258,6 +258,9 @@ class TestVerifyCommand:
         assert all("max_deviation" in c and "tolerance" in c for c in checks)
 
 
+SUBCOMMANDS = ("fig-gaussian", "fig-two-level", "contour", "evolve", "verify")
+
+
 class TestParser:
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -268,6 +271,40 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["evolve", "--channel", "spin9", "--times", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            ["--version"],
+            [],
+            *([name, "-h"] for name in SUBCOMMANDS),
+            ["fig-gauss"],
+            ["--bogus", "verify"],
+            ["verify", "--bogus"],
+            ["verify", "--suite", "none"],
+            ["evolve", "--times", "1"],
+            ["contour", "--t-min"],
+        ],
+    )
+    def test_output_matches_the_full_parser(self, argv, capsys, monkeypatch):
+        # main adds options to the invoked subcommand alone; what it prints
+        # and its exit code must be those of the parser with all five.
+        monkeypatch.setenv("COLUMNS", "80")
+        outputs = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            outputs.append((exc.value.code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] or outputs[0][2]
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_full_parser_gives_every_subcommand_its_options(self, name):
+        # The reference above is only a reference if it is the full parser.
+        argv = [name, "--seed", "7", "--channel", "gaussian", "--times", "1"]
+        args, _ = cli.build_parser().parse_known_args(argv)
+        assert args.seed == 7 and args.handler.__name__ == "_cmd_" + name.replace("-", "_")
 
 
 def row_table_bytes(columns, rows, fmt):

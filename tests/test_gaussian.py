@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from chancap.gaussian import (
+    ComplexDensityParams,
     GaussianPrep,
     PowerBudget,
     beta,
     capacity_at_optimum,
     capacity_nats,
     capacity_vs_precision_curve,
+    complex_density_params,
     density_at,
     noise_variance,
     optimal_sigma2,
@@ -250,6 +252,63 @@ class TestPrepValidation:
             GaussianPrep(x0=0.0, sigma2_A=1.0, mass=bad)
 
 
+PREP = GaussianPrep(x0=0.0, sigma2_A=1.0, mass=1.0)
+GRID = [0.5, 1.0]
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: capacity_nats(NAN, 1.0), "signal constraint P must be >= 0, got nan"),
+        (lambda: capacity_nats(1.0, NAN), "noise variance must be positive, got nan"),
+        (lambda: optimal_sigma2(NAN, 1.0, NAT), "measurement delay must be positive, got nan"),
+        (lambda: optimal_sigma2(1.0, NAN, NAT), "mass must be positive, got nan"),
+        (lambda: noise_variance(PREP, NAN, NAT), "time delay must be >= 0, got nan"),
+        (lambda: density_at(PREP, 0.0, NAN, NAT), "time delay must be >= 0, got nan"),
+        (lambda: complex_density_params(PREP, NAN, NAT), "time delay must be >= 0, got nan"),
+        (lambda: wavefunction_at(PREP, 0.0, NAN, NAT), "time delay must be >= 0, got nan"),
+        (
+            lambda: capacity_vs_precision_curve(NAN, 1.0, 1.0, GRID, NAT),
+            "measurement delay must be positive, got nan",
+        ),
+        (
+            lambda: capacity_vs_precision_curve(1.0, 1.0, NAN, GRID, NAT),
+            "signal constraint P must be >= 0, got nan",
+        ),
+        (
+            lambda: capacity_vs_precision_curve(1.0, 1.0, 1.0, [0.5, NAN], NAT),
+            "sigma2_grid values must be positive",
+        ),
+        (
+            lambda: PowerBudget(prep_time_T=NAN, measure_delay_t=1.0, mass=1.0, mean_square_X=1.0),
+            "prep_time_T must be positive, got nan",
+        ),
+        (
+            lambda: PowerBudget(prep_time_T=1.0, measure_delay_t=NAN, mass=1.0, mean_square_X=1.0),
+            "measure_delay_t must be >= 0, got nan",
+        ),
+        (
+            lambda: PowerBudget(prep_time_T=1.0, measure_delay_t=1.0, mass=NAN, mean_square_X=1.0),
+            "mass must be positive, got nan",
+        ),
+        (
+            lambda: PowerBudget(prep_time_T=1.0, measure_delay_t=1.0, mass=1.0, mean_square_X=NAN),
+            "mean_square_X must be >= 0, got nan",
+        ),
+        (
+            lambda: ComplexDensityParams(center=0.0, complex_width=complex(NAN, 1.0), time=1.0),
+            "real part of complex_width must be positive",
+        ),
+    ],
+)
+def test_nan_rejected(call, message):
+    # Each guard is a positive condition: a NaN used to pass it and come out
+    # as a NaN result.
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def threshold_point(t, mass, P, c):
     """The scalar chain that capacity_at_optimum evaluates as arrays."""
     vstar = optimal_sigma2(t, mass, c)
@@ -278,6 +337,7 @@ class TestCapacityAtOptimum:
             ([1.0, 1.0], [1.0, math.inf], 1.0),
             ([1.0, math.nan], [1.0, 1.0], 1.0),
             ([1.0, 1e-300], [1.0, 1e300], -1.0),  # P fails at the first point
+            ([1.0, 1.0], [1.0, 1.0], math.nan),
         ],
     )
     def test_raises_the_scalar_chain_error(self, t, mass, P):

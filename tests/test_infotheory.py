@@ -242,6 +242,15 @@ class TestBlahutArimoto:
         with pytest.raises(ValueError):
             blahut_arimoto(IDENTITY, max_iter=0)
 
+    @pytest.mark.parametrize("ch", [IDENTITY, DMC(matrix=np.full((3, 3), 1 / 3))])
+    def test_nan_parameters_rejected(self, ch):
+        # A NaN fails every comparison: it used to run max_iter iterations
+        # (tol) or none (max_iter) and report converged=False.
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            blahut_arimoto(ch, tol=math.nan)
+        with pytest.raises(ValueError, match="max_iter must be >= 1, got nan"):
+            blahut_arimoto(ch, max_iter=math.nan)
+
 
 class TestCapacityGrid:
     def test_identity_channel(self):

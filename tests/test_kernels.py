@@ -1,4 +1,4 @@
-"""The scalar capacity kernels: known values, validation and the grid scan's bit identity."""
+"""The scalar capacity kernels: known values, validation, and bit identity to reference loops."""
 
 import math
 import re
@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from chancap import kernels
+from chancap import kernels, verify
 
 BSC_NATS = 0.3466318436412791  # capacity of BSC(0.11), hand value
 
@@ -55,10 +55,13 @@ class TestKernels:
         assert not converged and iters == 5
 
     def test_ba_parameter_validation(self):
-        with pytest.raises(ValueError):
-            kernels.ba_binary(0.5, 0.4, -1.0, 100)
-        with pytest.raises(ValueError):
-            kernels.ba_binary(0.5, 0.4, 1e-9, 0)
+        for tol in (-1.0, 0.0, -0.0, math.nan):
+            with pytest.raises(ValueError, match=re.escape(f"tol must be positive, got {tol}")):
+                kernels.ba_binary(0.5, 0.4, tol, 100)
+        for max_iter in (0, -1, math.nan):
+            message = re.escape(f"max_iter must be >= 1, got {max_iter}")
+            with pytest.raises(ValueError, match=message):
+                kernels.ba_binary(0.5, 0.4, 1e-9, max_iter)
 
 
 BAD_CHANNELS = [
@@ -177,3 +180,79 @@ class TestGridBitIdentity:
             assert math.copysign(1.0, cap) == 1.0
             self.assert_identical(p, p, 1.0)
 
+
+def reference_ba(p00, p10, tol, max_iter):
+    """Blahut-Arimoto as first written: a branch per zero entry and an exp per input."""
+    p01, p11 = 1.0 - p00, 1.0 - p10
+    lp00 = math.log(p00) if p00 > 0.0 else 0.0
+    lp01 = math.log(p01) if p01 > 0.0 else 0.0
+    lp10 = math.log(p10) if p10 > 0.0 else 0.0
+    lp11 = math.log(p11) if p11 > 0.0 else 0.0
+    q0 = q1 = 0.5
+    it = 0
+    converged = False
+    cap = 0.0
+    while it < max_iter:
+        it += 1
+        r0 = q0 * p00 + q1 * p10
+        r1 = 1.0 - r0
+        lr0 = math.log(r0) if r0 > 0.0 else 0.0
+        lr1 = math.log(r1) if r1 > 0.0 else 0.0
+        d0 = (p00 * (lp00 - lr0) if p00 > 0.0 else 0.0) + (
+            p01 * (lp01 - lr1) if p01 > 0.0 else 0.0
+        )
+        d1 = (p10 * (lp10 - lr0) if p10 > 0.0 else 0.0) + (
+            p11 * (lp11 - lr1) if p11 > 0.0 else 0.0
+        )
+        il = q0 * d0 + q1 * d1
+        iu = max(d0, d1)
+        cap = il
+        if iu - il < tol:
+            converged = True
+            break
+        w0 = q0 * math.exp(d0 - iu)
+        w1 = q1 * math.exp(d1 - iu)
+        s = w0 + w1
+        q0, q1 = w0 / s, w1 / s
+    return max(cap, 0.0), q0, it, converged
+
+
+SPECIAL_ENTRIES = (0.0, -0.0, 1.0, 5e-324)
+
+
+class TestBABitIdentity:
+    """ba_binary returns exactly what reference_ba does, signs of zero included.
+
+    Each channel runs at every tol with max_iter 1, 2, 5 (mostly the
+    exhaustion exit) and 100_000 (mostly the convergence exit).
+    """
+
+    def assert_identical(self, chans):
+        """Compare on every (tol, max_iter); return the exits taken (converged or not)."""
+        exits = set()
+        for p00, p10 in chans:
+            for tol in (1e-9, 1e-12, 1e-15):
+                for max_iter in (1, 2, 5, 100_000):
+                    got = kernels.ba_binary(p00, p10, tol, max_iter)
+                    want = reference_ba(p00, p10, tol, max_iter)
+                    assert got == want, (p00, p10, tol, max_iter)
+                    signs = [math.copysign(1.0, x) for x in got[:2] + want[:2]]
+                    assert signs[:2] == signs[2:], (p00, p10, tol, max_iter)
+                    exits.add(got[3])
+        return exits
+
+    def test_random_channels(self):
+        assert self.assert_identical(random_channels(200, seed=8)) == {True, False}
+
+    def test_adversarial_channels(self):
+        assert self.assert_identical(verify.ADVERSARIAL_CHANNELS) == {True, False}
+
+    def test_zero_one_and_subnormal_entries(self):
+        others = SPECIAL_ENTRIES + (1e-300, 0.3, 0.7, 1.0 - 1e-16)
+        chans = [(e, o) for e in SPECIAL_ENTRIES for o in others]
+        assert self.assert_identical(chans + [(o, e) for e, o in chans]) == {True, False}
+
+    def test_equal_rows(self):
+        # Equal rows give d0 == d1: the tie branch, and convergence at once.
+        chans = [(p, p) for p in SPECIAL_ENTRIES + (1e-300, 0.25, 0.5, 0.9)]
+        assert self.assert_identical(chans) == {True}
