@@ -23,13 +23,10 @@ from .gaussian import (
     wavefunction_at,
 )
 from .infotheory import (
-    DMC,
     CapacityResult,
-    Distribution,
     blahut_arimoto,
     capacity_binary,
     capacity_grid,
-    mutual_information,
     shannon_entropy,
     two_level_capacities,
     two_level_capacity,
@@ -80,11 +77,8 @@ __all__ = [
     "eps_for_gamma",
     "channel_at",
     "channel_matrices",
-    "Distribution",
-    "DMC",
     "CapacityResult",
     "shannon_entropy",
-    "mutual_information",
     "capacity_binary",
     "capacity_grid",
     "blahut_arimoto",

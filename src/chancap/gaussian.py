@@ -94,14 +94,14 @@ class PowerBudget:
 
     def __post_init__(self) -> None:
         # Positive conditions, so that a NaN fails them.
-        if not self.prep_time_T > 0:
-            raise ValueError(f"prep_time_T must be positive, got {self.prep_time_T}")
-        if not self.measure_delay_t >= 0:
-            raise ValueError(f"measure_delay_t must be >= 0, got {self.measure_delay_t}")
-        if not self.mass > 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if not self.mean_square_X >= 0:
-            raise ValueError(f"mean_square_X must be >= 0, got {self.mean_square_X}")
+        if not 0.0 < self.prep_time_T < inf:
+            raise ValueError(f"prep_time_T must be positive and finite, got {self.prep_time_T}")
+        if not 0.0 <= self.measure_delay_t < inf:
+            raise ValueError(f"measure_delay_t must be finite and >= 0, got {self.measure_delay_t}")
+        if not 0.0 < self.mass < inf:
+            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        if not 0.0 <= self.mean_square_X < inf:
+            raise ValueError(f"mean_square_X must be finite and >= 0, got {self.mean_square_X}")
 
 
 def _check_time(t: float) -> None:

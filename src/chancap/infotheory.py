@@ -1,8 +1,10 @@
-"""Entropies, mutual information, and capacity solvers for discrete channels.
+"""Entropy and capacity solvers for the binary (2x2) channel.
 
-Everything is computed internally in nats; ``base="bits"`` converts at the
-boundary by 1/ln(2). Four independent routes to binary-channel capacity
-cross-check each other:
+Every channel is a twolevel.BinaryChannel, the one validated 2x2 channel
+type: the two-level system induces no other. Its mutual information at a
+prior is kernels.mi_binary. Everything is computed internally in nats;
+``base="bits"`` converts at the boundary by 1/ln(2). Four independent
+routes to binary-channel capacity cross-check each other:
 
 - the closed form of Muroga (1953) and Silverman (1955), array-valued over
   channels: the primary solver, behind capacity_binary and the two-level
@@ -35,11 +37,8 @@ from .twolevel import (
 from .units import Constants
 
 __all__ = [
-    "Distribution",
-    "DMC",
     "CapacityResult",
     "shannon_entropy",
-    "mutual_information",
     "capacity_binary",
     "capacity_grid",
     "blahut_arimoto",
@@ -49,7 +48,6 @@ __all__ = [
 
 Base = Literal["nats", "bits"]
 
-_SUM_TOL = 1e-12
 _LN2 = math.log(2.0)
 
 
@@ -61,83 +59,31 @@ def _base_factor(base: Base) -> float:
     raise ValueError(f"base must be 'nats' or 'bits', got {base!r}")
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Probability vector: nonnegative entries summing to 1."""
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float).ravel()
-        if p.size == 0:
-            raise ValueError("distribution must not be empty")
-        # Positive conditions, so that a NaN fails them.
-        if not np.all(p >= -_SUM_TOL):
-            raise ValueError("probabilities must be nonnegative")
-        total = p.sum()
-        if not abs(total - 1.0) <= _SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {total}")
-        object.__setattr__(self, "probs", np.clip(p, 0.0, None))
-
-
-@dataclass(frozen=True)
-class DMC:
-    """Discrete memoryless channel: |X| x |Y| row-stochastic matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise ValueError(f"expected a 2-D transition matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", stochastic_rows(m))
-
-    @classmethod
-    def from_binary(cls, ch: BinaryChannel) -> "DMC":
-        return cls(matrix=ch.matrix)
+#: An alias, not a second channel type. The benchmark's solver-agreement
+#: workload (perfbench/workloads.py) builds infotheory.DMC(matrix=m), and the
+#: benchmark is kept fixed so that its runs compare across commits.
+DMC = BinaryChannel
 
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Capacity value with the achieving input distribution and solver stats."""
+    """Capacity value with the achieving prior q of input 0 and solver stats."""
 
     capacity: float
-    optimizer: Distribution
+    q: float
     iterations: int
     converged: bool
     base: Base
 
 
-def _entropy_nats(p: np.ndarray) -> float:
+def shannon_entropy(p, base: Base = "nats") -> float:
+    """-sum p_i log p_i of a probability vector, with the 0 log 0 = 0 convention."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"expected a probability vector, got shape {p.shape}")
+    p = stochastic_rows(p)
     nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def shannon_entropy(d: Distribution, base: Base = "nats") -> float:
-    """-sum p_i log p_i with the 0 log 0 = 0 convention."""
-    return _entropy_nats(d.probs) * _base_factor(base)
-
-
-def mutual_information(input: Distribution, ch: DMC, base: Base = "nats") -> float:
-    """I(X;Y) = H(Y) - sum_x q_x H(Y|X=x); clamped at 0 against cancellation."""
-    q = input.probs
-    m = ch.matrix
-    if q.size != m.shape[0]:
-        raise ValueError(
-            f"input size {q.size} does not match channel with {m.shape[0]} inputs"
-        )
-    y = q @ m
-    h_cond = sum(q[x] * _entropy_nats(m[x]) for x in range(m.shape[0]) if q[x] > 0)
-    mi = _entropy_nats(y) - h_cond
-    if mi < -_SUM_TOL:
-        raise AssertionError(f"mutual information fell below 0 by {-mi:.3e}")
-    return max(mi, 0.0) * _base_factor(base)
-
-
-def _require_binary(ch: DMC) -> tuple[float, float]:
-    if ch.matrix.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 channel, got shape {ch.matrix.shape}")
-    return float(ch.matrix[0, 0]), float(ch.matrix[1, 0])
+    return float(-(nz * np.log(nz)).sum()) * _base_factor(base)
 
 
 def _log0(x: np.ndarray) -> np.ndarray:
@@ -193,72 +139,43 @@ def _binary_capacity(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.where(same, 0.0, np.maximum(cap, 0.0)), np.where(same, 0.5, q)
 
 
-def capacity_binary(ch: DMC, base: Base = "nats") -> CapacityResult:
+def capacity_binary(ch: BinaryChannel, base: Base = "nats") -> CapacityResult:
     """Capacity of a binary channel from the Muroga-Silverman closed form.
 
     The optimizer q (probability of input 0) comes from the same closed
     form, so iterations is 0; channels with coinciding rows report q = 1/2.
     """
     factor = _base_factor(base)
-    p00, p10 = _require_binary(ch)
-    cap, q = _binary_capacity(np.array([p00]), np.array([p10]))
-    q0 = float(q[0])
+    cap, q = _binary_capacity(np.array([ch.matrix[0, 0]]), np.array([ch.matrix[1, 0]]))
     return CapacityResult(
         capacity=float(cap[0]) * factor,
-        optimizer=Distribution(np.array([q0, 1.0 - q0])),
+        q=float(q[0]),
         iterations=0,
         converged=True,
         base=base,
     )
 
 
-def capacity_grid(ch: DMC, step: float = 1e-6, base: Base = "nats") -> CapacityResult:
+def capacity_grid(ch: BinaryChannel, step: float = 1e-6, base: Base = "nats") -> CapacityResult:
     """Brute-force capacity of a binary channel: exhaustive scan of the prior."""
     factor = _base_factor(base)
-    p00, p10 = _require_binary(ch)
-    cap, q, evals = kernels.capacity_grid(p00, p10, step)
+    cap, q, evals = kernels.capacity_grid(float(ch.matrix[0, 0]), float(ch.matrix[1, 0]), step)
     return CapacityResult(
         capacity=cap * factor,
-        optimizer=Distribution(np.array([q, 1.0 - q])),
+        q=q,
         iterations=evals,
         converged=True,
         base=base,
     )
 
 
-def _ba_general(
-    m: np.ndarray, tol: float, max_iter: int
-) -> tuple[float, np.ndarray, int, bool]:
-    nx = m.shape[0]
-    q = np.full(nx, 1.0 / nx)
-    masked = np.where(m > 0, m, 1.0)
-    plogp = np.einsum("xy,xy->x", m, np.log(masked))
-    it = 0
-    converged = False
-    cap = 0.0
-    while it < max_iter:
-        it += 1
-        r = q @ m
-        logr = np.log(np.where(r > 0, r, 1.0))
-        d = plogp - m @ logr
-        il = float(q @ d)
-        iu = float(d.max())
-        cap = il
-        if iu - il < tol:
-            converged = True
-            break
-        w = q * np.exp(d - iu)
-        q = w / w.sum()
-    return max(cap, 0.0), q, it, converged
-
-
 def blahut_arimoto(
-    ch: DMC,
+    ch: BinaryChannel,
     tol: float = 1e-12,
     max_iter: int = 10_000,
     base: Base = "nats",
 ) -> CapacityResult:
-    """Blahut-Arimoto capacity of a DMC.
+    """Blahut-Arimoto capacity of a binary channel.
 
     Stops once the standard upper and lower capacity bounds differ by less
     than tol; channels with nearly coinciding rows may exhaust max_iter at
@@ -271,17 +188,12 @@ def blahut_arimoto(
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     factor = _base_factor(base)
-    m = ch.matrix
-    if m.shape == (2, 2):
-        cap, q0, iters, converged = kernels.ba_binary(
-            float(m[0, 0]), float(m[1, 0]), tol, max_iter
-        )
-        probs = np.array([q0, 1.0 - q0])
-    else:
-        cap, probs, iters, converged = _ba_general(m, tol, max_iter)
+    cap, q, iters, converged = kernels.ba_binary(
+        float(ch.matrix[0, 0]), float(ch.matrix[1, 0]), tol, max_iter
+    )
     return CapacityResult(
         capacity=cap * factor,
-        optimizer=Distribution(probs),
+        q=q,
         iterations=iters,
         converged=converged,
         base=base,
@@ -299,8 +211,7 @@ def two_level_capacity(
 
     Reported in bits by default.
     """
-    ch = DMC.from_binary(channel_at(h, r0, t, c))
-    return capacity_binary(ch, base=base)
+    return capacity_binary(channel_at(h, r0, t, c), base=base)
 
 
 def two_level_capacities(

@@ -236,8 +236,18 @@ def transition_probs(h: TwoLevelHamiltonian, p: PrepBias, t, c: Constants):
 
     with zeta_p = (eps/2)(eps(1-2p) + 2b sqrt(p(1-p))). Static when a = 0.
     t is a float, giving two floats, or an ndarray, giving two arrays of its
-    shape with the same values as the float path.
+    shape with the same values as the float path. A delay that is NaN,
+    negative or infinite raises ValueError, on either path.
     """
+    # Checked before any arithmetic, so float and array t fail alike;
+    # positive conditions, so that a NaN fails them.
+    if isinstance(t, np.ndarray):
+        ok = bool(np.all((0.0 <= t) & (t < math.inf)))
+    else:
+        ok = 0.0 <= t < math.inf
+    if not ok:
+        bad = next(x for x in np.ravel(t).tolist() if not 0.0 <= x < math.inf)
+        raise ValueError(f"delay t must be finite and >= 0, got t = {bad}")
     a, b, eps = h.a, h.b, h.epsilon
     if a == 0.0:
         return _elementwise(lambda _: 1.0 - p.p, t), _elementwise(lambda _: p.p, t)
@@ -265,8 +275,11 @@ def eps_for_gamma(gamma: float) -> float:
 
     Every member has a = 1, so the period is pi*hbar whatever gamma is.
     Taken as 2/hypot(gamma, 2), since gamma**2 overflows for gamma above
-    about 1.3e154.
+    about 1.3e154. A gamma that is NaN, negative or infinite raises ValueError.
     """
+    # Positive condition, so that a NaN fails it.
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     return 2.0 / math.hypot(gamma, 2.0)
 
 

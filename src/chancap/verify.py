@@ -19,6 +19,7 @@ import numpy as np
 
 from . import gaussian, infotheory, kernels, oracle
 from .twolevel import (
+    BinaryChannel,
     PrepBias,
     TwoLevelHamiltonian,
     channel_at,
@@ -549,13 +550,13 @@ def run_two_level_suite(
 # ---------------------------------------------------------------------------
 
 
-def _random_channel(rng: np.random.Generator) -> infotheory.DMC:
+def _random_channel(rng: np.random.Generator) -> BinaryChannel:
     m = rng.uniform(0.0, 1.0, size=(2, 2))
     m /= m.sum(axis=1, keepdims=True)
-    return infotheory.DMC(matrix=m)
+    return BinaryChannel(matrix=m)
 
 
-def _four_capacities(ch: infotheory.DMC) -> tuple[float, float, float, float]:
+def _four_capacities(ch: BinaryChannel) -> tuple[float, float, float, float]:
     """Capacity in nats by the closed form, ternary search, Blahut-Arimoto and the 1e-6 grid."""
     return (
         infotheory.capacity_binary(ch).capacity,
@@ -576,12 +577,9 @@ def run_infotheory_suite(
     # hand-computed entropies
     tol = _tol("entropy-known-values", tolerances)
     dev = max(
-        abs(infotheory.shannon_entropy(infotheory.Distribution(np.array([0.5, 0.5])), "bits") - 1.0),
-        abs(infotheory.shannon_entropy(infotheory.Distribution(np.array([1.0, 0.0])), "bits")),
-        abs(
-            infotheory.shannon_entropy(infotheory.Distribution(np.array([0.11, 0.89])), "bits")
-            - H2_011_BITS
-        ),
+        abs(infotheory.shannon_entropy([0.5, 0.5], "bits") - 1.0),
+        abs(infotheory.shannon_entropy([1.0, 0.0], "bits")),
+        abs(infotheory.shannon_entropy([0.11, 0.89], "bits") - H2_011_BITS),
     )
     add(_result("entropy-known-values", dev, tol))
 
@@ -605,7 +603,7 @@ def run_infotheory_suite(
     tol = _tol("solver-agreement", tolerances)
     channels = [_random_channel(rng) for _ in range(trials)]
     channels += [
-        infotheory.DMC(matrix=np.array([[p00, 1.0 - p00], [p10, 1.0 - p10]]))
+        BinaryChannel(matrix=np.array([[p00, 1.0 - p00], [p10, 1.0 - p10]]))
         for p00, p10 in ADVERSARIAL_CHANNELS
     ]
     caps = np.array([_four_capacities(ch) for ch in channels])
@@ -614,7 +612,7 @@ def run_infotheory_suite(
 
     # the flip-0.11 binary symmetric channel against its hand value
     tol = _tol("bsc-known-capacity", tolerances)
-    bsc = infotheory.DMC(matrix=np.array([[0.89, 0.11], [0.11, 0.89]]))
+    bsc = BinaryChannel(matrix=np.array([[0.89, 0.11], [0.11, 0.89]]))
     dev = max(
         abs(infotheory.capacity_binary(bsc, base="bits").capacity - BSC_011_CAPACITY_BITS),
         abs(infotheory.capacity_grid(bsc, base="bits").capacity - BSC_011_CAPACITY_BITS),

@@ -13,6 +13,7 @@ import pytest
 from chancap import gaussian, infotheory, kernels, oracle, verify
 from chancap.cli import main
 from chancap.twolevel import (
+    BinaryChannel,
     PrepBias,
     TwoLevelHamiltonian,
     channel_at,
@@ -163,7 +164,7 @@ def test_criterion_5_capacity_solver_agreement():
     matrices += [np.array([[a, 1 - a], [b, 1 - b]]) for a, b in verify.ADVERSARIAL_CHANNELS]
     worst = 0.0
     for m in matrices:
-        ch = infotheory.DMC(matrix=m)
+        ch = BinaryChannel(matrix=m)
         caps = (
             infotheory.capacity_binary(ch).capacity,
             kernels.capacity_ternary(float(ch.matrix[0, 0]), float(ch.matrix[1, 0]))[0],
@@ -172,7 +173,7 @@ def test_criterion_5_capacity_solver_agreement():
         )
         assert all(math.isfinite(c) for c in caps), (m, caps)
         worst = max(worst, max(caps) - min(caps))
-    bsc = infotheory.DMC(matrix=np.array([[0.89, 0.11], [0.11, 0.89]]))
+    bsc = BinaryChannel(matrix=np.array([[0.89, 0.11], [0.11, 0.89]]))
     bsc_dev = max(
         abs(infotheory.capacity_binary(bsc, base="bits").capacity - 0.500084041835472),
         abs(infotheory.capacity_grid(bsc, step=1e-6, base="bits").capacity - 0.500084041835472),

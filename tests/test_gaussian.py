@@ -200,6 +200,22 @@ class TestPlacementPower:
         with pytest.raises(ValueError):
             PowerBudget(prep_time_T=1.0, measure_delay_t=-1.0, mass=1.0, mean_square_X=1.0)
 
+    @pytest.mark.parametrize(
+        "field,message",
+        [
+            ("prep_time_T", "prep_time_T must be positive and finite, got inf"),
+            ("measure_delay_t", "measure_delay_t must be finite and >= 0, got inf"),
+            ("mass", "mass must be positive and finite, got inf"),
+            ("mean_square_X", "mean_square_X must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_infinite_budget_rejected(self, field, message):
+        # Infinite fields used to pass: mass = inf gave beta = inf, and
+        # infinite times a silent beta = 0.
+        fields = {"prep_time_T": 1.0, "measure_delay_t": 1.0, "mass": 1.0, "mean_square_X": 1.0}
+        with pytest.raises(ValueError, match=message):
+            PowerBudget(**{**fields, field: math.inf})
+
 
 class TestPrecisionCurve:
     def test_single_point_at_threshold(self):
@@ -282,19 +298,19 @@ NAN = math.nan
         ),
         (
             lambda: PowerBudget(prep_time_T=NAN, measure_delay_t=1.0, mass=1.0, mean_square_X=1.0),
-            "prep_time_T must be positive, got nan",
+            "prep_time_T must be positive and finite, got nan",
         ),
         (
             lambda: PowerBudget(prep_time_T=1.0, measure_delay_t=NAN, mass=1.0, mean_square_X=1.0),
-            "measure_delay_t must be >= 0, got nan",
+            "measure_delay_t must be finite and >= 0, got nan",
         ),
         (
             lambda: PowerBudget(prep_time_T=1.0, measure_delay_t=1.0, mass=NAN, mean_square_X=1.0),
-            "mass must be positive, got nan",
+            "mass must be positive and finite, got nan",
         ),
         (
             lambda: PowerBudget(prep_time_T=1.0, measure_delay_t=1.0, mass=1.0, mean_square_X=NAN),
-            "mean_square_X must be >= 0, got nan",
+            "mean_square_X must be finite and >= 0, got nan",
         ),
         (
             lambda: ComplexDensityParams(center=0.0, complex_width=complex(NAN, 1.0), time=1.0),

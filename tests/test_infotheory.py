@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chancap import cli, kernels, verify
+from chancap import cli, infotheory, kernels, verify
 from chancap.infotheory import (
-    DMC,
-    Distribution,
     blahut_arimoto,
     capacity_binary,
     capacity_grid,
-    mutual_information,
     shannon_entropy,
     two_level_capacities,
     two_level_capacity,
     _binary_capacity,
 )
-from chancap.twolevel import PrepBias, TwoLevelHamiltonian, period
+from chancap.twolevel import BinaryChannel, PrepBias, TwoLevelHamiltonian, period
 from chancap.units import UnitMode, constants_for
 
 NAT = constants_for(UnitMode.NATURAL)
@@ -26,19 +23,19 @@ NAT = constants_for(UnitMode.NATURAL)
 H2_011_BITS = 0.499915958164528
 BSC_011_CAPACITY_BITS = 0.500084041835472
 
-IDENTITY = DMC(matrix=np.eye(2))
-BSC_011 = DMC(matrix=np.array([[0.89, 0.11], [0.11, 0.89]]))
-USELESS = DMC(matrix=np.array([[0.5, 0.5], [0.5, 0.5]]))
+IDENTITY = BinaryChannel(matrix=np.eye(2))
+BSC_011 = BinaryChannel(matrix=np.array([[0.89, 0.11], [0.11, 0.89]]))
+USELESS = BinaryChannel(matrix=np.array([[0.5, 0.5], [0.5, 0.5]]))
 
 
-def random_channel(rng, nx=2, ny=2):
-    m = rng.uniform(0, 1, (nx, ny))
+def random_channel(rng):
+    m = rng.uniform(0, 1, (2, 2))
     m /= m.sum(axis=1, keepdims=True)
-    return DMC(matrix=m)
+    return BinaryChannel(matrix=m)
 
 
 def binary(p00, p10):
-    return DMC(matrix=np.array([[p00, 1.0 - p00], [p10, 1.0 - p10]]))
+    return BinaryChannel(matrix=np.array([[p00, 1.0 - p00], [p10, 1.0 - p10]]))
 
 
 _LOG_UNIFORM = st.floats(min_value=-300.0, max_value=0.0).map(lambda e: 10.0**e)
@@ -53,45 +50,40 @@ ENTRIES = st.one_of(
 
 class TestEntropy:
     def test_uniform_binary_is_one_bit(self):
-        assert shannon_entropy(Distribution(np.array([0.5, 0.5])), "bits") == pytest.approx(1.0)
+        assert shannon_entropy([0.5, 0.5], "bits") == pytest.approx(1.0)
 
     def test_deterministic_is_zero(self):
-        assert shannon_entropy(Distribution(np.array([1.0, 0.0]))) == 0.0
+        assert shannon_entropy([1.0, 0.0]) == 0.0
 
     def test_hand_value(self):
-        d = Distribution(np.array([0.11, 0.89]))
+        d = np.array([0.11, 0.89])
         assert shannon_entropy(d, "bits") == pytest.approx(H2_011_BITS, abs=1e-14)
 
     def test_nats_bits_conversion(self):
-        d = Distribution(np.array([0.3, 0.7]))
+        d = np.array([0.3, 0.7])
         assert shannon_entropy(d, "nats") == pytest.approx(
             shannon_entropy(d, "bits") * math.log(2), rel=1e-14
         )
 
     def test_bad_base_rejected(self):
         with pytest.raises(ValueError):
-            shannon_entropy(Distribution(np.array([1.0])), "trits")
+            shannon_entropy([1.0], "trits")
 
 
 class TestMutualInformation:
+    """The 2x2 mutual information, kernels.mi_binary, in nats."""
+
     def test_noiseless_binary(self):
-        q = Distribution(np.array([0.5, 0.5]))
-        assert mutual_information(q, IDENTITY, "bits") == pytest.approx(1.0)
+        assert kernels.mi_binary(1.0, 0.0, 0.5) / math.log(2) == pytest.approx(1.0)
 
     def test_useless_channel(self):
         for w in (0.1, 0.5, 0.9):
-            q = Distribution(np.array([w, 1 - w]))
-            assert mutual_information(q, USELESS) == pytest.approx(0.0, abs=1e-15)
+            assert kernels.mi_binary(0.5, 0.5, w) == pytest.approx(0.0, abs=1e-15)
 
     def test_bsc_hand_value(self):
-        q = Distribution(np.array([0.5, 0.5]))
-        assert mutual_information(q, BSC_011, "bits") == pytest.approx(
+        assert kernels.mi_binary(0.89, 0.11, 0.5) / math.log(2) == pytest.approx(
             BSC_011_CAPACITY_BITS, abs=1e-14
         )
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mutual_information(Distribution(np.array([0.5, 0.25, 0.25])), IDENTITY)
 
     def test_concavity_in_input(self):
         rng = np.random.default_rng(31)
@@ -100,7 +92,7 @@ class TestMutualInformation:
             ch = random_channel(rng)
             q1, q2 = rng.uniform(0, 1, 2)
             mids = [
-                mutual_information(Distribution(np.array([q, 1 - q])), ch)
+                kernels.mi_binary(ch.matrix[0, 0], ch.matrix[1, 0], q)
                 for q in (q1, q2, 0.5 * (q1 + q2))
             ]
             worst = max(worst, 0.5 * (mids[0] + mids[1]) - mids[2])
@@ -111,17 +103,17 @@ class TestCapacityBinary:
     def test_identity_channel(self):
         res = capacity_binary(IDENTITY, "bits")
         assert res.capacity == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_allclose(res.optimizer.probs, [0.5, 0.5], atol=1e-9)
+        assert res.q == pytest.approx(0.5, abs=1e-9)
 
     def test_useless_channel(self):
         res = capacity_binary(USELESS)
         assert res.capacity == 0.0
-        np.testing.assert_array_equal(res.optimizer.probs, [0.5, 0.5])
+        assert res.q == 0.5
 
     def test_bsc_value_and_optimizer(self):
         res = capacity_binary(BSC_011, "bits")
         assert res.capacity == pytest.approx(BSC_011_CAPACITY_BITS, abs=1e-9)
-        assert abs(res.optimizer.probs[0] - 0.5) < 1e-10
+        assert abs(res.q - 0.5) < 1e-10
 
     def test_optimizer_matches_stationarity_condition(self):
         # interior optimum: the output marginal satisfies
@@ -135,13 +127,14 @@ class TestCapacityBinary:
             kappa = (h2(p00) - h2(p10)) / (p00 - p10)
             y0_star = 1.0 / (1.0 + math.exp(kappa))
             q_star = (y0_star - p10) / (p00 - p10)
-            ch = DMC(matrix=np.array([[p00, 1 - p00], [p10, 1 - p10]]))
-            res = capacity_binary(ch)
-            assert res.optimizer.probs[0] == pytest.approx(q_star, abs=1e-10)
+            res = capacity_binary(binary(p00, p10))
+            assert res.q == pytest.approx(q_star, abs=1e-10)
 
     def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            capacity_binary(DMC(matrix=np.eye(3)))
+        # Every solver takes a BinaryChannel, which refuses a 3x3 matrix.
+        for solver in (capacity_binary, capacity_grid, blahut_arimoto):
+            with pytest.raises(ValueError, match=r"expected a 2x2 matrix, got shape \(3, 3\)"):
+                solver(BinaryChannel(matrix=np.full((3, 3), 1 / 3)))
 
 
 class TestClosedForm:
@@ -163,7 +156,7 @@ class TestClosedForm:
     def test_matches_ternary_search_and_its_optimizer(self, p00, p10):
         res = capacity_binary(binary(p00, p10))
         assert abs(kernels.capacity_ternary(p00, p10)[0] - res.capacity) <= 1e-12
-        assert abs(kernels.mi_binary(p00, p10, res.optimizer.probs[0]) - res.capacity) <= 1e-12
+        assert abs(kernels.mi_binary(p00, p10, res.q) - res.capacity) <= 1e-12
 
     @pytest.mark.parametrize("p00,p10", verify.ADVERSARIAL_CHANNELS)
     def test_adversarial_corners_match_the_grid(self, p00, p10):
@@ -194,8 +187,7 @@ class TestClosedForm:
         assert np.all((caps >= 0.0) & (caps <= math.log(2)))
         for a, b, cap, q in zip(p00.tolist(), p10.tolist(), caps.tolist(), qs.tolist()):
             res = capacity_binary(binary(a, b))
-            # Distribution stores -0.0 as 0.0, so q is compared by value.
-            assert res.capacity.hex() == cap.hex() and res.optimizer.probs[0] == q
+            assert res.capacity.hex() == cap.hex() and res.q.hex() == q.hex()
 
 
 class TestBlahutArimoto:
@@ -209,19 +201,9 @@ class TestBlahutArimoto:
         assert res.converged
         assert res.capacity == pytest.approx(capacity_binary(BSC_011).capacity, abs=1e-9)
 
-    def test_ternary_symmetric_channel(self):
-        # 3x3 symmetric channel: capacity = log(3) + sum p log p
-        p = np.array([0.8, 0.1, 0.1])
-        m = np.array([np.roll(p, k) for k in range(3)])
-        res = blahut_arimoto(DMC(matrix=m), tol=1e-12)
-        expected = math.log(3) + float((p * np.log(p)).sum())
-        assert res.converged
-        assert res.capacity == pytest.approx(expected, abs=1e-9)
-        np.testing.assert_allclose(res.optimizer.probs, np.full(3, 1 / 3), atol=1e-6)
-
     def test_max_iter_exhaustion_is_reported(self):
         # nearly identical (asymmetric) rows: the bound gap pinches too slowly
-        ch = DMC(matrix=np.array([[0.15, 0.85], [0.156, 0.844]]))
+        ch = binary(0.15, 0.156)
         res = blahut_arimoto(ch, tol=1e-15, max_iter=5)
         assert not res.converged
         assert res.iterations == 5
@@ -242,14 +224,13 @@ class TestBlahutArimoto:
         with pytest.raises(ValueError):
             blahut_arimoto(IDENTITY, max_iter=0)
 
-    @pytest.mark.parametrize("ch", [IDENTITY, DMC(matrix=np.full((3, 3), 1 / 3))])
-    def test_nan_parameters_rejected(self, ch):
+    def test_nan_parameters_rejected(self):
         # A NaN fails every comparison: it used to run max_iter iterations
         # (tol) or none (max_iter) and report converged=False.
         with pytest.raises(ValueError, match="tol must be positive, got nan"):
-            blahut_arimoto(ch, tol=math.nan)
+            blahut_arimoto(IDENTITY, tol=math.nan)
         with pytest.raises(ValueError, match="max_iter must be >= 1, got nan"):
-            blahut_arimoto(ch, max_iter=math.nan)
+            blahut_arimoto(IDENTITY, max_iter=math.nan)
 
 
 class TestCapacityGrid:
@@ -260,7 +241,7 @@ class TestCapacityGrid:
     def test_bsc_fine_grid(self):
         res = capacity_grid(BSC_011, step=1e-6, base="bits")
         assert res.capacity == pytest.approx(BSC_011_CAPACITY_BITS, abs=1e-9)
-        assert res.optimizer.probs[0] == pytest.approx(0.5, abs=1e-6)
+        assert res.q == pytest.approx(0.5, abs=1e-6)
 
     def test_evaluation_count(self):
         res = capacity_grid(IDENTITY, step=1e-3)
@@ -337,24 +318,26 @@ class TestTwoLevelCapacity:
 
 class TestValidation:
     def test_distribution_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            Distribution(np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            Distribution(np.array([1.5, -0.5]))
+        # shannon_entropy validates its probability vector as one channel row.
+        for p in ([0.5, 0.6], [1.5, -0.5], [], [0.5], [0.2, -1e-9, 0.8]):
+            with pytest.raises(ValueError):
+                shannon_entropy(p)
+        with pytest.raises(ValueError, match="expected a probability vector"):
+            shannon_entropy(np.eye(2))
 
     def test_dmc_row_sums(self):
-        with pytest.raises(ValueError):
-            DMC(matrix=np.array([[0.9, 0.2], [0.5, 0.5]]))
+        with pytest.raises(ValueError, match="rows must sum to 1"):
+            BinaryChannel(matrix=np.array([[0.9, 0.2], [0.5, 0.5]]))
+
+    def test_dmc_is_an_alias_of_the_one_channel_type(self):
+        assert infotheory.DMC is BinaryChannel
 
     def test_nan_entries_rejected(self):
+        for p in ([math.nan, 1.0], [math.nan, math.nan]):
+            with pytest.raises(ValueError):
+                shannon_entropy(p)
         with pytest.raises(ValueError):
-            Distribution(np.array([math.nan, 1.0]))
-        with pytest.raises(ValueError):
-            Distribution(np.array([math.nan, math.nan]))
-        with pytest.raises(ValueError):
-            DMC(matrix=np.array([[math.nan, 0.5], [0.3, 0.7]]))
-        with pytest.raises(ValueError):
-            DMC(matrix=np.array([[0.2, 0.3, 0.5], [0.1, math.nan, 0.9]]))
+            BinaryChannel(matrix=np.array([[math.nan, 0.5], [0.3, 0.7]]))
 
     def test_capacity_result_unit_tag(self):
         res = capacity_binary(BSC_011, base="nats")

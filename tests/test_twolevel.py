@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,18 @@ class TestTransitionProbs:
         h = TwoLevelHamiltonian(E=0.7, Delta=0.0, epsilon=0.0)
         assert transition_probs(h, PrepBias(0.35), 5.0, NAT) == (0.65, 0.35)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -5e-324, math.inf, -math.inf])
+    @pytest.mark.parametrize("epsilon", [0.7, 0.0])  # oscillating, and static (a = 0)
+    def test_bad_delay_rejected_on_float_and_array_paths(self, bad, epsilon):
+        # A NaN delay used to give (nan, nan), t = -1 a channel, and t = inf
+        # a bare "math domain error" from math.cos.
+        h = TwoLevelHamiltonian(E=0.0, Delta=1.0 if epsilon else 0.0, epsilon=epsilon)
+        message = re.escape(f"delay t must be finite and >= 0, got t = {bad}")
+        with pytest.raises(ValueError, match=message):
+            transition_probs(h, PrepBias(0.1), bad, NAT)
+        with pytest.raises(ValueError, match=message):
+            transition_probs(h, PrepBias(0.1), np.array([[0.5, bad], [bad, 1.0]]), NAT)
+
 
 class TestClampProb:
     """Entries within PROB_CLAMP outside [0, 1] are cancellation noise and snap back."""
@@ -246,6 +259,12 @@ class TestPeriod:
                 assert eps == pytest.approx(2 / math.sqrt(gamma**2 + 4), rel=1e-15, abs=0)
             h = TwoLevelHamiltonian(E=0.0, Delta=gamma * eps, epsilon=eps)
             assert abs(period(h, NAT) - math.pi) < 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, -math.inf])
+    def test_eps_for_gamma_rejects_bad_gamma(self, bad):
+        # NaN used to give NaN, and -1 the value for +1.
+        with pytest.raises(ValueError, match=re.escape(f"gamma must be finite and >= 0, got {bad}")):
+            eps_for_gamma(bad)
 
     def test_periodicity_of_probabilities(self):
         rng = np.random.default_rng(26)
