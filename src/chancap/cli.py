@@ -264,17 +264,14 @@ def _parse_tolerance_overrides(pairs: list[str]) -> dict[str, float]:
     overrides = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
-        if not value or name not in verify.DEFAULT_TOLERANCES:
-            known = ", ".join(sorted(verify.DEFAULT_TOLERANCES))
-            raise ValueError(f"--tolerance expects NAME=VALUE with NAME one of: {known}")
+        if not value:
+            raise ValueError(f"--tolerance expects NAME=VALUE, got {pair!r}")
         overrides[name] = finite(value)
     return overrides
 
 
 def _cmd_verify(args) -> int:
     """Run the oracle-equivalence and invariant suites; exit 0 iff all pass."""
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     overrides = _parse_tolerance_overrides(args.tolerance)
     reports = verify.run_suite(args.suite, seed=args.seed, trials=args.trials, tolerances=overrides)
     payload = {

@@ -1,9 +1,16 @@
 """Randomized verification suites: closed forms vs. brute-force oracles.
 
-Each suite runs a fixed list of named checks, records the worst observed
-deviation against the check's tolerance, and returns a machine-readable
-report. Tolerances can be overridden per check name, which the test
-harness uses to prove that a corrupted tolerance actually trips the suite.
+`CHECKS` is the one list of checks: for each suite, in report order, every
+check name with its default tolerance and kind. A suite body is a generator
+that yields ``(name, deviation)`` pairs, and `run_suite` folds them into each
+check's worst deviation and compares that with the check's tolerance. The
+fold keeps a NaN once it has seen one, so a NaN deviation fails its check.
+Tolerances can be overridden per check name, which the test harness uses to
+prove that a corrupted tolerance actually trips the suite.
+
+A check that reports one signed value rather than a worst case yields
+``(name, value, note)`` once instead: the value is reported as it is, and
+``note(tolerance)`` gives the details text for the tolerance in force.
 
 The r0-monotonicity sweep is special: it probes an unproved monotonicity
 claim about the two-level capacity, so violations are reported as findings
@@ -12,8 +19,11 @@ and do not fail the suite.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,54 +42,68 @@ from .twolevel import (
 from .units import Constants, UnitMode, constants_for
 
 __all__ = [
+    "Check",
     "CheckResult",
     "SuiteReport",
     "MonotonicityCell",
+    "CHECKS",
     "SUITES",
     "DEFAULT_TOLERANCES",
     "ADVERSARIAL_CHANNELS",
     "run_suite",
-    "run_gaussian_suite",
-    "run_two_level_suite",
-    "run_infotheory_suite",
     "monotonicity_findings",
 ]
 
-SUITES = ("gaussian", "two_level", "infotheory")
 
+class Check(NamedTuple):
+    tolerance: float
+    kind: str = "invariant"  # "invariant" counts toward pass/fail, "finding" does not
+
+
+#: Every check by suite, in report order, with its default tolerance and kind.
+CHECKS: dict[str, dict[str, Check]] = {
+    "gaussian": {
+        "noise-floor": Check(1e-12),
+        "noise-unimodal": Check(0.0),
+        "capacity-monotone": Check(0.0),
+        "capacity-time-monotone": Check(0.0),
+        "wavefunction-density-match": Check(1e-12),
+        "density-normalization": Check(1e-8),
+        "vstar-hbar-scaling": Check(1e-15),
+        "power-identity": Check(1e-12),
+        "spectral-supnorm": Check(1e-6),
+        "spectral-variance": Check(1e-4),
+        "spectral-unitarity": Check(1e-10),
+        "spectral-composition": Check(1e-10),
+        "spectral-convergence": Check(0.0),
+        "spectral-random-draws": Check(1e-6),
+    },
+    "two_level": {
+        "eigen-residual": Check(1e-12),
+        "eigen-orthonormal": Check(1e-12),
+        "evolve-norm": Check(1e-12),
+        "closed-vs-unitary-amps": Check(1e-10),
+        "closed-vs-unitary-probs": Check(1e-10),
+        "probs-vs-evolve": Check(1e-12),
+        "channel-rows": Check(1e-12),
+        "channel-periodicity": Check(1e-12),
+        "epsilon-zero-static": Check(1e-15),
+        "global-phase-invariance": Check(1e-12),
+        "shared-frequency-period": Check(1e-12),
+    },
+    "infotheory": {
+        "entropy-known-values": Check(1e-12),
+        "mi-concavity": Check(1e-12),
+        "solver-agreement": Check(1e-5),
+        "bsc-known-capacity": Check(1e-6),
+        "capacity-bounds": Check(1e-12),
+        "capacity-periodicity": Check(1e-9),
+        "r0-monotonicity": Check(1e-9, "finding"),
+    },
+}
+SUITES = tuple(CHECKS)
 DEFAULT_TOLERANCES: dict[str, float] = {
-    "noise-floor": 1e-12,
-    "noise-unimodal": 0.0,
-    "capacity-monotone": 0.0,
-    "capacity-time-monotone": 0.0,
-    "wavefunction-density-match": 1e-12,
-    "density-normalization": 1e-8,
-    "vstar-hbar-scaling": 1e-15,
-    "power-identity": 1e-12,
-    "spectral-supnorm": 1e-6,
-    "spectral-variance": 1e-4,
-    "spectral-unitarity": 1e-10,
-    "spectral-composition": 1e-10,
-    "spectral-convergence": 0.0,
-    "spectral-random-draws": 1e-6,
-    "eigen-residual": 1e-12,
-    "eigen-orthonormal": 1e-12,
-    "evolve-norm": 1e-12,
-    "closed-vs-unitary-amps": 1e-10,
-    "closed-vs-unitary-probs": 1e-10,
-    "probs-vs-evolve": 1e-12,
-    "channel-rows": 1e-12,
-    "channel-periodicity": 1e-12,
-    "epsilon-zero-static": 1e-15,
-    "global-phase-invariance": 1e-12,
-    "shared-frequency-period": 1e-12,
-    "entropy-known-values": 1e-12,
-    "mi-concavity": 1e-12,
-    "solver-agreement": 1e-5,
-    "bsc-known-capacity": 1e-6,
-    "capacity-bounds": 1e-12,
-    "capacity-periodicity": 1e-9,
-    "r0-monotonicity": 1e-9,
+    name: check.tolerance for checks in CHECKS.values() for name, check in checks.items()
 }
 
 #: Binary entropy of 0.11 in bits, evaluated by hand.
@@ -117,7 +141,7 @@ class CheckResult:
     passed: bool
     tolerance: float
     max_deviation: float
-    kind: str = "invariant"  # "invariant" counts toward pass/fail, "finding" does not
+    kind: str = "invariant"
     details: str = ""
 
     def to_dict(self) -> dict:
@@ -161,26 +185,10 @@ class MonotonicityCell:
     t_over_period: float
     max_violation: float
 
-    @property
-    def passed(self) -> bool:
-        return self.max_violation <= DEFAULT_TOLERANCES["r0-monotonicity"]
 
-
-def _tol(name: str, overrides: dict[str, float] | None) -> float:
-    if overrides and name in overrides:
-        return overrides[name]
-    return DEFAULT_TOLERANCES[name]
-
-
-def _result(name: str, max_dev: float, tol: float, kind: str = "invariant", details: str = "") -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=bool(max_dev <= tol),
-        tolerance=tol,
-        max_deviation=float(max_dev),
-        kind=kind,
-        details=details,
-    )
+def _fold(worst: float, deviation: float) -> float:
+    """max(worst, deviation), except that a NaN on either side wins."""
+    return worst if worst >= deviation or worst != worst else deviation
 
 
 def _random_prep(rng: np.random.Generator) -> gaussian.GaussianPrep:
@@ -211,17 +219,8 @@ def _random_hamiltonian(rng: np.random.Generator, i: int) -> TwoLevelHamiltonian
 # ---------------------------------------------------------------------------
 
 
-def run_gaussian_suite(
-    seed: int, trials: int, tolerances: dict[str, float] | None = None
-) -> SuiteReport:
-    rng = np.random.default_rng(seed)
-    c = constants_for(UnitMode.NATURAL)
-    report = SuiteReport(suite="gaussian", seed=seed, trials=trials)
-    add = report.checks.append
-
+def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[tuple]:
     # noise floor: Delta_t^2 >= hbar t / m with equality exactly at v*
-    tol = _tol("noise-floor", tolerances)
-    worst = 0.0
     for _ in range(trials):
         mass = float(rng.uniform(0.5, 2.0))
         t = float(rng.uniform(0.1, 3.0))
@@ -229,22 +228,19 @@ def run_gaussian_suite(
         vstar = gaussian.optimal_sigma2(t, mass, c)
         sigma2 = vstar * float(rng.uniform(0.05, 20.0))
         prep = gaussian.GaussianPrep(x0=0.0, sigma2_A=sigma2, mass=mass)
-        worst = max(worst, (floor - gaussian.noise_variance(prep, t, c)) / floor)
+        yield "noise-floor", (floor - gaussian.noise_variance(prep, t, c)) / floor
         at_opt = gaussian.noise_variance(
             gaussian.GaussianPrep(x0=0.0, sigma2_A=vstar, mass=mass), t, c
         )
-        worst = max(worst, abs(at_opt - floor) / floor)
+        yield "noise-floor", abs(at_opt - floor) / floor
         for delta in (0.1, 0.5):
             for s in (vstar * (1 + delta), vstar * (1 - delta)):
                 off = gaussian.noise_variance(
                     gaussian.GaussianPrep(x0=0.0, sigma2_A=s, mass=mass), t, c
                 )
-                worst = max(worst, (at_opt - off) / floor)
-    add(_result("noise-floor", worst, tol))
+                yield "noise-floor", (at_opt - off) / floor
 
     # unimodality: strictly decreasing below v*, strictly increasing above
-    tol = _tol("noise-unimodal", tolerances)
-    worst = 0.0
     for _ in range(max(trials // 10, 1)):
         mass = float(rng.uniform(0.5, 2.0))
         t = float(rng.uniform(0.1, 3.0))
@@ -256,38 +252,29 @@ def run_gaussian_suite(
         ]
         mid = len(grid) // 2
         for i in range(mid):
-            worst = max(worst, noise[i + 1] - noise[i])
+            yield "noise-unimodal", noise[i + 1] - noise[i]
         for i in range(mid, len(grid) - 1):
-            worst = max(worst, noise[i] - noise[i + 1])
-    add(_result("noise-unimodal", worst, tol))
+            yield "noise-unimodal", noise[i] - noise[i + 1]
 
     # capacity monotone in P (up) and in noise (down)
-    tol = _tol("capacity-monotone", tolerances)
-    worst = 0.0
     for _ in range(trials):
         p_lo, p_hi = sorted(rng.uniform(0.01, 10.0, size=2))
         d_lo, d_hi = sorted(rng.uniform(0.01, 10.0, size=2))
         if p_lo < p_hi:
-            worst = max(worst, gaussian.capacity_nats(p_lo, d_lo) - gaussian.capacity_nats(p_hi, d_lo))
+            yield "capacity-monotone", gaussian.capacity_nats(p_lo, d_lo) - gaussian.capacity_nats(p_hi, d_lo)
         if d_lo < d_hi:
-            worst = max(worst, gaussian.capacity_nats(p_hi, d_hi) - gaussian.capacity_nats(p_hi, d_lo))
-    add(_result("capacity-monotone", worst, tol))
+            yield "capacity-monotone", gaussian.capacity_nats(p_hi, d_hi) - gaussian.capacity_nats(p_hi, d_lo)
 
     # capacity non-increasing in the measurement delay for fixed preparation
-    tol = _tol("capacity-time-monotone", tolerances)
-    worst = 0.0
     for _ in range(max(trials // 10, 1)):
         prep = _random_prep(rng)
         P = float(rng.uniform(0.1, 10.0))
         times = np.sort(rng.uniform(0.0, 5.0, size=8))
         caps = [gaussian.capacity_nats(P, gaussian.noise_variance(prep, float(t), c)) for t in times]
         for i in range(len(caps) - 1):
-            worst = max(worst, caps[i + 1] - caps[i])
-    add(_result("capacity-time-monotone", worst, tol))
+            yield "capacity-time-monotone", caps[i + 1] - caps[i]
 
     # |psi(x,t)|^2 equals the closed-form density
-    tol = _tol("wavefunction-density-match", tolerances)
-    worst = 0.0
     n_points = trials * 100
     preps = [_random_prep(rng) for _ in range(16)]
     for prep in preps:
@@ -297,24 +284,18 @@ def run_gaussian_suite(
         for x, t in zip(xs, ts):
             psi = gaussian.wavefunction_at(prep, float(x), float(t), c)
             rho = gaussian.density_at(prep, float(x), float(t), c)
-            worst = max(worst, abs(abs(psi) ** 2 - rho))
-    add(_result("wavefunction-density-match", worst, tol))
+            yield "wavefunction-density-match", abs(abs(psi) ** 2 - rho)
 
     # density integrates to 1 over +-10 dispersed sigmas
-    tol = _tol("density-normalization", tolerances)
-    worst = 0.0
     for _ in range(min(trials, 20)):
         prep = _random_prep(rng)
         t = float(rng.uniform(0.0, 3.0))
         width = 10.0 * math.sqrt(gaussian.noise_variance(prep, t, c))
         x = np.linspace(prep.x0 - width, prep.x0 + width, 4096, endpoint=False)
         total = gaussian.density_at(prep, x, t, c).sum() * (2 * width / 4096)
-        worst = max(worst, abs(total - 1.0))
-    add(_result("density-normalization", worst, tol))
+        yield "density-normalization", abs(total - 1.0)
 
     # v* is proportional to hbar: scaling hbar by 10^-k scales v* by 10^-k
-    tol = _tol("vstar-hbar-scaling", tolerances)
-    worst = 0.0
     for k in (1, 3, 9, 17):
         scaled = Constants(hbar=c.hbar * 10.0**-k, mode=c.mode)
         for _ in range(10):
@@ -322,12 +303,9 @@ def run_gaussian_suite(
             t = float(rng.uniform(0.1, 3.0))
             ref = gaussian.optimal_sigma2(t, mass, c) * 10.0**-k
             got = gaussian.optimal_sigma2(t, mass, scaled)
-            worst = max(worst, abs(got - ref) / ref)
-    add(_result("vstar-hbar-scaling", worst, tol))
+            yield "vstar-hbar-scaling", abs(got - ref) / ref
 
     # power = beta * E[X^2]
-    tol = _tol("power-identity", tolerances)
-    worst = 0.0
     for _ in range(trials):
         budget = gaussian.PowerBudget(
             prep_time_T=float(rng.uniform(0.1, 5.0)),
@@ -337,59 +315,32 @@ def run_gaussian_suite(
         )
         ref = gaussian.beta(budget) * budget.mean_square_X
         got = gaussian.placement_power(budget)
-        scale = max(abs(ref), 1.0)
-        worst = max(worst, abs(got - ref) / scale)
-    add(_result("power-identity", worst, tol))
+        yield "power-identity", abs(got - ref) / max(abs(ref), 1.0)
 
-    report.checks.extend(_spectral_checks(rng, trials, tolerances, c))
-    return report
-
-
-def _spectral_checks(
-    rng: np.random.Generator,
-    trials: int,
-    tolerances: dict[str, float] | None,
-    c: Constants,
-) -> list[CheckResult]:
-    checks = []
-
-    # benchmark case: unit packet, delays 0.5/1/2, 2^12 grid
-    sup_tol = _tol("spectral-supnorm", tolerances)
-    var_tol = _tol("spectral-variance", tolerances)
+    # spectral oracle, benchmark case: unit packet, delays 0.5/1/2, 2^12 grid
     prep = gaussian.GaussianPrep(x0=0.0, sigma2_A=1.0, mass=1.0)
-    worst_sup = 0.0
-    worst_var = 0.0
     g0 = oracle.discretize(prep, t_max=2.0, n=4096, c=c)
     for t in (0.5, 1.0, 2.0):
         gt = oracle.propagate_spectral(g0, prep.mass, t, c)
         rho = gaussian.density_at(prep, gt.x, t, c)
-        worst_sup = max(worst_sup, float(np.max(np.abs(gt.density() - rho))))
+        yield "spectral-supnorm", float(np.max(np.abs(gt.density() - rho)))
         ref = gaussian.noise_variance(prep, t, c)
-        worst_var = max(worst_var, abs(oracle.grid_variance(gt) - ref) / ref)
-    checks.append(_result("spectral-supnorm", worst_sup, sup_tol))
-    checks.append(_result("spectral-variance", worst_var, var_tol))
+        yield "spectral-variance", abs(oracle.grid_variance(gt) - ref) / ref
 
     # unitarity and composition
-    tol = _tol("spectral-unitarity", tolerances)
-    worst = 0.0
-    comp_tol = _tol("spectral-composition", tolerances)
-    worst_comp = 0.0
     for _ in range(min(trials, 100)):
         p = _random_prep(rng)
         g = oracle.discretize(p, t_max=2.0, n=2048, c=c)
         t1 = float(rng.uniform(0.0, 1.0))
         t2 = float(rng.uniform(0.0, 1.0))
         g1 = oracle.propagate_spectral(g, p.mass, t1, c)
-        worst = max(worst, abs(g1.norm() - 1.0))
+        yield "spectral-unitarity", abs(g1.norm() - 1.0)
         g12 = oracle.propagate_spectral(g1, p.mass, t2, c)
         g_both = oracle.propagate_spectral(g, p.mass, t1 + t2, c)
-        worst_comp = max(worst_comp, float(np.max(np.abs(g12.amps - g_both.amps))))
-    checks.append(_result("spectral-unitarity", worst, tol))
-    checks.append(_result("spectral-composition", worst_comp, comp_tol))
+        yield "spectral-composition", float(np.max(np.abs(g12.amps - g_both.amps)))
 
     # refining the grid must reduce the sup-norm error (narrow packet so the
     # 2^12 grid undersamples the momentum tail)
-    tol = _tol("spectral-convergence", tolerances)
     narrow = gaussian.GaussianPrep(x0=0.0, sigma2_A=0.003, mass=1.0)
     errs = {}
     for n in (4096, 8192):
@@ -397,27 +348,17 @@ def _spectral_checks(
         gt = oracle.propagate_spectral(g, narrow.mass, 1.0, c)
         rho = gaussian.density_at(narrow, gt.x, 1.0, c)
         errs[n] = float(np.max(np.abs(gt.density() - rho)))
-    checks.append(
-        _result(
-            "spectral-convergence",
-            errs[8192] - errs[4096],
-            tol,
-            details=f"sup error {errs[4096]:.3e} at n=4096, {errs[8192]:.3e} at n=8192",
-        )
-    )
+    note = f"sup error {errs[4096]:.3e} at n=4096, {errs[8192]:.3e} at n=8192"
+    yield "spectral-convergence", errs[8192] - errs[4096], lambda tol: note
 
     # randomized closed-form vs oracle sweep
-    tol = _tol("spectral-random-draws", tolerances)
-    worst = 0.0
     for _ in range(trials):
         p = _random_prep(rng)
         t = float(rng.uniform(0.0, 2.0))
         g = oracle.discretize(p, t_max=2.0, n=4096, c=c)
         gt = oracle.propagate_spectral(g, p.mass, t, c)
         rho = gaussian.density_at(prep=p, x=gt.x, t=t, c=c)
-        worst = max(worst, float(np.max(np.abs(gt.density() - rho))))
-    checks.append(_result("spectral-random-draws", worst, tol))
-    return checks
+        yield "spectral-random-draws", float(np.max(np.abs(gt.density() - rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -425,21 +366,7 @@ def _spectral_checks(
 # ---------------------------------------------------------------------------
 
 
-def run_two_level_suite(
-    seed: int, trials: int, tolerances: dict[str, float] | None = None
-) -> SuiteReport:
-    rng = np.random.default_rng(seed)
-    c = constants_for(UnitMode.NATURAL)
-    report = SuiteReport(suite="two_level", seed=seed, trials=trials)
-    add = report.checks.append
-
-    worst_res = 0.0
-    worst_orth = 0.0
-    worst_norm = 0.0
-    worst_amps = 0.0
-    worst_probs = 0.0
-    worst_self = 0.0
-    worst_rows = 0.0
+def _two_level(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[tuple]:
     for i in range(trials):
         h = _random_hamiltonian(rng, i)
         p = PrepBias(float(rng.uniform(0.0, 1.0)))
@@ -447,21 +374,15 @@ def run_two_level_suite(
 
         eig = eigensystem(h)
         m = h.matrix()
-        worst_res = max(
-            worst_res,
-            float(np.linalg.norm(m @ eig.v_plus - eig.E_plus * eig.v_plus)),
-            float(np.linalg.norm(m @ eig.v_minus - eig.E_minus * eig.v_minus)),
-        )
-        worst_orth = max(
-            worst_orth,
-            abs(float(eig.v_plus @ eig.v_minus)),
-            abs(float(eig.v_plus @ eig.v_plus) - 1.0),
-            abs(float(eig.v_minus @ eig.v_minus) - 1.0),
-        )
+        for e, v in ((eig.E_plus, eig.v_plus), (eig.E_minus, eig.v_minus)):
+            yield "eigen-residual", float(np.linalg.norm(m @ v - e * v))
+        yield "eigen-orthonormal", abs(float(eig.v_plus @ eig.v_minus))
+        for v in (eig.v_plus, eig.v_minus):
+            yield "eigen-orthonormal", abs(float(v @ v) - 1.0)
 
         state = evolve(h, p, t, c)
         pops = state.populations()
-        worst_norm = max(worst_norm, abs(pops[0] + pops[1] - 1.0))
+        yield "evolve-norm", abs(pops[0] + pops[1] - 1.0)
 
         start = evolve(h, p, 0.0, c)
         ref = oracle.unitary_evolve_2x2(h, start, t, c)
@@ -469,31 +390,19 @@ def run_two_level_suite(
         v = np.array([state.amp0, state.amp1])
         k = int(np.argmax(np.abs(v)))
         phase = (v[k] / u[k]) / abs(v[k] / u[k]) if abs(u[k]) > 0 else 1.0
-        worst_amps = max(worst_amps, float(np.max(np.abs(v - phase * u))))
+        yield "closed-vs-unitary-amps", float(np.max(np.abs(v - phase * u)))
 
         probs = transition_probs(h, p, t, c)
-        worst_probs = max(
-            worst_probs,
-            abs(probs[0] - abs(ref.amp0) ** 2),
-            abs(probs[1] - abs(ref.amp1) ** 2),
-        )
-        worst_self = max(worst_self, abs(probs[0] - pops[0]), abs(probs[1] - pops[1]))
+        for prob, amp in zip(probs, (ref.amp0, ref.amp1)):
+            yield "closed-vs-unitary-probs", abs(prob - abs(amp) ** 2)
+        for prob, pop in zip(probs, pops):
+            yield "probs-vs-evolve", abs(prob - pop)
 
         r0 = PrepBias(float(rng.uniform(0.0, 0.5)))
         ch = channel_at(h, r0, t, c)
-        worst_rows = max(worst_rows, float(np.max(np.abs(ch.matrix.sum(axis=1) - 1.0))))
-
-    add(_result("eigen-residual", worst_res, _tol("eigen-residual", tolerances)))
-    add(_result("eigen-orthonormal", worst_orth, _tol("eigen-orthonormal", tolerances)))
-    add(_result("evolve-norm", worst_norm, _tol("evolve-norm", tolerances)))
-    add(_result("closed-vs-unitary-amps", worst_amps, _tol("closed-vs-unitary-amps", tolerances)))
-    add(_result("closed-vs-unitary-probs", worst_probs, _tol("closed-vs-unitary-probs", tolerances)))
-    add(_result("probs-vs-evolve", worst_self, _tol("probs-vs-evolve", tolerances)))
-    add(_result("channel-rows", worst_rows, _tol("channel-rows", tolerances)))
+        yield "channel-rows", float(np.max(np.abs(ch.matrix.sum(axis=1) - 1.0)))
 
     # periodicity of the induced channel
-    tol = _tol("channel-periodicity", tolerances)
-    worst = 0.0
     for i in range(min(trials, 200)):
         h = _random_hamiltonian(rng, i + 3)  # skip the a=0 case, it has no period
         if h.a == 0.0:
@@ -503,12 +412,9 @@ def run_two_level_suite(
         t0 = period(h, c)
         m1 = channel_at(h, r0, t, c).matrix
         m2 = channel_at(h, r0, t + t0, c).matrix
-        worst = max(worst, float(np.max(np.abs(m1 - m2))))
-    add(_result("channel-periodicity", worst, tol))
+        yield "channel-periodicity", float(np.max(np.abs(m1 - m2)))
 
     # epsilon = 0 freezes the channel
-    tol = _tol("epsilon-zero-static", tolerances)
-    worst = 0.0
     for _ in range(min(trials, 100)):
         h = TwoLevelHamiltonian(
             E=float(rng.uniform(-2, 2)), Delta=float(rng.uniform(0, 3)), epsilon=0.0
@@ -516,12 +422,9 @@ def run_two_level_suite(
         r0 = PrepBias(float(rng.uniform(0.0, 0.5)))
         m0 = channel_at(h, r0, 0.0, c).matrix
         mt = channel_at(h, r0, float(rng.uniform(0.0, 20.0)), c).matrix
-        worst = max(worst, float(np.max(np.abs(m0 - mt))))
-    add(_result("epsilon-zero-static", worst, tol))
+        yield "epsilon-zero-static", float(np.max(np.abs(m0 - mt)))
 
     # shifting E only changes the global phase, never the probabilities
-    tol = _tol("global-phase-invariance", tolerances)
-    worst = 0.0
     for i in range(min(trials, 200)):
         h = _random_hamiltonian(rng, i)
         shift = float(rng.uniform(-10, 10))
@@ -530,19 +433,14 @@ def run_two_level_suite(
         t = float(rng.uniform(0.0, 10.0))
         a = transition_probs(h, p, t, c)
         b = transition_probs(h2, p, t, c)
-        worst = max(worst, abs(a[0] - b[0]), abs(a[1] - b[1]))
-    add(_result("global-phase-invariance", worst, tol))
+        for x, y in zip(a, b):
+            yield "global-phase-invariance", abs(x - y)
 
     # the eps_for_gamma family shares the period pi (hbar = 1)
-    tol = _tol("shared-frequency-period", tolerances)
-    worst = 0.0
     for gamma in np.linspace(0.0, 8.0, 33):
         eps = eps_for_gamma(gamma)
         h = TwoLevelHamiltonian(E=0.0, Delta=float(gamma * eps), epsilon=float(eps))
-        worst = max(worst, abs(period(h, c) - math.pi))
-    add(_result("shared-frequency-period", worst, tol))
-
-    return report
+        yield "shared-frequency-period", abs(period(h, c) - math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -566,28 +464,15 @@ def _four_capacities(ch: BinaryChannel) -> tuple[float, float, float, float]:
     )
 
 
-def run_infotheory_suite(
-    seed: int, trials: int, tolerances: dict[str, float] | None = None
-) -> SuiteReport:
-    rng = np.random.default_rng(seed)
-    c = constants_for(UnitMode.NATURAL)
-    report = SuiteReport(suite="infotheory", seed=seed, trials=trials)
-    add = report.checks.append
-
+def _infotheory(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[tuple]:
     # hand-computed entropies
-    tol = _tol("entropy-known-values", tolerances)
-    dev = max(
-        abs(infotheory.shannon_entropy([0.5, 0.5], "bits") - 1.0),
-        abs(infotheory.shannon_entropy([1.0, 0.0], "bits")),
-        abs(infotheory.shannon_entropy([0.11, 0.89], "bits") - H2_011_BITS),
-    )
-    add(_result("entropy-known-values", dev, tol))
+    yield "entropy-known-values", abs(infotheory.shannon_entropy([0.5, 0.5], "bits") - 1.0)
+    yield "entropy-known-values", abs(infotheory.shannon_entropy([1.0, 0.0], "bits"))
+    yield "entropy-known-values", abs(infotheory.shannon_entropy([0.11, 0.89], "bits") - H2_011_BITS)
 
     # concavity of I(q) in the input distribution: its maximum is the one
     # stationary point the closed form solves for, and the ternary search
     # and the grid scan find it
-    tol = _tol("mi-concavity", tolerances)
-    worst = 0.0
     for _ in range(trials):
         ch = _random_channel(rng)
         q1, q2 = rng.uniform(0.0, 1.0, size=2)
@@ -595,45 +480,33 @@ def run_infotheory_suite(
         i1 = kernels.mi_binary(ch.matrix[0, 0], ch.matrix[1, 0], q1)
         i2 = kernels.mi_binary(ch.matrix[0, 0], ch.matrix[1, 0], q2)
         im = kernels.mi_binary(ch.matrix[0, 0], ch.matrix[1, 0], mid)
-        worst = max(worst, 0.5 * (i1 + i2) - im)
-    add(_result("mi-concavity", worst, tol))
+        yield "mi-concavity", 0.5 * (i1 + i2) - im
 
     # four solvers agree pairwise: the closed form, the ternary search,
     # Blahut-Arimoto and the 1e-6 grid, on random and adversarial channels
-    tol = _tol("solver-agreement", tolerances)
     channels = [_random_channel(rng) for _ in range(trials)]
     channels += [
         BinaryChannel(matrix=np.array([[p00, 1.0 - p00], [p10, 1.0 - p10]]))
         for p00, p10 in ADVERSARIAL_CHANNELS
     ]
     caps = np.array([_four_capacities(ch) for ch in channels])
-    # np.max propagates a NaN, which then fails the check.
-    add(_result("solver-agreement", np.max(caps.max(axis=1) - caps.min(axis=1)), tol))
+    yield "solver-agreement", np.max(caps.max(axis=1) - caps.min(axis=1))
 
     # the flip-0.11 binary symmetric channel against its hand value
-    tol = _tol("bsc-known-capacity", tolerances)
     bsc = BinaryChannel(matrix=np.array([[0.89, 0.11], [0.11, 0.89]]))
-    dev = max(
-        abs(infotheory.capacity_binary(bsc, base="bits").capacity - BSC_011_CAPACITY_BITS),
-        abs(infotheory.capacity_grid(bsc, base="bits").capacity - BSC_011_CAPACITY_BITS),
-        abs(infotheory.blahut_arimoto(bsc, base="bits").capacity - BSC_011_CAPACITY_BITS),
-    )
-    add(_result("bsc-known-capacity", dev, tol))
+    for solve in (infotheory.capacity_binary, infotheory.capacity_grid, infotheory.blahut_arimoto):
+        yield "bsc-known-capacity", abs(solve(bsc, base="bits").capacity - BSC_011_CAPACITY_BITS)
 
     # 0 <= C <= 1 bit over two-level channel samples
-    tol = _tol("capacity-bounds", tolerances)
-    worst = 0.0
     for i in range(min(trials, 500)):
         h = _random_hamiltonian(rng, i)
         r0 = PrepBias(float(rng.uniform(0.0, 0.5)))
         t = float(rng.uniform(0.0, 10.0))
         cap = infotheory.two_level_capacity(h, r0, t, c, base="bits").capacity
-        worst = max(worst, -cap, cap - 1.0)
-    add(_result("capacity-bounds", worst, tol))
+        yield "capacity-bounds", -cap
+        yield "capacity-bounds", cap - 1.0
 
     # capacity is periodic in the delay
-    tol = _tol("capacity-periodicity", tolerances)
-    worst = 0.0
     for i in range(min(trials, 100)):
         h = _random_hamiltonian(rng, i + 3)
         if h.a == 0.0:
@@ -643,25 +516,19 @@ def run_infotheory_suite(
         t0 = period(h, c)
         c1 = infotheory.two_level_capacity(h, r0, t, c).capacity
         c2 = infotheory.two_level_capacity(h, r0, t + t0, c).capacity
-        worst = max(worst, abs(c1 - c2))
-    add(_result("capacity-periodicity", worst, tol))
+        yield "capacity-periodicity", abs(c1 - c2)
 
     # the claimed monotonic decrease of capacity in r0(1-r0): findings only
-    tol = _tol("r0-monotonicity", tolerances)
-    cells = monotonicity_findings(c=c)
-    violations = [cell for cell in cells if cell.max_violation > tol]
-    worst = max((cell.max_violation for cell in cells), default=0.0)
-    add(
-        _result(
-            "r0-monotonicity",
-            worst,
-            tol,
-            kind="finding",
-            details=f"{len(violations)} of {len(cells)} cells violate the monotonicity claim",
-        )
-    )
+    rises = [cell.max_violation for cell in monotonicity_findings(c=c)]
 
-    return report
+    def note(tol: float) -> str:
+        above = sum(rise > tol for rise in rises)
+        return f"{above} of {len(rises)} cells violate the monotonicity claim"
+
+    yield "r0-monotonicity", functools.reduce(_fold, rises), note
+
+
+_BODIES = {"gaussian": _gaussian, "two_level": _two_level, "infotheory": _infotheory}
 
 
 def monotonicity_findings(
@@ -691,14 +558,12 @@ def monotonicity_findings(
         ]
         for j, frac in enumerate(fracs):
             caps = [col[j] for col in by_r0]
-            violation = max(
-                (caps[i + 1] - caps[i] for i in range(len(caps) - 1)), default=0.0
-            )
+            rises = [b - a for a, b in zip(caps, caps[1:])]
             cells.append(
                 MonotonicityCell(
                     gamma=float(gamma),
                     t_over_period=float(frac),
-                    max_violation=max(violation, 0.0),
+                    max_violation=functools.reduce(_fold, [*rises, 0.0]),
                 )
             )
     return cells
@@ -710,16 +575,31 @@ def run_suite(
     trials: int = 1000,
     tolerances: dict[str, float] | None = None,
 ) -> list[SuiteReport]:
-    """Run one named suite, or all of them."""
+    """Run one named suite, or all of them in `CHECKS` order."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    runners = {
-        "gaussian": run_gaussian_suite,
-        "two_level": run_two_level_suite,
-        "infotheory": run_infotheory_suite,
-    }
-    if suite == "all":
-        return [runners[name](seed, trials, tolerances) for name in SUITES]
-    if suite not in runners:
+    if suite != "all" and suite not in CHECKS:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES + ('all',)}")
-    return [runners[suite](seed, trials, tolerances)]
+    tolerances = tolerances or {}
+    unknown = sorted(tolerances.keys() - DEFAULT_TOLERANCES.keys())
+    if unknown:
+        known = ", ".join(sorted(DEFAULT_TOLERANCES))
+        raise ValueError(f"unknown check {', '.join(unknown)} in tolerances; expected one of: {known}")
+    reports = []
+    for name in SUITES if suite == "all" else (suite,):
+        worst = dict.fromkeys(CHECKS[name], 0.0)
+        notes = {}
+        body = _BODIES[name](np.random.default_rng(seed), trials, constants_for(UnitMode.NATURAL))
+        for check, deviation, *note in body:
+            if note:
+                worst[check], notes[check] = deviation, note[0]
+            else:
+                worst[check] = _fold(worst[check], deviation)
+        report = SuiteReport(suite=name, seed=seed, trials=trials)
+        for check, (default, kind) in CHECKS[name].items():
+            tol = tolerances.get(check, default)
+            dev = float(worst[check])
+            details = notes[check](tol) if check in notes else ""
+            report.checks.append(CheckResult(check, bool(dev <= tol), tol, dev, kind, details))
+        reports.append(report)
+    return reports

@@ -244,11 +244,21 @@ class TestVerifyCommand:
         assert "noise-floor: FAIL" in captured.out
         assert "noise-floor" in captured.err
 
-    def test_zero_trials_is_usage_error(self):
+    def test_zero_trials_is_usage_error(self, capsys):
         assert main(["verify", "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any check runs
+        assert "trials must be >= 1, got 0" in captured.err
 
-    def test_unknown_tolerance_name_is_usage_error(self):
+    def test_unknown_tolerance_name_is_usage_error(self, capsys):
         assert main(["verify", "--tolerance", "nonsense=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any check runs
+        assert "nonsense" in captured.err and "noise-floor" in captured.err
+
+    def test_tolerance_without_value_is_usage_error(self, capsys):
+        assert main(["verify", "--tolerance", "noise-floor"]) == 2
+        assert "NAME=VALUE" in capsys.readouterr().err
 
     def test_report_lists_every_check_deviation(self, tmp_path):
         report = tmp_path / "report.json"
