@@ -235,7 +235,7 @@ def _cmd_evolve(args) -> int:
         table = {
             "t": np.repeat(times, x.size),
             "x": np.tile(x, len(times)),
-            "density": np.concatenate([gaussian.density_at(prep, x, t, c) for t in times]),
+            "density": gaussian.density_at(prep, x, np.array(times)[:, None], c).ravel(),
         }
         params = {
             "channel": "gaussian",

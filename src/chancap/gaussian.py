@@ -14,6 +14,11 @@ expression C = (1/2) ln(1 + P / Delta_t^2) in nats.
 The dispersion term shrinks as sigma_A^2 grows, so over-localizing hurts:
 Delta_t^2 is minimized at sigma_A^2 = v* = hbar*t/(2m), where it equals
 hbar*t/m.
+
+The closed forms are array-first: a delay, mass, signal level or noise
+variance may be a float or an ndarray, and positions x broadcast against
+the delays. An array call gives the same bits as float calls made point by
+point.
 """
 
 from __future__ import annotations
@@ -24,16 +29,14 @@ from math import inf
 
 import numpy as np
 
-from .units import Constants
+from .units import Constants, _elementwise
 
 __all__ = [
     "GaussianPrep",
-    "ComplexDensityParams",
     "PowerBudget",
     "noise_variance",
     "density_at",
     "wavefunction_at",
-    "complex_density_params",
     "capacity_nats",
     "optimal_sigma2",
     "capacity_at_optimum",
@@ -63,23 +66,6 @@ class GaussianPrep:
 
 
 @dataclass(frozen=True)
-class ComplexDensityParams:
-    """Parameters of the dispersed packet: the complex width sigma2_A + i*hbar*t/(2m).
-
-    The real part is Alice's preparation variance; the imaginary part carries
-    the accumulated dispersion.
-    """
-
-    center: float
-    complex_width: complex
-    time: float
-
-    def __post_init__(self) -> None:
-        if not self.complex_width.real > 0:
-            raise ValueError("real part of complex_width must be positive")
-
-
-@dataclass(frozen=True)
 class PowerBudget:
     """Inputs of the preparation-energy bookkeeping.
 
@@ -104,9 +90,34 @@ class PowerBudget:
             raise ValueError(f"mean_square_X must be finite and >= 0, got {self.mean_square_X}")
 
 
-def _check_time(t: float) -> None:
-    if not t >= 0:  # a NaN fails it
-        raise ValueError(f"time delay must be >= 0, got {t}")
+def _require(ok, x, message: str) -> None:
+    """Raise ValueError(message) for the first value of x, in C order, where ok is False.
+
+    ok is a guard's positive condition on x, so that a NaN fails it: a bool
+    for a float x, a bool array of x's shape for an array. A float that
+    passes costs no numpy call.
+    """
+    if ok is not True and not np.all(ok):
+        bad = np.ravel(x)[np.argmin(np.ravel(ok))].item()
+        raise ValueError(message.format(bad))
+
+
+def _check_time(t) -> None:
+    # `is not True` first saves a call per float: capacity_vs_precision_curve makes one per grid value.
+    if (ok := (0.0 <= t) & (t < inf)) is not True:
+        _require(ok, t, "time delay must be >= 0, got {}; it must also be finite")
+
+
+def _check_signal(P) -> None:
+    _require(P >= 0.0, P, "signal constraint P must be >= 0, got {}")
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i*im as a complex array, broadcast, with both parts exactly as given."""
+    out = np.empty(np.broadcast(re, im).shape, complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def _dispersed_variance(sigma2_A, sigma_A, mass, t, hbar):
@@ -117,109 +128,101 @@ def _dispersed_variance(sigma2_A, sigma_A, mass, t, hbar):
     return sigma2_A + disp * disp
 
 
-def noise_variance(prep: GaussianPrep, t: float, c: Constants) -> float:
+def noise_variance(prep: GaussianPrep, t, c: Constants):
     """Variance of Bob's position measurement after a delay t.
 
     Delta_t^2 = sigma_A^2 + (hbar*t / (2*m*sigma_A))^2. Grows quadratically
-    in t for fixed preparation variance.
+    in t for fixed preparation variance. t is a float or an array; a delay
+    that is NaN, negative or infinite raises ValueError.
     """
     _check_time(t)
     return _dispersed_variance(prep.sigma2_A, math.sqrt(prep.sigma2_A), prep.mass, t, c.hbar)
 
 
-def density_at(prep: GaussianPrep, x, t: float, c: Constants):
+def density_at(prep: GaussianPrep, x, t, c: Constants):
     """Probability density of finding the particle at x after a delay t.
 
     Gaussian with mean x0 and variance ``noise_variance(prep, t, c)``.
-    Accepts scalar or array x.
+    x and t are floats or arrays, broadcast against each other; a float
+    for both gives a float.
     """
-    _check_time(t)
     var = noise_variance(prep, t, c)
     dx = np.asarray(x, dtype=float) - prep.x0
-    out = np.exp(-(dx * dx) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    out = np.exp(-(dx * dx) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
     return float(out) if out.ndim == 0 else out
 
 
-def complex_density_params(prep: GaussianPrep, t: float, c: Constants) -> ComplexDensityParams:
-    """Complex width sigma2_A + i*hbar*t/(2m) of the dispersed packet."""
-    _check_time(t)
-    return ComplexDensityParams(
-        center=prep.x0,
-        complex_width=complex(prep.sigma2_A, c.hbar * t / (2.0 * prep.mass)),
-        time=t,
-    )
-
-
-def wavefunction_at(prep: GaussianPrep, x, t: float, c: Constants):
+def wavefunction_at(prep: GaussianPrep, x, t, c: Constants):
     """Complex amplitude of the freely evolved packet at position x, delay t.
 
     psi(x, t) = [sqrt(2*pi) * (sigma_A + i*hbar*t/(2*m*sigma_A))]^(-1/2)
                 * exp(-(x - x0)^2 / (4*(sigma_A^2 + i*hbar*t/(2m)))),
 
     with the principal branch of the complex square root. Its squared
-    modulus equals ``density_at``. Accepts scalar or array x.
+    modulus equals ``density_at``. x and t are floats or arrays, broadcast
+    against each other; a float for both gives a complex.
     """
-    params = complex_density_params(prep, t, c)
-    w = params.complex_width
+    _check_time(t)
+    # The complex width sigma2_A + i*b, scaled one part at a time as Python
+    # complex arithmetic scales it.
+    b = c.hbar * t / (2.0 * prep.mass)
     sigma_A = math.sqrt(prep.sigma2_A)
-    prefactor = 1.0 / np.sqrt(math.sqrt(2.0 * math.pi) * (w / sigma_A))
+    root = math.sqrt(2.0 * math.pi)
+    prefactor = 1.0 / np.sqrt(_complex(root * (prep.sigma2_A / sigma_A), root * (b / sigma_A)))
     dx = np.asarray(x, dtype=float) - prep.x0
-    out = prefactor * np.exp(-(dx * dx) / (4.0 * w))
+    gauss = np.exp(-(dx * dx) / _complex(4.0 * prep.sigma2_A, 4.0 * b))
+    # The product one component at a time: numpy's array complex multiply
+    # does not round as its scalar multiply does.
+    pr, pi, gr, gi = prefactor.real, prefactor.imag, gauss.real, gauss.imag
+    out = _complex(pr * gr - pi * gi, pr * gi + pi * gr)
     return complex(out) if out.ndim == 0 else out
 
 
-def capacity_nats(P: float, delta2: float) -> float:
-    """AWGN capacity (1/2) ln(1 + P / delta2) in nats per use."""
-    # Positive conditions, so that a NaN fails them.
-    if not P >= 0:
-        raise ValueError(f"signal constraint P must be >= 0, got {P}")
-    if not delta2 > 0:
-        raise ValueError(f"noise variance must be positive, got {delta2}")
-    return 0.5 * math.log1p(P / delta2)
+def capacity_nats(P, delta2):
+    """AWGN capacity (1/2) ln(1 + P / delta2) in nats per use.
+
+    P and delta2 are floats or arrays, broadcast; math.log1p of every
+    element, so that both give the same bits.
+    """
+    if (P >= 0.0) is True and (delta2 > 0.0) is True:  # two valid floats: no numpy call
+        return 0.5 * math.log1p(P / delta2)
+    _check_signal(P)
+    _require(delta2 > 0.0, delta2, "noise variance must be positive, got {}")
+    return 0.5 * _elementwise(math.log1p, P / delta2)
 
 
-def optimal_sigma2(t: float, mass: float, c: Constants) -> float:
+def optimal_sigma2(t, mass, c: Constants):
     """Preparation variance v* = hbar*t/(2m) that minimizes the noise.
 
     By AM-GM, sigma2 + (hbar*t/(2m))^2/sigma2 >= hbar*t/m with equality
-    iff sigma2 = v*.
+    iff sigma2 = v*. t and mass are floats or arrays, broadcast, positive
+    and finite; a v* that under- or overflows raises ValueError too.
     """
-    if not t > 0:
-        raise ValueError(f"measurement delay must be positive, got {t}")
-    if not mass > 0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    return c.hbar * t / (2.0 * mass)
-
-
-def _log1p(x: np.ndarray) -> np.ndarray:
-    """math.log1p of every element: np.log1p is not bit-identical to it on every double.
-
-    One C-level map over the values, with no per-element numpy call.
-    """
-    return np.fromiter(map(math.log1p, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    _require((0.0 < t) & (t < inf), t, "measurement delay must be positive, got {}; it must also be finite")
+    _require((0.0 < mass) & (mass < inf), mass, "mass must be positive, got {}; it must also be finite")
+    with np.errstate(over="ignore"):  # an array v* that overflows is rejected, not warned about
+        vstar = c.hbar * t / (2.0 * mass)
+    _require(
+        (0.0 < vstar) & (vstar < inf),
+        vstar,
+        "sigma2_A must be positive and finite, got {}; v* = hbar*t/(2m) left the floating-point range",
+    )
+    return vstar
 
 
 def capacity_at_optimum(t, mass, P: float, c: Constants) -> tuple[np.ndarray, np.ndarray]:
     """v* and the capacity at sigma2_A = v*, elementwise over arrays t and mass.
 
     Equal, bit for bit, to optimal_sigma2, noise_variance of
-    GaussianPrep(0, v*, mass) and capacity_nats applied point by point:
-    the same IEEE operations, with math.log1p per point. Raises the
-    ValueError that this scalar chain raises at the first point, in C
-    order, where it fails.
+    GaussianPrep(0, v*, mass) and capacity_nats applied point by point.
+    Checks P, then t, then mass, then v*, and raises ValueError for the
+    first bad value in C order.
     """
-    t, mass = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(mass, dtype=float))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vstar = c.hbar * t / (2.0 * mass)
-    # The scalar chain passes exactly where all of these hold; a NaN fails each.
-    bad = ~((t > 0.0) & (mass > 0.0) & (0.0 < vstar) & (vstar < inf) & (P >= 0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        t_i, m_i = float(t.flat[i]), float(mass.flat[i])
-        prep = GaussianPrep(x0=0.0, sigma2_A=optimal_sigma2(t_i, m_i, c), mass=m_i)
-        capacity_nats(P, noise_variance(prep, t_i, c))
+    _check_signal(P)
+    t, mass = np.asarray(t, dtype=float), np.asarray(mass, dtype=float)
+    vstar = optimal_sigma2(t, mass, c)
     noise = _dispersed_variance(vstar, np.sqrt(vstar), mass, t, c.hbar)
-    return vstar, 0.5 * _log1p(P / noise)
+    return vstar, capacity_nats(P, noise)
 
 
 def beta(b: PowerBudget) -> float:

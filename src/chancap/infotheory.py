@@ -182,11 +182,7 @@ def blahut_arimoto(
     very small tol, which is reported through converged=False (the returned
     lower bound is still a valid capacity estimate within the final gap).
     """
-    # Positive conditions, so that a NaN fails them.
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    # Before the kernel, which checks tol and max_iter: a bad base fails before the loop runs.
     factor = _base_factor(base)
     cap, q, iters, converged = kernels.ba_binary(
         float(ch.matrix[0, 0]), float(ch.matrix[1, 0]), tol, max_iter

@@ -27,9 +27,7 @@ from .units import Constants
 
 __all__ = [
     "GridState",
-    "SpectralPlan",
     "discretize",
-    "spectral_plan",
     "propagate_spectral",
     "grid_variance",
     "unitary_evolve_2x2",
@@ -62,13 +60,14 @@ class GridState:
     def __post_init__(self) -> None:
         if not _is_power_of_two(self.n):
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
-        if self.x_max <= self.x_min:
-            raise ValueError("x_max must exceed x_min")
+        # Positive conditions, so that a NaN fails them.
+        if not -math.inf < self.x_min < self.x_max < math.inf:
+            raise ValueError(f"x_max must exceed x_min, both finite; got [{self.x_min}, {self.x_max})")
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (self.n,):
             raise ValueError(f"expected {self.n} amplitudes, got shape {amps.shape}")
         norm = float((np.abs(amps) ** 2).sum() * self.dx)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"grid norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amps", amps)
 
@@ -85,14 +84,6 @@ class GridState:
 
     def norm(self) -> float:
         return float(self.density().sum() * self.dx)
-
-
-@dataclass(frozen=True)
-class SpectralPlan:
-    """Fourier-mode wavenumbers and their free-particle dispersion phases."""
-
-    wavenumbers: np.ndarray
-    phases: np.ndarray
 
 
 def discretize(prep: GaussianPrep, t_max: float, n: int, c: Constants) -> GridState:
@@ -124,21 +115,19 @@ def discretize(prep: GaussianPrep, t_max: float, n: int, c: Constants) -> GridSt
     return GridState(x_min=x_min, x_max=x_max, n=n, amps=amps)
 
 
-def spectral_plan(g: GridState, mass: float, t: float, c: Constants) -> SpectralPlan:
-    """Dispersion phases exp(-i*hbar*k^2*t/(2m)) for the grid's Fourier modes."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
+def propagate_spectral(g: GridState, mass: float, t: float, c: Constants) -> GridState:
+    """Evolve a grid state for time t by phasing its Fourier modes.
+
+    Mode k picks up the dispersion phase exp(-i*hbar*k^2*t/(2m)).
+    """
+    # Positive conditions, so that a NaN fails them.
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {t}")
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
     k = 2.0 * math.pi * np.fft.fftfreq(g.n, d=g.dx)
     phases = np.exp(-1j * c.hbar * k * k * t / (2.0 * mass))
-    return SpectralPlan(wavenumbers=k, phases=phases)
-
-
-def propagate_spectral(g: GridState, mass: float, t: float, c: Constants) -> GridState:
-    """Evolve a grid state for time t by phasing its Fourier modes."""
-    plan = spectral_plan(g, mass, t, c)
-    amps = np.fft.ifft(np.fft.fft(g.amps) * plan.phases)
+    amps = np.fft.ifft(np.fft.fft(g.amps) * phases)
     return GridState(x_min=g.x_min, x_max=g.x_max, n=g.n, amps=amps)
 
 

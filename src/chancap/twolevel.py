@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import Constants
+from .units import Constants, _elementwise
 
 __all__ = [
     "TwoLevelHamiltonian",
@@ -199,17 +199,6 @@ def evolve(h: TwoLevelHamiltonian, p: PrepBias, t: float, c: Constants) -> TwoLe
     amp0 = phase * (c0 * cos_t + 1j * (b * c0 - eps * c1) * sin_t / a)
     amp1 = phase * (c1 * cos_t - 1j * (eps * c0 + b * c1) * sin_t / a)
     return TwoLevelState(amp0=amp0, amp1=amp1)
-
-
-def _elementwise(fn, x):
-    """fn of a float, or of every element of an array.
-
-    Scalar math (math.cos rather than np.cos, which is not bit-identical to
-    it on every double) gives the same numbers on both paths.
-    """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    return fn(x)
 
 
 def _clamp_prob(x):

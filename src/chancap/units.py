@@ -3,13 +3,17 @@
 Only two conventions are supported: SI (CODATA hbar in joule-seconds) and
 natural units (hbar = 1). Every physics routine takes an explicit
 :class:`Constants` argument, so a single computation is always tagged with
-exactly one convention.
+exactly one convention. `_elementwise` is the scalar-math-per-element
+helper that both channel models share.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 #: CODATA value of the reduced Planck constant, J*s.
 HBAR_SI = 1.054571817e-34
@@ -28,8 +32,9 @@ class Constants:
     mode: UnitMode
 
     def __post_init__(self) -> None:
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        # A positive condition, so that a NaN fails it.
+        if not 0.0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
 
 _SI = Constants(hbar=HBAR_SI, mode=UnitMode.SI)
@@ -43,3 +48,15 @@ def constants_for(mode: UnitMode) -> Constants:
     if mode is UnitMode.NATURAL:
         return _NATURAL
     raise ValueError(f"unknown unit mode: {mode!r}")
+
+
+def _elementwise(fn, x):
+    """fn of a float, or of every element of an array.
+
+    Scalar math (math.cos or math.log1p rather than np.cos or np.log1p, which
+    are not bit-identical to it on every double) gives the same numbers on
+    both paths: one C-level map over the values, with no per-element numpy call.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return fn(x)

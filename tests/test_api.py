@@ -50,11 +50,38 @@ PUBLIC = [
     "unitary_evolve_2x2",
 ]
 
+GAUSSIAN = [
+    "GaussianPrep",
+    "PowerBudget",
+    "noise_variance",
+    "density_at",
+    "wavefunction_at",
+    "capacity_nats",
+    "optimal_sigma2",
+    "capacity_at_optimum",
+    "placement_power",
+    "beta",
+    "capacity_vs_precision_curve",
+]
+
+ORACLE = [
+    "GridState",
+    "discretize",
+    "propagate_spectral",
+    "grid_variance",
+    "unitary_evolve_2x2",
+]
+
 MODULES = ["chancap"] + [f"chancap.{m.name}" for m in pkgutil.iter_modules(chancap.__path__)]
 
 
 def test_package_all_is_pinned():
     assert chancap.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name,pinned", [("gaussian", GAUSSIAN), ("oracle", ORACLE)])
+def test_module_all_is_pinned(name, pinned):
+    assert importlib.import_module(f"chancap.{name}").__all__ == pinned
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from chancap.gaussian import (
-    ComplexDensityParams,
     GaussianPrep,
     PowerBudget,
     beta,
     capacity_at_optimum,
     capacity_nats,
     capacity_vs_precision_curve,
-    complex_density_params,
     density_at,
     noise_variance,
     optimal_sigma2,
@@ -282,7 +280,6 @@ NAN = math.nan
         (lambda: optimal_sigma2(1.0, NAN, NAT), "mass must be positive, got nan"),
         (lambda: noise_variance(PREP, NAN, NAT), "time delay must be >= 0, got nan"),
         (lambda: density_at(PREP, 0.0, NAN, NAT), "time delay must be >= 0, got nan"),
-        (lambda: complex_density_params(PREP, NAN, NAT), "time delay must be >= 0, got nan"),
         (lambda: wavefunction_at(PREP, 0.0, NAN, NAT), "time delay must be >= 0, got nan"),
         (
             lambda: capacity_vs_precision_curve(NAN, 1.0, 1.0, GRID, NAT),
@@ -312,10 +309,6 @@ NAN = math.nan
             lambda: PowerBudget(prep_time_T=1.0, measure_delay_t=1.0, mass=1.0, mean_square_X=NAN),
             "mean_square_X must be finite and >= 0, got nan",
         ),
-        (
-            lambda: ComplexDensityParams(center=0.0, complex_width=complex(NAN, 1.0), time=1.0),
-            "real part of complex_width must be positive",
-        ),
     ],
 )
 def test_nan_rejected(call, message):
@@ -323,6 +316,108 @@ def test_nan_rejected(call, message):
     # as a NaN result.
     with pytest.raises(ValueError, match=message):
         call()
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: noise_variance(PREP, INF, NAT), "time delay must be >= 0, got inf"),
+        (lambda: density_at(PREP, 0.0, INF, NAT), "time delay must be >= 0, got inf"),
+        (lambda: wavefunction_at(PREP, 0.0, INF, NAT), "time delay must be >= 0, got inf"),
+        (lambda: optimal_sigma2(INF, 1.0, NAT), "measurement delay must be positive, got inf"),
+    ],
+)
+def test_infinite_delay_rejected(call, message):
+    # It used to give inf (noise_variance, optimal_sigma2), a silent 0.0
+    # (density_at) or NaN with a RuntimeWarning (wavefunction_at).
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "t,mass,message",
+    [
+        (1.0, INF, "mass must be positive, got inf"),
+        (1e-300, 1e300, "sigma2_A must be positive and finite, got 0.0; v"),
+        (1e300, 1e-300, "sigma2_A must be positive and finite, got inf; v"),
+    ],
+)
+def test_optimal_sigma2_out_of_range_rejected(t, mass, message):
+    # These used to return a silent 0.0 or inf. Arrays fail alike, with no
+    # overflow warning (pytest turns warnings into errors).
+    with pytest.raises(ValueError, match=message):
+        optimal_sigma2(t, mass, NAT)
+    with pytest.raises(ValueError, match=message):
+        optimal_sigma2(np.array([1.0, t]), np.array([1.0, mass]), NAT)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda t: noise_variance(PREP, t, NAT), "time delay must be >= 0, got -2.0"),
+        (lambda t: density_at(PREP, 0.0, t, NAT), "time delay must be >= 0, got -2.0"),
+        (lambda t: wavefunction_at(PREP, 0.0, t, NAT), "time delay must be >= 0, got -2.0"),
+        (lambda t: optimal_sigma2(t, 1.0, NAT), "measurement delay must be positive, got 0.0"),
+        (lambda t: optimal_sigma2(1.0, t, NAT), "mass must be positive, got 0.0"),
+        (lambda t: capacity_nats(t, 1.0), "signal constraint P must be >= 0, got -2.0"),
+        (lambda t: capacity_nats(1.0, t), "noise variance must be positive, got 0.0"),
+    ],
+)
+def test_array_guard_names_first_bad_value(call, message):
+    t = np.array([[1.0, 0.0], [-2.0, math.nan]])  # C order: 0.0, then -2.0, then nan
+    with pytest.raises(ValueError, match=message):
+        call(t)
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+class TestArraysMatchPointByPoint:
+    """An array call gives the bits of the float calls made point by point."""
+
+    def test_wavefunction_density_match_draw(self):
+        # The draw of verify's wavefunction-density-match check, smaller.
+        rng = np.random.default_rng(42)
+        for _ in range(16):
+            prep = GaussianPrep(
+                x0=float(rng.uniform(-1.0, 1.0)),
+                sigma2_A=float(rng.uniform(0.5, 2.0)),
+                mass=float(rng.uniform(0.5, 2.0)),
+            )
+            ts = rng.uniform(0.0, 3.0, size=625)
+            xs = prep.x0 + rng.uniform(-4, 4, size=ts.size) * math.sqrt(noise_variance(prep, 3.0, NAT))
+            points = list(zip(xs.tolist(), ts.tolist()))
+            want_psi = np.array([wavefunction_at(prep, x, t, NAT) for x, t in points])
+            want_rho = np.array([density_at(prep, x, t, NAT) for x, t in points])
+            want_var = np.array([noise_variance(prep, t, NAT) for t in ts.tolist()])
+            np.testing.assert_array_equal(bits(wavefunction_at(prep, xs, ts, NAT)), bits(want_psi))
+            np.testing.assert_array_equal(bits(density_at(prep, xs, ts, NAT)), bits(want_rho))
+            np.testing.assert_array_equal(bits(noise_variance(prep, ts, NAT)), bits(want_var))
+
+    def test_positions_broadcast_against_delays(self):
+        prep = GaussianPrep(x0=0.3, sigma2_A=0.8, mass=1.7)
+        x = np.linspace(-6.0, 6.0, 31)
+        t = np.array([[0.0], [0.5], [2.0], [7.0]])
+        for f in (wavefunction_at, density_at):
+            got = f(prep, x, t, NAT)
+            assert got.shape == (4, 31)
+            want = np.array([[f(prep, float(a), float(b[0]), NAT) for a in x] for b in t])
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_optimal_sigma2_and_capacity(self):
+        rng = np.random.default_rng(5)
+        t = 10.0 ** rng.uniform(-3, 3, 2000)
+        mass = 10.0 ** rng.uniform(-31, -6, 2000)
+        want = [optimal_sigma2(a, m, SI) for a, m in zip(t.tolist(), mass.tolist())]
+        np.testing.assert_array_equal(bits(optimal_sigma2(t, mass, SI)), bits(want))
+        P = rng.uniform(0.0, 10.0, 2000)
+        delta2 = 10.0 ** rng.uniform(-12, 12, 2000)
+        want = [capacity_nats(p, d) for p, d in zip(P.tolist(), delta2.tolist())]
+        np.testing.assert_array_equal(bits(capacity_nats(P, delta2)), bits(want))
 
 
 def threshold_point(t, mass, P, c):

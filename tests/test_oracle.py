@@ -105,6 +105,33 @@ class TestPropagate:
             propagate_spectral(g, 1.0, -0.5, NAT)
 
 
+GRID = discretize(UNIT_PREP, t_max=1.0, n=256, c=NAT)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: propagate_spectral(GRID, math.nan, 1.0, NAT), "mass must be positive and finite, got nan"),
+        (lambda: propagate_spectral(GRID, math.inf, 1.0, NAT), "mass must be positive and finite, got inf"),
+        (lambda: propagate_spectral(GRID, 1.0, math.nan, NAT), "time must be finite and >= 0, got nan"),
+        (lambda: propagate_spectral(GRID, 1.0, math.inf, NAT), "time must be finite and >= 0, got inf"),
+        (
+            lambda: GridState(x_min=GRID.x_min, x_max=GRID.x_max, n=GRID.n, amps=GRID.amps * math.nan),
+            "grid norm deviates from 1 by nan",
+        ),
+        (
+            lambda: GridState(x_min=math.nan, x_max=GRID.x_max, n=GRID.n, amps=GRID.amps),
+            "x_max must exceed x_min, both finite",
+        ),
+    ],
+)
+def test_non_finite_input_rejected(call, message):
+    # Each guard is a positive condition: these inputs used to pass and give
+    # NaN amplitudes, or a grid that held them.
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestGridState:
     def test_norm_validation(self):
         amps = np.ones(1024, dtype=complex)

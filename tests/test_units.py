@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from chancap.units import HBAR_SI, Constants, UnitMode, constants_for
@@ -36,3 +38,8 @@ def test_nonpositive_hbar_rejected():
         Constants(hbar=0.0, mode=UnitMode.SI)
     with pytest.raises(ValueError):
         Constants(hbar=-1.0, mode=UnitMode.NATURAL)
+    # A NaN hbar used to pass and make every closed form return NaN.
+    with pytest.raises(ValueError, match="hbar must be positive and finite, got nan"):
+        Constants(hbar=math.nan, mode=UnitMode.NATURAL)
+    with pytest.raises(ValueError, match="hbar must be positive and finite, got inf"):
+        Constants(hbar=math.inf, mode=UnitMode.SI)

@@ -138,19 +138,33 @@ class TestMonotonicityFindings:
         worst = max(c.max_violation for c in cells)
         assert worst <= 1e-9, f"monotonicity violated by {worst:.3e}"
 
-    def test_nan_capacity_shows_in_its_cells(self, monkeypatch):
-        # A NaN in the middle of the r0 column: max() over the rises would
-        # drop it, the fold keeps it.
+    @staticmethod
+    def nan_at_r0_quarter(monkeypatch):
         real = infotheory.two_level_capacities
 
-        def nan_at_r0_quarter(h, r0, ts, c):
+        def patched(h, r0, ts, c):
             caps = real(h, r0, ts, c)
             return caps * math.nan if r0.p == 0.25 else caps
 
-        monkeypatch.setattr(infotheory, "two_level_capacities", nan_at_r0_quarter)
+        monkeypatch.setattr(infotheory, "two_level_capacities", patched)
+
+    def test_nan_capacity_shows_in_its_cells(self, monkeypatch):
+        # A NaN in the middle of the r0 column: max() over the rises would
+        # drop it, the fold keeps it.
+        self.nan_at_r0_quarter(monkeypatch)
         cells = verify.monotonicity_findings(gamma_points=2, time_points=3, r0_points=11)
         assert len(cells) == 6
         assert all(math.isnan(cell.max_violation) for cell in cells)
+
+    def test_nan_cells_are_counted_in_the_details(self, monkeypatch):
+        # The details used to count rise > tol, which a NaN fails: the report
+        # said "0 of 400" beside a NaN deviation.
+        self.nan_at_r0_quarter(monkeypatch)
+        [report] = verify.run_suite("infotheory", seed=1, trials=1)
+        finding = next(c for c in report.checks if c.name == "r0-monotonicity")
+        assert math.isnan(finding.max_deviation)
+        assert not finding.passed
+        assert finding.details == "400 of 400 cells violate the monotonicity claim"
 
     def test_cells_match_point_by_point_sweep(self):
         # The sweep as it reads: one two_level_capacity call per (gamma, t, r0).
