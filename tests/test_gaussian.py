@@ -280,6 +280,10 @@ NAN = math.nan
         (lambda: optimal_sigma2(1.0, NAN, NAT), "mass must be positive, got nan"),
         (lambda: noise_variance(PREP, NAN, NAT), "time delay must be >= 0, got nan"),
         (lambda: density_at(PREP, 0.0, NAN, NAT), "time delay must be >= 0, got nan"),
+        (
+            lambda: noise_variance(PREP, np.array([1.0, NAN]), NAT),
+            "time delay must be >= 0, got nan",
+        ),
         (lambda: wavefunction_at(PREP, 0.0, NAN, NAT), "time delay must be >= 0, got nan"),
         (
             lambda: capacity_vs_precision_curve(NAN, 1.0, 1.0, GRID, NAT),
