@@ -108,6 +108,13 @@ def _check_time(t) -> None:
         _require(ok, t, "time delay must be >= 0, got {}; it must also be finite")
 
 
+def _position(x) -> np.ndarray:
+    """x as a float array, checked finite."""
+    x = np.asarray(x, dtype=float)
+    _require(np.isfinite(x), x, "position x must be finite, got {}")
+    return x
+
+
 def _check_signal(P) -> None:
     _require(P >= 0.0, P, "signal constraint P must be >= 0, got {}")
 
@@ -144,10 +151,11 @@ def density_at(prep: GaussianPrep, x, t, c: Constants):
 
     Gaussian with mean x0 and variance ``noise_variance(prep, t, c)``.
     x and t are floats or arrays, broadcast against each other; a float
-    for both gives a float.
+    for both gives a float. A position that is NaN or infinite raises
+    ValueError.
     """
     var = noise_variance(prep, t, c)
-    dx = np.asarray(x, dtype=float) - prep.x0
+    dx = _position(x) - prep.x0
     out = np.exp(-(dx * dx) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
     return float(out) if out.ndim == 0 else out
 
@@ -160,7 +168,8 @@ def wavefunction_at(prep: GaussianPrep, x, t, c: Constants):
 
     with the principal branch of the complex square root. Its squared
     modulus equals ``density_at``. x and t are floats or arrays, broadcast
-    against each other; a float for both gives a complex.
+    against each other; a float for both gives a complex. A position that
+    is NaN or infinite raises ValueError.
     """
     _check_time(t)
     # The complex width sigma2_A + i*b, scaled one part at a time as Python
@@ -169,7 +178,7 @@ def wavefunction_at(prep: GaussianPrep, x, t, c: Constants):
     sigma_A = math.sqrt(prep.sigma2_A)
     root = math.sqrt(2.0 * math.pi)
     prefactor = 1.0 / np.sqrt(_complex(root * (prep.sigma2_A / sigma_A), root * (b / sigma_A)))
-    dx = np.asarray(x, dtype=float) - prep.x0
+    dx = _position(x) - prep.x0
     gauss = np.exp(-(dx * dx) / _complex(4.0 * prep.sigma2_A, 4.0 * b))
     # The product one component at a time: numpy's array complex multiply
     # does not round as its scalar multiply does.

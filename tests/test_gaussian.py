@@ -313,6 +313,12 @@ NAN = math.nan
             lambda: PowerBudget(prep_time_T=1.0, measure_delay_t=1.0, mass=1.0, mean_square_X=NAN),
             "mean_square_X must be finite and >= 0, got nan",
         ),
+        (lambda: density_at(PREP, NAN, 1.0, NAT), "position x must be finite, got nan"),
+        (lambda: wavefunction_at(PREP, NAN, 1.0, NAT), "position x must be finite, got nan"),
+        (
+            lambda: density_at(PREP, np.array([[0.0, 1.0], [NAN, 2.0]]), np.array([1.0, 2.0]), NAT),
+            "position x must be finite, got nan",
+        ),
     ],
 )
 def test_nan_rejected(call, message):
@@ -332,11 +338,19 @@ INF = math.inf
         (lambda: density_at(PREP, 0.0, INF, NAT), "time delay must be >= 0, got inf"),
         (lambda: wavefunction_at(PREP, 0.0, INF, NAT), "time delay must be >= 0, got inf"),
         (lambda: optimal_sigma2(INF, 1.0, NAT), "measurement delay must be positive, got inf"),
+        (lambda: density_at(PREP, INF, 1.0, NAT), "position x must be finite, got inf"),
+        (lambda: wavefunction_at(PREP, -INF, 1.0, NAT), "position x must be finite, got -inf"),
+        # The first bad position in C order is named.
+        (
+            lambda: wavefunction_at(PREP, np.array([0.0, INF, NAN]), 1.0, NAT),
+            "position x must be finite, got inf",
+        ),
     ],
 )
 def test_infinite_delay_rejected(call, message):
     # It used to give inf (noise_variance, optimal_sigma2), a silent 0.0
-    # (density_at) or NaN with a RuntimeWarning (wavefunction_at).
+    # (density_at) or NaN with a RuntimeWarning (wavefunction_at). An
+    # infinite position gave a silent 0.0 density.
     with pytest.raises(ValueError, match=message):
         call()
 

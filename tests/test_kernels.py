@@ -1,10 +1,15 @@
 """The scalar capacity kernels: known values, validation, and bit identity to reference loops."""
 
+import decimal
 import math
 import re
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chancap import kernels, verify
 
@@ -40,8 +45,10 @@ class TestKernels:
         assert evals == 10001
 
     def test_grid_step_validation(self):
-        for step in (0.0, -1e-3, 1.5, math.inf, -math.inf, math.nan):
-            message = re.escape(f"step must lie in (0, 1], got {step}")
+        # Steps below 2**-52 would give more than 2**53 grid points; they
+        # raise at once instead of scanning for days.
+        for step in (0.0, -1e-3, 1.5, math.inf, -math.inf, math.nan, 1e-17, 1e-300, 2**-60):
+            message = re.escape(f"step must lie in [2**-52, 1], got {step}")
             with pytest.raises(ValueError, match=message):
                 kernels.capacity_grid(0.5, 0.4, step)
 
@@ -179,6 +186,132 @@ class TestGridBitIdentity:
             assert (cap, q, evals) == (0.0, 0.0, 2)
             assert math.copysign(1.0, cap) == 1.0
             self.assert_identical(p, p, 1.0)
+
+
+def assert_full_scan_bits(p00, p10, step):
+    """capacity_grid returns reference_grid's tuple, sign of zero included."""
+    got = kernels.capacity_grid(p00, p10, step)
+    want = reference_grid(p00, p10, step)
+    assert got == want, (p00, p10, step)
+    assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+
+
+_NEAR_0 = st.floats(0.0, 1e-9)
+#: Channel entries: anywhere in [0, 1], within 1e-9 of 0 or 1, subnormal,
+#: and the exact edges.
+GRID_ENTRIES = st.one_of(
+    st.floats(0.0, 1.0),
+    _NEAR_0,
+    _NEAR_0.map(lambda x: 1.0 - x),
+    st.floats(0.0, 2.0**-1022),
+    st.sampled_from([0.0, 1.0, 5e-324]),
+)
+#: Rows within 1e-12 of each other, where I(q) is below the rounding noise.
+NEAR_EQUAL_ROWS = st.tuples(st.floats(0.0, 1.0), st.floats(-1e-12, 1e-12)).map(
+    lambda t: (t[0], min(max(t[0] + t[1], 0.0), 1.0))
+)
+
+
+class TestPrunedScan:
+    """The scan skips only points that cannot tie the best, so its bits are the full scan's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.tuples(GRID_ENTRIES, GRID_ENTRIES), NEAR_EQUAL_ROWS))
+    def test_matches_full_scan(self, chan):
+        assert_full_scan_bits(*chan, 1e-5)
+
+    def test_seeded_channels_fine_grid(self):
+        rng = np.random.default_rng(12)
+        chans = random_channels(12, seed=12) + corner_channels(rng) + corner_channels(rng)
+        for p00, p10 in chans + [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (5e-324, 0.5)]:
+            assert_full_scan_bits(p00, p10, 1e-6)
+
+    def test_evaluates_few_points_unless_flat(self, monkeypatch):
+        evaluated = []
+        neg_mi = kernels._neg_mi
+
+        def counting(off, *args):
+            evaluated.append(off.size)
+            return neg_mi(off, *args)
+
+        monkeypatch.setattr(kernels, "_neg_mi", counting)
+        kernels.capacity_grid(0.7, 0.3, 1e-6)
+        assert sum(evaluated) < 5_000  # the edges and two gaps between them
+        evaluated.clear()
+        # Equal rows: I(q) = 0 is below the rounding noise, so nothing is pruned.
+        kernels.capacity_grid(0.3, 0.3, 1e-6)
+        assert sum(evaluated) > 10**6
+
+    def test_flat_channel_footprint(self):
+        kernels.capacity_grid(0.3, 0.3, 1e-6)  # one-time allocations are not the scan's
+        tracemalloc.start()
+        try:
+            kernels.capacity_grid(0.3, 0.3, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # numpy reports its buffers to tracemalloc, so the three scan rows show.
+        assert 3 * 8 * kernels._GRID_BLOCK <= peak <= 256 * 1024
+
+
+def scan_values(p00, p10, indices, n):
+    """The scan's s(i) at the given indices, with the row entropies it uses."""
+    h0, h1 = kernels._h2(p00), kernels._h2(p10)
+    off = np.asarray(indices, dtype=float)
+    a, b, s = np.empty((3, off.size))
+    return kernels._neg_mi(off, 0, n, p00, p10, h0, h1, a, b, s), h0, h1
+
+
+def exact_neg_mi(p00, p10, h0, h1, i, n):
+    """f(i/n) = y0 ln y0 + y1 ln y1 + q h0 + (1-q) h1 in 60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        q = Decimal(i) / Decimal(n)
+        y0 = q * Decimal(p00) + (1 - q) * Decimal(p10)
+        total = q * Decimal(h0) + (1 - q) * Decimal(h1)
+        for y in (y0, 1 - y0):
+            if y > 0:
+                total += y * y.ln()
+        return total
+
+
+class TestGridErrorBound:
+    """E bounds the scan's rounding error, and np.log stays within the ulps E assumes."""
+
+    CHANNELS = (
+        list(verify.ADVERSARIAL_CHANNELS)
+        + [c for seed in range(3) for c in corner_channels(np.random.default_rng(seed))]
+        + [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0), (5e-324, 1.0), (0.7, 0.3)]
+    )
+
+    @pytest.mark.parametrize("n", [7, 10**6])
+    def test_scan_within_bound(self, n):
+        rng = np.random.default_rng(n)
+        for p00, p10 in self.CHANNELS:
+            i_best = round(kernels.capacity_grid(p00, p10, 1.0 / n)[1] * n)
+            near_best = range(max(i_best - 2, 0), min(i_best + 3, n + 1))
+            indices = sorted({0, 1, n - 1, n, *near_best, *rng.integers(0, n + 1, 16).tolist()})
+            s, h0, h1 = scan_values(p00, p10, indices, n)
+            bound = kernels._grid_error_bound(p00, p10)
+            for i, got in zip(indices, s.tolist()):
+                err = abs(Decimal(got) - exact_neg_mi(p00, p10, h0, h1, i, n))
+                assert err <= bound, (p00, p10, i, float(err), bound)
+
+    def test_log_within_assumed_ulps(self):
+        ys = np.concatenate(
+            [
+                np.geomspace(kernels._TINY, 1.0, 3000),
+                1.0 - np.arange(1, 64) * 2.0**-53,
+                1.0 + np.arange(1, 64) * 2.0**-52,
+                np.random.default_rng(3).uniform(0.0, 1.0, 500),
+            ]
+        )
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            for y, got in zip(ys.tolist(), np.log(ys).tolist()):
+                want = Decimal(y).ln()
+                ulp = Decimal(float(np.spacing(abs(float(want)))))
+                assert abs(Decimal(got) - want) <= kernels._LOG_ULPS * ulp, y
 
 
 def reference_ba(p00, p10, tol, max_iter):
