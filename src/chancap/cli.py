@@ -52,18 +52,19 @@ def _distinct_cells(column: np.ndarray, fmt: str, before: str, after: str):
     """Texts before + cell + after of a column's distinct values, and the index of each row's text.
 
     Values are keyed on their bit pattern, so -0.0 and 0.0 stay apart. All
-    distinct values are formatted in one call: "%.16e" for CSV, and for
-    JSON json's own spelling, float.__repr__ or NaN / Infinity.
+    distinct values are formatted and framed in one call: "%.16e" for CSV,
+    and for JSON json's own spelling, float.__repr__ or NaN / Infinity.
+    The separators go into that one call, so the framed texts are split
+    out of one string and no column's texts are ever held twice.
     """
     keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
     values = keys.view(np.float64).tolist()
+    # No cell or separator contains NUL or "%", and no JSON number contains ", ".
     if fmt == "csv":
-        texts = ("\0".join(["%.16e"] * len(values)) % tuple(values)).split("\0")
+        text = "\0".join([before + "%.16e" + after] * len(values)) % tuple(values)
     else:
-        texts = json.dumps(values)[1:-1].split(", ")
-    # No cell or separator contains NUL, so one join and one split frame every text.
-    framed = (before + (after + "\0" + before).join(texts) + after).split("\0")
-    return np.array(framed, dtype=object), inverse
+        text = before + json.dumps(values)[1:-1].replace(", ", after + "\0" + before) + after
+    return np.array(text.split("\0"), dtype=object), inverse
 
 
 def _write_table(path: Path, table: dict[str, np.ndarray], fmt: str) -> None:
