@@ -1,15 +1,17 @@
 """Command-line front end: figure data, channel evolution tables, verification.
 
-Subcommands emit machine-readable tables (CSV with 17-significant-digit
-scientific notation, or JSON) plus a ``.meta.json`` sidecar recording the
-full run configuration, so identical configurations reproduce byte-identical
-outputs. Exit codes: 0 success, 1 verification failure, 2 usage errors.
+The table subcommands emit machine-readable tables (CSV with
+17-significant-digit scientific notation, or JSON) plus a ``.meta.json``
+sidecar. The sidecar records the run fields (subcommand, units, out, format,
+seed) and, under ``params``, every other option of the subcommand as the
+handler parsed and sorted it, so identical configurations reproduce
+byte-identical outputs. ``verify`` writes its report only when given
+``--out``. Exit codes: 0 success, 1 verification failure, 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -23,17 +25,8 @@ from .units import UnitMode, constants_for
 
 USAGE_ERROR = 2
 
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run's output, recorded in the sidecar."""
-
-    subcommand: str
-    units: str
-    out: str
-    format: str
-    seed: int
-    params: dict
+#: Options of every table subcommand, recorded at the top level of its sidecar.
+_RUN_FIELDS = ("subcommand", "units", "out", "format", "seed")
 
 
 def finite(text: str) -> float:
@@ -102,25 +95,20 @@ def _write_table(path: Path, table: dict[str, np.ndarray], fmt: str) -> None:
         f.write(tail)
 
 
-def _write_meta(path: Path, config: RunConfig, columns: list[str]) -> None:
-    meta = dataclasses.asdict(config)
-    meta["columns"] = columns
-    meta["artifact_version"] = __version__
-    path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
-
-
-def _emit(args, table: dict[str, np.ndarray], params: dict) -> int:
-    out = Path(args.out) if args.out else Path(f"{args.subcommand}.{args.format}")
-    config = RunConfig(
-        subcommand=args.subcommand,
-        units=args.units,
-        out=str(out),
-        format=args.format,
-        seed=args.seed,
-        params=params,
-    )
+def _emit(args, table: dict[str, np.ndarray], unused: tuple[str, ...] = ()) -> int:
+    """Write the table and its sidecar, whose params are the options but run fields and `unused`."""
+    out = Path(args.out or f"{args.subcommand}.{args.format}")
+    options = vars(args)
+    skip = {*_RUN_FIELDS, "handler", *unused}
+    meta = {
+        **{name: options[name] for name in _RUN_FIELDS},
+        "out": str(out),
+        "params": {name: value for name, value in options.items() if name not in skip},
+        "columns": list(table),
+        "artifact_version": __version__,
+    }
     _write_table(out, table, args.format)
-    _write_meta(out, config, list(table))
+    out.with_suffix(".meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(next(iter(table.values())))} rows to {out}")
     return 0
 
@@ -140,7 +128,7 @@ def _cmd_fig_gaussian(args) -> int:
     grid = vstar * np.logspace(
         math.log10(args.grid_min), math.log10(args.grid_max), args.grid_points
     )
-    ratios = sorted(args.ratios)
+    ratios = args.ratios = sorted(args.ratios)
     curves = np.concatenate(
         [gaussian.capacity_vs_precision_curve(args.t, args.mass, r * vstar, grid, c) for r in ratios]
     )
@@ -151,14 +139,6 @@ def _cmd_fig_gaussian(args) -> int:
             "ratio": np.repeat(ratios, grid.size),
             "capacity_nats": curves[:, 1],
         },
-        {
-            "ratios": ratios,
-            "t": args.t,
-            "mass": args.mass,
-            "grid_min": args.grid_min,
-            "grid_max": args.grid_max,
-            "grid_points": args.grid_points,
-        },
     )
 
 
@@ -168,13 +148,11 @@ def _cmd_fig_two_level(args) -> int:
         raise ValueError("fig-two-level runs in natural units (use --units natural)")
     if not 0.0 <= args.r0 < 0.5:
         raise ValueError(f"r0 must lie in [0, 0.5), got {args.r0}")
-    if any(g < 0 for g in args.gammas):
-        raise ValueError("gamma values must be >= 0")
     if args.time_points < 2:
         raise ValueError("need at least 2 time points")
     c = _constants(args)
     r0 = PrepBias(args.r0)
-    gammas = sorted(args.gammas)
+    gammas = args.gammas = sorted(args.gammas)
     times, caps = [], []
     for gamma in gammas:
         eps = eps_for_gamma(gamma)
@@ -189,7 +167,6 @@ def _cmd_fig_two_level(args) -> int:
             "t": np.concatenate(times),
             "capacity_bits": np.concatenate(caps),
         },
-        {"gammas": gammas, "r0": args.r0, "time_points": args.time_points},
     )
 
 
@@ -200,35 +177,19 @@ def _cmd_contour(args) -> int:
     for name in ("mass_min", "mass_max", "t_min", "t_max"):
         if getattr(args, name) <= 0:
             raise ValueError(f"--{name.replace('_', '-')} must be positive")
-    if args.p_constraint < 0:
-        raise ValueError("--p-constraint must be >= 0")
     c = _constants(args)
     masses = np.logspace(math.log10(args.mass_min), math.log10(args.mass_max), args.mass_points)
     times = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points)
     # Row order: mass outer, t inner.
     mass, t = np.repeat(masses, times.size), np.tile(times, masses.size)
     vstar, cap = gaussian.capacity_at_optimum(t, mass, args.p_constraint, c)
-    return _emit(
-        args,
-        {"mass": mass, "t": t, "vstar": vstar, "capacity_nats": cap},
-        {
-            "mass_min": args.mass_min,
-            "mass_max": args.mass_max,
-            "mass_points": args.mass_points,
-            "t_min": args.t_min,
-            "t_max": args.t_max,
-            "t_points": args.t_points,
-            "p_constraint": args.p_constraint,
-        },
-    )
+    return _emit(args, {"mass": mass, "t": t, "vstar": vstar, "capacity_nats": cap})
 
 
 def _cmd_evolve(args) -> int:
     """Raw time evolution: position densities or measurement probabilities."""
-    if not args.times or any(t < 0 for t in args.times):
-        raise ValueError("--times must list delays >= 0")
     c = _constants(args)
-    times = sorted(args.times)
+    times = args.times = sorted(args.times)
     if args.channel == "gaussian":
         prep = gaussian.GaussianPrep(x0=args.x0, sigma2_A=args.sigma2, mass=args.mass)
         width = 10.0 * math.sqrt(gaussian.noise_variance(prep, times[-1], c))
@@ -238,27 +199,14 @@ def _cmd_evolve(args) -> int:
             "x": np.tile(x, len(times)),
             "density": gaussian.density_at(prep, x, np.array(times)[:, None], c).ravel(),
         }
-        params = {
-            "channel": "gaussian",
-            "x0": args.x0,
-            "sigma2": args.sigma2,
-            "mass": args.mass,
-            "times": times,
-            "grid_points": args.grid_points,
-        }
+        unused = ("gamma", "epsilon", "p")
     else:
         eps = args.epsilon
         h = TwoLevelHamiltonian(E=0.0, Delta=args.gamma * eps, epsilon=eps)
         prob0, prob1 = transition_probs(h, PrepBias(args.p), np.array(times), c)
         table = {"t": np.array(times), "prob0": prob0, "prob1": prob1}
-        params = {
-            "channel": "two_level",
-            "gamma": args.gamma,
-            "epsilon": eps,
-            "p": args.p,
-            "times": times,
-        }
-    return _emit(args, table, params)
+        unused = ("x0", "sigma2", "mass", "grid_points")
+    return _emit(args, table, unused)
 
 
 def _parse_tolerance_overrides(pairs: list[str]) -> dict[str, float]:
@@ -374,7 +322,8 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_evolve)
 
     if p := add("verify", "run the verification suites"):
-        _add_common(p, "natural")
+        p.add_argument("--out", default=None, help="report path (default: no report)")
+        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--tolerance", action="append", default=[], metavar="NAME=VALUE",

@@ -191,13 +191,22 @@ def capacity_nats(P, delta2):
     """AWGN capacity (1/2) ln(1 + P / delta2) in nats per use.
 
     P and delta2 are floats or arrays, broadcast; math.log1p of every
-    element, so that both give the same bits.
+    element, so that both give the same bits. Where P / delta2 overflows,
+    ln(1 + P / delta2) is ln P - ln delta2 to double precision, and that is
+    taken instead, with math.log on both paths.
     """
     if (P >= 0.0) is True and (delta2 > 0.0) is True:  # two valid floats: no numpy call
-        return 0.5 * math.log1p(P / delta2)
+        ratio = P / delta2
+        return 0.5 * (math.log1p(ratio) if ratio < inf else math.log(P) - math.log(delta2))
     _check_signal(P)
     _require(delta2 > 0.0, delta2, "noise variance must be positive, got {}")
-    return 0.5 * _elementwise(math.log1p, P / delta2)
+    with np.errstate(over="ignore"):  # an overflowed ratio is replaced below, not warned about
+        ratio = np.asarray(P / delta2)
+    log = _elementwise(math.log1p, ratio)
+    if np.any(over := ratio == inf):
+        P, delta2 = np.broadcast_arrays(P, delta2)
+        log[over] = _elementwise(math.log, P[over]) - _elementwise(math.log, delta2[over])
+    return 0.5 * log
 
 
 def optimal_sigma2(t, mass, c: Constants):

@@ -42,7 +42,6 @@ __all__ = [
     "eps_for_gamma",
     "channel_at",
     "channel_matrices",
-    "stochastic_rows",
 ]
 
 #: Magnitude below which floating-point excursions outside [0, 1] are

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["HBAR_SI", "Constants", "UnitMode", "constants_for"]
+
 #: CODATA value of the reduced Planck constant, J*s.
 HBAR_SI = 1.054571817e-34
 

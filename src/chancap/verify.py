@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -145,14 +145,7 @@ class CheckResult:
     details: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "max_deviation": self.max_deviation,
-            "kind": self.kind,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -170,13 +163,7 @@ class SuiteReport:
         return [c for c in self.checks if c.kind == "invariant" and not c.passed]
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,15 @@ class TestContour:
         _, rows = read_csv(out)
         assert rows[1, 3] - rows[0, 3] == pytest.approx(0.5 * math.log(2), abs=1e-6)
 
+    def test_huge_p_constraint_gives_finite_capacities(self, tmp_path):
+        # P / noise overflows a double at every row; the capacity does not.
+        out = tmp_path / "contour.csv"
+        assert main(["contour", "--out", str(out), "--p-constraint", "1e308",
+                     "--mass-points", "2", "--t-points", "2"]) == 0
+        _, rows = read_csv(out)
+        assert rows.shape == (4, 4)
+        assert np.all(np.isfinite(rows[:, 3]))
+
     def test_natural_mode_rejected(self, tmp_path):
         out = tmp_path / "contour.csv"
         assert main(["contour", "--out", str(out), "--units", "natural"]) == 2
@@ -183,6 +192,41 @@ class TestEvolve:
                      "--out", str(out)]) == 2
 
 
+RUN_FIELDS = ("subcommand", "units", "out", "format", "seed")
+# evolve leaves the options of the channel it did not run out of its sidecar.
+OTHER_CHANNEL = {
+    "gaussian": ("gamma", "epsilon", "p"),
+    "two_level": ("x0", "sigma2", "mass", "grid_points"),
+}
+SIDECAR_CASES = {
+    "fig-gaussian": (
+        ["fig-gaussian", "--ratios", "5", "0.5", "2", "--grid-points", "5"],
+        "natural",
+        ["sigma2_over_vstar", "ratio", "capacity_nats"],
+    ),
+    "fig-two-level": (
+        ["fig-two-level", "--gammas", "4", "0", "1", "--time-points", "3", "--r0", "0.1"],
+        "natural",
+        ["gamma", "t", "capacity_bits"],
+    ),
+    "contour": (
+        ["contour", "--mass-points", "2", "--t-points", "3", "--p-constraint", "2"],
+        "si",
+        ["mass", "t", "vstar", "capacity_nats"],
+    ),
+    "evolve-gaussian": (
+        ["evolve", "--channel", "gaussian", "--times", "2", "0", "1", "--grid-points", "5", "--x0", "1"],
+        "natural",
+        ["t", "x", "density"],
+    ),
+    "evolve-two_level": (
+        ["evolve", "--channel", "two_level", "--times", "2", "0", "1", "--p", "0.2", "--gamma", "3"],
+        "natural",
+        ["t", "prob0", "prob1"],
+    ),
+}
+
+
 class TestOutputs:
     def test_csv_is_deterministic(self, tmp_path):
         out = tmp_path / "fig.csv"
@@ -193,16 +237,24 @@ class TestOutputs:
         main(args)
         assert out.read_bytes() == first
 
-    def test_meta_sidecar_records_config(self, tmp_path):
-        out = tmp_path / "fig.csv"
-        main(["fig-gaussian", "--out", str(out), "--grid-points", "5", "--seed", "9"])
-        meta = json.loads((tmp_path / "fig.meta.json").read_text())
-        assert meta["subcommand"] == "fig-gaussian"
-        assert meta["units"] == "natural"
+    @pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
+    def test_meta_sidecar_records_config(self, tmp_path, case):
+        argv, units, columns = SIDECAR_CASES[case]
+        argv = [*argv, "--out", str(tmp_path / "t.csv"), "--seed", "9"]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "t.meta.json").read_text())
+        assert meta["subcommand"] == argv[0]
+        assert meta["units"] == units
+        assert meta["out"] == str(tmp_path / "t.csv")
+        assert meta["format"] == "csv"
         assert meta["seed"] == 9
-        assert meta["params"]["grid_points"] == 5
-        assert meta["columns"] == ["sigma2_over_vstar", "ratio", "capacity_nats"]
+        assert meta["columns"] == columns
         assert meta["artifact_version"]
+        # params: every other option of the subcommand, as parsed, lists sorted.
+        parsed = vars(cli.build_parser().parse_args(argv))
+        unused = {"handler", *RUN_FIELDS, *OTHER_CHANNEL.get(parsed.get("channel"), ())}
+        want = {k: sorted(v) if isinstance(v, list) else v for k, v in parsed.items() if k not in unused}
+        assert meta["params"] == want
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "fig.json"
@@ -515,6 +567,9 @@ class TestUsageErrors:
             ["contour", "--p-constraint", "nan"],
             ["evolve", "--channel", "gaussian", "--times", "0", "nan"],
             ["evolve", "--channel", "two_level", "--times", "1", "--epsilon", "inf"],
+            # verify has no --units or --format: it runs in natural units and writes JSON.
+            ["verify", "--suite", "two_level", "--trials", "1", "--units", "si"],
+            ["verify", "--suite", "two_level", "--trials", "1", "--format", "csv"],
         ],
     )
     def test_non_finite_argument_is_usage_error(self, tmp_path, argv):

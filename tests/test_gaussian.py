@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -129,6 +130,18 @@ class TestCapacity:
     def test_monotonicity(self):
         assert capacity_nats(2.0, 1.0) > capacity_nats(1.0, 1.0)
         assert capacity_nats(1.0, 2.0) < capacity_nats(1.0, 1.0)
+
+    @pytest.mark.parametrize("P,delta2", [(1e308, 1e-34), (1.7e308, 5e-324), (2.0, 1e-308)])
+    def test_overflowed_ratio_stays_finite(self, P, delta2):
+        # P / delta2 overflows a double, but (1/2) ln(1 + P / delta2) is below 400.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            want = float((1 + decimal.Decimal(P) / decimal.Decimal(delta2)).ln() / 2)
+        got = capacity_nats(P, delta2)
+        assert got == pytest.approx(want, rel=1e-15)
+        # The array path gives the float path's bits, next to a finite ratio, with no warning.
+        array = capacity_nats(np.array([P, 3.0]), np.array([delta2, 0.5]))
+        assert array.tobytes() == np.array([got, capacity_nats(3.0, 0.5)]).tobytes()
 
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValueError):
