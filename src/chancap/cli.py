@@ -6,7 +6,8 @@ sidecar. The sidecar records the run fields (subcommand, units, out, format,
 seed) and, under ``params``, every other option of the subcommand as the
 handler parsed and sorted it, so identical configurations reproduce
 byte-identical outputs. ``verify`` writes its report only when given
-``--out``. Exit codes: 0 success, 1 verification failure, 2 usage errors.
+``--out``. Exit codes: 0 success, 1 verification failure, 2 usage errors,
+an output path that cannot be written among them.
 """
 
 from __future__ import annotations
@@ -144,8 +145,6 @@ def _cmd_fig_gaussian(args) -> int:
 
 def _cmd_fig_two_level(args) -> int:
     """Two-level capacity over one oscillation period, one curve per gamma."""
-    if args.units != "natural":
-        raise ValueError("fig-two-level runs in natural units (use --units natural)")
     if not 0.0 <= args.r0 < 0.5:
         raise ValueError(f"r0 must lie in [0, 0.5), got {args.r0}")
     if args.time_points < 2:
@@ -172,8 +171,6 @@ def _cmd_fig_two_level(args) -> int:
 
 def _cmd_contour(args) -> int:
     """Capacity at the optimal preparation variance over a mass/delay grid."""
-    if args.units != "si":
-        raise ValueError("contour reports SI worked numbers (use --units si)")
     for name in ("mass_min", "mass_max", "t_min", "t_max"):
         if getattr(args, name) <= 0:
             raise ValueError(f"--{name.replace('_', '-')} must be positive")
@@ -252,8 +249,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, default_units: str) -> None:
-    parser.add_argument("--units", choices=["si", "natural"], default=default_units)
+def _add_common(parser: argparse.ArgumentParser, default_units: str | None = None) -> None:
+    if default_units:  # else the subcommand runs in one convention, set with its handler
+        parser.add_argument("--units", choices=["si", "natural"], default=default_units)
     parser.add_argument("--out", default=None, help="output path (default: <subcommand>.<format>)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--seed", type=int, default=42)
@@ -289,15 +287,15 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_fig_gaussian)
 
     if p := add("fig-two-level", "two-level capacity over one period"):
-        _add_common(p, "natural")
+        _add_common(p)
         p.add_argument("--gammas", type=finite, nargs="+", default=[0.0, 1.0, 2.0, 4.0],
                        help="gap-to-tunneling ratios Delta/epsilon")
         p.add_argument("--r0", type=finite, default=0.0, help="preparation bias in [0, 0.5)")
         p.add_argument("--time-points", type=int, default=501)
-        p.set_defaults(handler=_cmd_fig_two_level)
+        p.set_defaults(handler=_cmd_fig_two_level, units="natural")
 
     if p := add("contour", "capacity over a mass/delay grid at optimal precision"):
-        _add_common(p, "si")
+        _add_common(p)
         p.add_argument("--mass-min", type=finite, default=1e-31)
         p.add_argument("--mass-max", type=finite, default=1e-6)
         p.add_argument("--mass-points", type=int, default=201)
@@ -306,7 +304,7 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--t-points", type=int, default=201)
         p.add_argument("--p-constraint", type=finite, default=1.0,
                        help="placement second-moment bound P (m^2 in SI)")
-        p.set_defaults(handler=_cmd_contour)
+        p.set_defaults(handler=_cmd_contour, units="si")
 
     if p := add("evolve", "raw densities or transition probabilities over time"):
         _add_common(p, "natural")
@@ -341,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(chosen).parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

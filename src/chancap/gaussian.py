@@ -29,7 +29,7 @@ from math import inf
 
 import numpy as np
 
-from .units import Constants, _elementwise
+from .units import Constants, _elementwise, _require
 
 __all__ = [
     "GaussianPrep",
@@ -90,18 +90,6 @@ class PowerBudget:
             raise ValueError(f"mean_square_X must be finite and >= 0, got {self.mean_square_X}")
 
 
-def _require(ok, x, message: str) -> None:
-    """Raise ValueError(message) for the first value of x, in C order, where ok is False.
-
-    ok is a guard's positive condition on x, so that a NaN fails it: a bool
-    for a float x, a bool array of x's shape for an array. A float that
-    passes costs no numpy call.
-    """
-    if ok is not True and not np.all(ok):
-        bad = np.ravel(x)[np.argmin(np.ravel(ok))].item()
-        raise ValueError(message.format(bad))
-
-
 def _check_time(t) -> None:
     # `is not True` first saves a call per float: capacity_vs_precision_curve makes one per grid value.
     if (ok := (0.0 <= t) & (t < inf)) is not True:
@@ -116,7 +104,7 @@ def _position(x) -> np.ndarray:
 
 
 def _check_signal(P) -> None:
-    _require(P >= 0.0, P, "signal constraint P must be >= 0, got {}")
+    _require((P >= 0.0) & (P < inf), P, "signal constraint P must be >= 0, got {}; it must also be finite")
 
 
 def _complex(re, im) -> np.ndarray:
@@ -188,18 +176,21 @@ def wavefunction_at(prep: GaussianPrep, x, t, c: Constants):
 
 
 def capacity_nats(P, delta2):
-    """AWGN capacity (1/2) ln(1 + P / delta2) in nats per use.
+    """AWGN capacity (1/2) ln(1 + P / delta2) in nats per use, for finite P >= 0 and delta2 > 0.
 
     P and delta2 are floats or arrays, broadcast; math.log1p of every
     element, so that both give the same bits. Where P / delta2 overflows,
     ln(1 + P / delta2) is ln P - ln delta2 to double precision, and that is
     taken instead, with math.log on both paths.
     """
-    if (P >= 0.0) is True and (delta2 > 0.0) is True:  # two valid floats: no numpy call
-        ratio = P / delta2
-        return 0.5 * (math.log1p(ratio) if ratio < inf else math.log(P) - math.log(delta2))
+    if (P >= 0.0) is True and (delta2 > 0.0) is True and delta2 < inf:  # two valid floats: no numpy call
+        if (ratio := P / delta2) < inf:
+            return 0.5 * math.log1p(ratio)
+        if P < inf:
+            return 0.5 * (math.log(P) - math.log(delta2))
     _check_signal(P)
-    _require(delta2 > 0.0, delta2, "noise variance must be positive, got {}")
+    _require((delta2 > 0.0) & (delta2 < inf), delta2,
+             "noise variance must be positive, got {}; it must also be finite")
     with np.errstate(over="ignore"):  # an overflowed ratio is replaced below, not warned about
         ratio = np.asarray(P / delta2)
     log = _elementwise(math.log1p, ratio)

@@ -5,9 +5,8 @@ The system Hamiltonian is
     H = [[E, eps], [eps, E + Delta]],
 
 with level gap Delta >= 0 and tunneling strength eps >= 0. Its eigenpairs
-are known in closed form through a = sqrt(Delta^2 + 4*eps^2)/2 and
-b = Delta/2: energies E +- a + b with eigenvectors
-(sqrt(a -+ b), +-sqrt(a +- b)) / sqrt(2a).
+are known in closed form through b = Delta/2 and a = sqrt(b^2 + eps^2):
+energies E +- a + b with eigenvectors (sqrt(a -+ b), +-sqrt(a +- b)) / sqrt(2a).
 
 Alice prepares sqrt(1-p)|0> + sqrt(p)|1>. The measurement probabilities
 oscillate with angular frequency 2a/hbar (period T0 = pi*hbar/a); their
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import Constants, _elementwise
+from .units import Constants, _elementwise, _require
 
 __all__ = [
     "TwoLevelHamiltonian",
@@ -72,8 +71,8 @@ class TwoLevelHamiltonian:
 
     @property
     def a(self) -> float:
-        """Half the level splitting: sqrt(Delta^2 + 4*eps^2) / 2."""
-        return 0.5 * math.hypot(self.Delta, 2.0 * self.epsilon)
+        """Half the level splitting: sqrt(b^2 + eps^2) = sqrt(Delta^2 + 4*eps^2) / 2."""
+        return math.hypot(self.b, self.epsilon)
 
     @property
     def b(self) -> float:
@@ -171,10 +170,11 @@ def eigensystem(h: TwoLevelHamiltonian) -> EigenSystem:
             v_minus=np.array([0.0, 1.0]),
         )
     s = 1.0 / math.sqrt(2.0 * a)
-    # a >= b >= 0, so a - b can only go negative through rounding.
-    amb = max(a - b, 0.0)
-    v_plus = np.array([math.sqrt(amb), math.sqrt(a + b)]) * s
-    v_minus = np.array([math.sqrt(a + b), -math.sqrt(amb)]) * s
+    root_apb = math.sqrt(a + b)
+    # sqrt(a - b) = eps / sqrt(a + b), as (a - b)(a + b) = eps^2: a - b cancels when eps << Delta.
+    root_amb = h.epsilon / root_apb
+    v_plus = np.array([root_amb, root_apb]) * s
+    v_minus = np.array([root_apb, -root_amb]) * s
     return EigenSystem(E_plus=h.E + a + b, E_minus=h.E - a + b, v_plus=v_plus, v_minus=v_minus)
 
 
@@ -226,25 +226,22 @@ def transition_probs(h: TwoLevelHamiltonian, p: PrepBias, t, c: Constants):
     t is a float, giving two floats, or an ndarray, giving two arrays of its
     shape with the same values as the float path. A delay that is NaN,
     negative or infinite raises ValueError, on either path.
+
+    The phase takes a; the rest takes (a, b, eps) / 2**k, exactly, with a / 2**k
+    in [1/2, 1). Each step then rounds as unscaled unless it is subnormal either
+    way, and a*a stays in range: every Delta and eps whose a and phase are finite
+    give valid rows.
     """
-    # Checked before any arithmetic, so float and array t fail alike;
-    # positive conditions, so that a NaN fails them.
-    if isinstance(t, np.ndarray):
-        ok = bool(np.all((0.0 <= t) & (t < math.inf)))
-    else:
-        ok = 0.0 <= t < math.inf
-    if not ok:
-        bad = next(x for x in np.ravel(t).tolist() if not 0.0 <= x < math.inf)
-        raise ValueError(f"delay t must be finite and >= 0, got t = {bad}")
+    _require((0.0 <= t) & (t < math.inf), t, "delay t must be finite and >= 0, got t = {}")
     a, b, eps = h.a, h.b, h.epsilon
     if a == 0.0:
         return _elementwise(lambda _: 1.0 - p.p, t), _elementwise(lambda _: p.p, t)
+    # 2(at/hbar) is (2a)t/hbar exactly, and stays finite where 2a alone would not.
+    cos2 = _elementwise(math.cos, 2.0 * (a * t / c.hbar))
+    k = -math.frexp(a)[1]
+    a, b, eps = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(eps, k)
     zeta = 0.5 * eps * (eps * (1.0 - 2.0 * p.p) + 2.0 * b * math.sqrt(p.variance))
     a2 = a * a
-    # Checked before any division, so float and array t fail alike.
-    if not 0.0 < a2 < math.inf:
-        raise ValueError(f"a*a leaves the floating-point range at a = {a:g}; rescale Delta and epsilon")
-    cos2 = _elementwise(math.cos, 2.0 * a * t / c.hbar)
     prob0 = (zeta * cos2 + a2 * (1.0 - p.p) - zeta) / a2
     prob1 = (-zeta * cos2 + a2 * p.p + zeta) / a2
     return _clamp_prob(prob0), _clamp_prob(prob1)

@@ -3,8 +3,8 @@
 Only two conventions are supported: SI (CODATA hbar in joule-seconds) and
 natural units (hbar = 1). Every physics routine takes an explicit
 :class:`Constants` argument, so a single computation is always tagged with
-exactly one convention. `_elementwise` is the scalar-math-per-element
-helper that both channel models share.
+exactly one convention. Both channel models share `_elementwise`, scalar math
+per element, and `_require`, the one guard that names the first bad value.
 """
 
 from __future__ import annotations
@@ -62,3 +62,15 @@ def _elementwise(fn, x):
     if isinstance(x, np.ndarray):
         return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return fn(x)
+
+
+def _require(ok, x, message: str) -> None:
+    """Raise ValueError(message) for the first value of x, in C order, where ok is False.
+
+    ok is a guard's positive condition on x, so that a NaN fails it: a bool
+    for a float x, a bool array of x's shape for an array. A float that
+    passes costs no numpy call.
+    """
+    if ok is not True and not np.all(ok):
+        bad = np.ravel(x)[np.argmin(np.ravel(ok))].item()
+        raise ValueError(message.format(bad))

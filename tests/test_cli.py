@@ -105,10 +105,6 @@ class TestFigTwoLevel:
         _, rows = read_csv(out)
         assert rows[0, 2] == pytest.approx(0.500084041835472, abs=1e-9)
 
-    def test_si_mode_rejected(self, tmp_path):
-        out = tmp_path / "fig.csv"
-        assert main(["fig-two-level", "--out", str(out), "--units", "si"]) == 2
-
     def test_r0_range_enforced(self, tmp_path):
         out = tmp_path / "fig.csv"
         assert main(["fig-two-level", "--out", str(out), "--r0", "0.5"]) == 2
@@ -151,10 +147,6 @@ class TestContour:
         _, rows = read_csv(out)
         assert rows.shape == (4, 4)
         assert np.all(np.isfinite(rows[:, 3]))
-
-    def test_natural_mode_rejected(self, tmp_path):
-        out = tmp_path / "contour.csv"
-        assert main(["contour", "--out", str(out), "--units", "natural"]) == 2
 
 
 class TestEvolve:
@@ -570,6 +562,9 @@ class TestUsageErrors:
             # verify has no --units or --format: it runs in natural units and writes JSON.
             ["verify", "--suite", "two_level", "--trials", "1", "--units", "si"],
             ["verify", "--suite", "two_level", "--trials", "1", "--format", "csv"],
+            # fig-two-level runs in natural units and contour in SI: neither has --units.
+            ["fig-two-level", "--units", "si"],
+            ["contour", "--units", "natural"],
         ],
     )
     def test_non_finite_argument_is_usage_error(self, tmp_path, argv):
@@ -577,6 +572,22 @@ class TestUsageErrors:
             main([*argv, "--out", str(tmp_path / "t.csv")])
         assert exc.value.code == 2
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--channel", "two_level", "--times", "1"],
+            # verify writes its report last, after every check has run.
+            ["verify", "--suite", "two_level", "--trials", "1"],
+        ],
+    )
+    def test_unwritable_output_is_usage_error(self, tmp_path, argv, capsys):
+        # It used to end in a FileNotFoundError traceback with exit code 1,
+        # the code of a failed verification.
+        out = tmp_path / "nodir" / "t.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
 
     def test_non_finite_tolerance_is_usage_error(self):
         assert main(["verify", "--suite", "gaussian", "--tolerance", "noise-floor=nan"]) == 2

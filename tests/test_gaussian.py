@@ -358,12 +358,18 @@ INF = math.inf
             lambda: wavefunction_at(PREP, np.array([0.0, INF, NAN]), 1.0, NAT),
             "position x must be finite, got inf",
         ),
+        (lambda: capacity_nats(INF, 1.0), "signal constraint P must be >= 0, got inf"),
+        (lambda: capacity_nats(INF, INF), "signal constraint P must be >= 0, got inf"),
+        (lambda: capacity_nats(1.0, INF), "noise variance must be positive, got inf"),
+        (lambda: capacity_nats(np.array([1.0, INF]), 1.0), "signal constraint P must be >= 0, got inf"),
+        (lambda: capacity_nats(1.0, np.array([INF, 1.0])), "noise variance must be positive, got inf"),
     ],
 )
 def test_infinite_delay_rejected(call, message):
-    # It used to give inf (noise_variance, optimal_sigma2), a silent 0.0
-    # (density_at) or NaN with a RuntimeWarning (wavefunction_at). An
-    # infinite position gave a silent 0.0 density.
+    # It used to give inf (noise_variance, optimal_sigma2, capacity_nats), a
+    # silent 0.0 (density_at, capacity_nats) or NaN with a RuntimeWarning
+    # (wavefunction_at, capacity_nats of arrays). An infinite position gave a
+    # silent 0.0 density.
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -15,7 +15,14 @@ from chancap.infotheory import (
     two_level_capacity,
     _binary_capacity,
 )
-from chancap.twolevel import BinaryChannel, PrepBias, TwoLevelHamiltonian, period
+from chancap.twolevel import (
+    BinaryChannel,
+    PrepBias,
+    TwoLevelHamiltonian,
+    channel_at,
+    channel_matrices,
+    period,
+)
 from chancap.units import UnitMode, constants_for
 
 NAT = constants_for(UnitMode.NATURAL)
@@ -295,17 +302,26 @@ class TestTwoLevelCapacity:
         want = [two_level_capacity(h, PrepBias(r0), float(t), NAT, base=base).capacity for t in ts]
         np.testing.assert_array_equal(caps.view(np.int64), np.array(want).view(np.int64))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("delta,eps", [(0.0, 1e-170), (1e200, 1e200)])
-    def test_a_squared_out_of_range_fails_alike(self, delta, eps):
-        # a*a underflows to 0 (eps = 1e-170) or overflows to inf (1e200):
-        # a float and an array of delays raise the same ValueError, with no
-        # numpy warning on the way.
+    def test_extreme_scales_give_valid_channels_alike(self, delta, eps):
+        # a*a underflows (eps = 1e-170) or overflows (1e200) a double, and the
+        # closed form used to refuse these. Rescaled, it gives the channel of
+        # (Delta, eps) / eps at t * eps, with the same bits for a float and an
+        # array of delays and no numpy warning (pytest turns them into errors).
         h = TwoLevelHamiltonian(E=0.0, Delta=delta, epsilon=eps)
-        with pytest.raises(ValueError, match=r"a\*a leaves the floating-point range"):
-            two_level_capacity(h, PrepBias(0.1), 0.3, NAT)
-        with pytest.raises(ValueError, match=r"a\*a leaves the floating-point range"):
-            two_level_capacities(h, PrepBias(0.1), np.array([0.3, 0.5]), NAT)
+        r0 = PrepBias(0.1)
+        ts = period(h, NAT) * np.array([0.0, 0.15, 0.3, 0.5])
+        stack = channel_matrices(h, r0, ts, NAT)
+        assert np.all((stack >= 0.0) & (stack <= 1.0))
+        np.testing.assert_allclose(stack.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+        unit = TwoLevelHamiltonian(E=0.0, Delta=delta / eps, epsilon=1.0)
+        np.testing.assert_allclose(stack, channel_matrices(unit, r0, ts * eps, NAT), rtol=0, atol=1e-12)
+        want = [channel_at(h, r0, float(t), NAT).matrix for t in ts]
+        np.testing.assert_array_equal(stack.view(np.int64), np.array(want).view(np.int64))
+        caps = two_level_capacities(h, r0, ts, NAT)
+        want = [two_level_capacity(h, r0, float(t), NAT).capacity for t in ts]
+        np.testing.assert_array_equal(caps.view(np.int64), np.array(want).view(np.int64))
+        assert np.all((caps >= 0.0) & (caps <= 1.0))
 
     def test_two_level_tables_make_no_per_point_search(self, monkeypatch, tmp_path):
         def refuse(p00, p10):

@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chancap import twolevel
+from chancap.infotheory import two_level_capacities
 from chancap.oracle import unitary_evolve_2x2
 from chancap.twolevel import (
     PROB_CLAMP,
@@ -80,6 +83,20 @@ class TestEigensystem:
         assert eig.E_plus == eig.E_minus == 2.0
         np.testing.assert_array_equal(eig.v_plus, [1.0, 0.0])
         np.testing.assert_array_equal(eig.v_minus, [0.0, 1.0])
+
+    @settings(deadline=None)
+    @given(log_ratio=st.floats(-300.0, 300.0))
+    def test_no_cancellation_at_any_ratio(self, log_ratio):
+        # sqrt(a - b) used to be taken from a - b, which cancels to 0 when
+        # eps << Delta: at eps / Delta = 1e-10 the residual was 2e-10 * a.
+        ratio = 10.0**log_ratio  # eps / Delta, with the larger of the two at 1
+        h = TwoLevelHamiltonian(E=0.0, Delta=min(1.0, 1.0 / ratio), epsilon=min(1.0, ratio))
+        eig = eigensystem(h)
+        m = h.matrix()
+        for e, v in ((eig.E_plus, eig.v_plus), (eig.E_minus, eig.v_minus)):
+            assert np.linalg.norm(m @ v - e * v) <= 1e-15 * h.a
+            assert abs(v @ v - 1.0) <= 1e-15
+        assert abs(eig.v_plus @ eig.v_minus) <= 1e-15
 
     def test_residual_on_random_draws(self):
         rng = np.random.default_rng(21)
@@ -391,3 +408,86 @@ class TestValidation:
         ch = BinaryChannel(matrix=np.array([[1.0 + 5e-13, -5e-13], [0.0, 1.0]]))
         assert ch.matrix[0, 0] == 1.0
         assert ch.matrix[0, 1] == 0.0
+
+
+def reference_probs(h, p, t, scale=1.0):
+    """The closed form as it stood before rescaling: (prob0, prob1) and every value it rounds.
+
+    It forms a*a unscaled, and gives None where that underflows. With
+    scale = 2**-k it runs on (a, b, eps) * scale, as transition_probs does;
+    the phase takes the unscaled a either way.
+    """
+    a = 0.5 * math.hypot(h.Delta, 2.0 * h.epsilon)
+    cos2 = math.cos(2.0 * a * t / NAT.hbar)
+    a, b, eps = a * scale, 0.5 * h.Delta * scale, h.epsilon * scale
+    half_eps, eps_term, b_term = 0.5 * eps, eps * (1.0 - 2.0 * p.p), 2.0 * b * math.sqrt(p.variance)
+    zeta = half_eps * (eps_term + b_term)
+    a2 = a * a
+    if a2 == 0.0:
+        return None, []  # a*a underflowed: the unscaled form raised here
+    swing, stay, arrive = zeta * cos2, a2 * (1.0 - p.p), a2 * p.p
+    prob0 = (swing + stay - zeta) / a2
+    prob1 = (-swing + arrive + zeta) / a2
+    steps = [a, b, eps, half_eps, eps_term, b_term, zeta, a2, swing, stay, arrive, prob0, prob1]
+    return (twolevel._clamp_prob(prob0), twolevel._clamp_prob(prob1)), steps
+
+
+TINY = 2.0**-1022  # the smallest normal double
+
+
+def rounds_alike(x, y):
+    """A step and its rescaled twin are both zero, or both normal and finite, so it rounded alike."""
+    return x == y == 0.0 or (TINY <= abs(x) < math.inf and TINY <= abs(y) < math.inf)
+
+#: Delta and eps: log-uniform over [1e-300, 1e300], plus exact 0.
+SCALES = st.floats(-300.0, 300.0).map(lambda e: 10.0**e) | st.just(0.0)
+MODERATE = st.floats(1e-3, 1e3) | st.just(0.0)
+
+
+class TestScaleFree:
+    """transition_probs rescales (a, b, eps) by a power of two, so no finite scale is out of range."""
+
+    @settings(deadline=None)
+    @given(delta=MODERATE, eps=MODERATE, p=st.floats(0.0, 1.0), t=MODERATE, k=st.integers(-1000, 1000))
+    def test_power_of_two_scaling_is_exact(self, delta, eps, p, t, k):
+        # h * 2**k at t / 2**k is the same channel, and every step of the
+        # rescaled form sees the same numbers; the unscaled form ran out of
+        # range beyond about |k| = 510.
+        h = TwoLevelHamiltonian(E=0.0, Delta=delta, epsilon=eps)
+        big = TwoLevelHamiltonian(E=0.0, Delta=math.ldexp(delta, k), epsilon=math.ldexp(eps, k))
+        got = transition_probs(big, PrepBias(p), math.ldexp(t, -k), NAT)
+        assert bits(got).tolist() == bits(transition_probs(h, PrepBias(p), t, NAT)).tolist()
+
+    @settings(deadline=None)
+    @given(delta=SCALES, eps=SCALES, r0=st.floats(0.0, 0.5), theta=st.floats(0.0, 100.0))
+    def test_channel_invariants_at_every_scale(self, delta, eps, r0, theta):
+        h = TwoLevelHamiltonian(E=0.0, Delta=delta, epsilon=eps)
+        t0 = period(h, NAT) if h.a else 1.0  # static at a = 0
+        t = theta * t0 / math.pi  # theta = at/hbar
+        ts = np.array([t, t + t0])
+        stack = channel_matrices(h, PrepBias(r0), ts, NAT)
+        assert np.all((stack >= 0.0) & (stack <= 1.0))
+        np.testing.assert_allclose(stack.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stack[1], stack[0], rtol=0, atol=1e-12)
+        caps = two_level_capacities(h, PrepBias(r0), ts, NAT)
+        assert np.all((caps >= 0.0) & (caps <= 1.0 + 1e-15))
+
+    @settings(deadline=None)
+    @given(delta=SCALES, eps=SCALES, p=st.floats(0.0, 1.0), theta=st.floats(0.0, 100.0))
+    def test_matches_the_unscaled_formula_and_the_oracle(self, delta, eps, p, theta):
+        h = TwoLevelHamiltonian(E=0.0, Delta=delta, epsilon=eps)
+        if h.a == 0.0:
+            return
+        t = theta * NAT.hbar / h.a
+        prep = PrepBias(p)
+        got = transition_probs(h, prep, t, NAT)
+        want, steps = reference_probs(h, prep, t)
+        _, scaled = reference_probs(h, prep, t, math.ldexp(1.0, -math.frexp(h.a)[1]))
+        # Scaling by a power of two is exact, so the two forms round alike
+        # wherever each step is zero or normal at both scales. Elsewhere the
+        # unscaled one loses bits to underflow, or a*a leaves the range.
+        if want is not None and all(map(rounds_alike, steps, scaled)):
+            assert bits(got).tolist() == bits(want).tolist()
+        if all(x == 0.0 or 1e-100 <= x <= 1e100 for x in (delta, eps, t)):
+            ref = unitary_evolve_2x2(h, evolve(h, prep, 0.0, NAT), t, NAT).populations()
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10)
