@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianPrep, noise_variance
-from .twolevel import TwoLevelHamiltonian, TwoLevelState
+from .twolevel import TwoLevelHamiltonian, TwoLevelState, _phase
 from .units import Constants
 
 __all__ = [
@@ -91,18 +91,13 @@ def discretize(prep: GaussianPrep, t_max: float, n: int, c: Constants) -> GridSt
 
     The domain half-width is DOMAIN_SIGMAS times the dispersed standard
     deviation at t_max, so the packet stays clear of the periodic boundary
-    for all delays up to t_max. The sampled state is renormalized to grid
-    norm 1.
+    for all delays up to t_max, and the initial tail mass outside it stays
+    below erfc(10/sqrt(2)) = 1.5e-23. The sampled state is renormalized to
+    grid norm 1.
     """
     if not _is_power_of_two(n):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     half_width = DOMAIN_SIGMAS * math.sqrt(noise_variance(prep, t_max, c))
-    sigma = math.sqrt(prep.sigma2_A)
-    tail = math.erfc(half_width / (sigma * math.sqrt(2.0)))
-    if tail > 1e-6:
-        raise ValueError(
-            f"domain too small: initial tail mass {tail:.3e} exceeds 1e-6"
-        )
     x_min = prep.x0 - half_width
     x_max = prep.x0 + half_width
     dx = (x_max - x_min) / n
@@ -149,6 +144,7 @@ def unitary_evolve_2x2(
     analytic evolution.
     """
     w, v = np.linalg.eigh(h.matrix())
+    _phase(float(np.max(np.abs(w))), t, c)  # check the delay, and that no phase overflows
     psi0 = np.array([state.amp0, state.amp1])
     psi_t = v @ (np.exp(-1j * w * t / c.hbar) * (v.T @ psi0))
     return TwoLevelState(amp0=complex(psi_t[0]), amp1=complex(psi_t[1]))

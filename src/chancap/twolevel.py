@@ -68,6 +68,9 @@ class TwoLevelHamiltonian:
             raise ValueError(f"Delta must be finite and >= 0, got {self.Delta}")
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not self.a < math.inf:
+            raise ValueError(f"a = hypot(Delta/2, epsilon) must be finite, got inf "
+                             f"from Delta = {self.Delta} and epsilon = {self.epsilon}")
 
     @property
     def a(self) -> float:
@@ -108,7 +111,8 @@ class TwoLevelState:
 
     def __post_init__(self) -> None:
         norm = abs(self.amp0) ** 2 + abs(self.amp1) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        # A positive condition, so that a NaN fails it.
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
 
     def populations(self) -> tuple[float, float]:
@@ -178,6 +182,24 @@ def eigensystem(h: TwoLevelHamiltonian) -> EigenSystem:
     return EigenSystem(E_plus=h.E + a + b, E_minus=h.E - a + b, v_plus=v_plus, v_minus=v_minus)
 
 
+def _phase(rate, t, c: Constants):
+    """The phase rate*t/hbar of a delay t, a float or an array of t's shape.
+
+    The one guard on a delay: a delay that is NaN, negative or infinite, or
+    one whose phase or twice it overflows, raises ValueError naming it. A
+    float delay costs no numpy call, and an array one raises no warning.
+    """
+    _require((0.0 <= t) & (t < math.inf), t, "delay t must be finite and >= 0, got t = {}")
+    if isinstance(t, np.ndarray):
+        with np.errstate(over="ignore"):  # an overflowed phase is rejected below, not warned about
+            phase = rate * t / c.hbar
+    else:
+        phase = rate * t / c.hbar
+    if (ok := abs(phase) < 2.0**1023) is not True:
+        _require(ok, t, f"delay t = {{}} gives a phase {rate} * t / hbar (hbar = {c.hbar}) of 2**1023 or more")
+    return phase
+
+
 def evolve(h: TwoLevelHamiltonian, p: PrepBias, t: float, c: Constants) -> TwoLevelState:
     """Amplitudes of the evolved preparation sqrt(1-p)|0> + sqrt(p)|1>.
 
@@ -185,15 +207,18 @@ def evolve(h: TwoLevelHamiltonian, p: PrepBias, t: float, c: Constants) -> TwoLe
 
         amp0 = sqrt(1-p) cos(at/hbar) + i (b sqrt(1-p) - eps sqrt(p)) sin(at/hbar) / a
         amp1 = sqrt(p)   cos(at/hbar) - i (eps sqrt(1-p) + b sqrt(p)) sin(at/hbar) / a
+
+    A delay that is NaN, negative or infinite, or whose phase at/hbar or
+    (E+b)t/hbar reaches 2**1023, raises ValueError.
     """
     a, b, eps = h.a, h.b, h.epsilon
     c0 = math.sqrt(1.0 - p.p)
     c1 = math.sqrt(p.p)
     if a == 0.0:
-        phase = cmath.exp(-1j * h.E * t / c.hbar)
+        phase = cmath.exp(-1j * _phase(h.E, t, c))
         return TwoLevelState(amp0=phase * c0, amp1=phase * c1)
-    theta = a * t / c.hbar
-    phase = cmath.exp(-1j * (h.E + b) * t / c.hbar)
+    theta = _phase(a, t, c)
+    phase = cmath.exp(-1j * _phase(h.E + b, t, c))
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     amp0 = phase * (c0 * cos_t + 1j * (b * c0 - eps * c1) * sin_t / a)
     amp1 = phase * (c1 * cos_t - 1j * (eps * c0 + b * c1) * sin_t / a)
@@ -225,19 +250,20 @@ def transition_probs(h: TwoLevelHamiltonian, p: PrepBias, t, c: Constants):
     with zeta_p = (eps/2)(eps(1-2p) + 2b sqrt(p(1-p))). Static when a = 0.
     t is a float, giving two floats, or an ndarray, giving two arrays of its
     shape with the same values as the float path. A delay that is NaN,
-    negative or infinite raises ValueError, on either path.
+    negative or infinite, or whose phase at/hbar reaches 2**1023, raises
+    ValueError, on either path.
 
     The phase takes a; the rest takes (a, b, eps) / 2**k, exactly, with a / 2**k
     in [1/2, 1). Each step then rounds as unscaled unless it is subnormal either
     way, and a*a stays in range: every Delta and eps whose a and phase are finite
     give valid rows.
     """
-    _require((0.0 <= t) & (t < math.inf), t, "delay t must be finite and >= 0, got t = {}")
     a, b, eps = h.a, h.b, h.epsilon
+    theta = _phase(a, t, c)
     if a == 0.0:
         return _elementwise(lambda _: 1.0 - p.p, t), _elementwise(lambda _: p.p, t)
     # 2(at/hbar) is (2a)t/hbar exactly, and stays finite where 2a alone would not.
-    cos2 = _elementwise(math.cos, 2.0 * (a * t / c.hbar))
+    cos2 = _elementwise(math.cos, 2.0 * theta)
     k = -math.frexp(a)[1]
     a, b, eps = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(eps, k)
     zeta = 0.5 * eps * (eps * (1.0 - 2.0 * p.p) + 2.0 * b * math.sqrt(p.variance))

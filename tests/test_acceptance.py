@@ -246,7 +246,7 @@ def test_criterion_8_r0_monotonicity_findings():
     findings rather than failures; the criterion checks that the sweep
     covers the full grid and that every cell's verdict is recorded.
     """
-    cells = verify.monotonicity_findings(gamma_points=20, time_points=20, r0_points=51)
+    cells = verify.monotonicity_findings()
     violations = [c for c in cells if c.max_violation > 1e-9]
     worst = max(c.max_violation for c in cells)
     for cell in violations:

@@ -106,6 +106,8 @@ class TestPropagate:
 
 
 GRID = discretize(UNIT_PREP, t_max=1.0, n=256, c=NAT)
+H = TwoLevelHamiltonian(E=1e300, Delta=1.0, epsilon=0.3)
+STATE = evolve(H, PrepBias(0.3), 0.0, NAT)
 
 
 @pytest.mark.parametrize(
@@ -123,11 +125,21 @@ GRID = discretize(UNIT_PREP, t_max=1.0, n=256, c=NAT)
             lambda: GridState(x_min=math.nan, x_max=GRID.x_max, n=GRID.n, amps=GRID.amps),
             "x_max must exceed x_min, both finite",
         ),
+        (
+            lambda: GridState(x_min=GRID.x_min, x_max=GRID.x_max, n=GRID.n, amps=GRID.amps[:-1]),
+            "expected 256 amplitudes, got shape",
+        ),
+        (lambda: unitary_evolve_2x2(H, STATE, math.nan, NAT), "delay t must be finite and >= 0, got t = nan"),
+        (lambda: unitary_evolve_2x2(H, STATE, math.inf, NAT), "delay t must be finite and >= 0, got t = inf"),
+        (lambda: unitary_evolve_2x2(H, STATE, -1.0, NAT), "delay t must be finite and >= 0, got t = -1.0"),
+        (lambda: unitary_evolve_2x2(H, STATE, 1e10, NAT), "delay t = 10000000000.0 gives a phase"),
     ],
 )
 def test_non_finite_input_rejected(call, message):
     # Each guard is a positive condition: these inputs used to pass and give
-    # NaN amplitudes, or a grid that held them.
+    # NaN amplitudes, or a grid that held them; the 2x2 oracle also evolved
+    # backwards at t = -1, and its phase exp(-iwt/hbar) overflowed at 1e10.
+    # The amplitude shape is checked here too.
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -14,6 +14,7 @@ from chancap.twolevel import (
     BinaryChannel,
     PrepBias,
     TwoLevelHamiltonian,
+    TwoLevelState,
     channel_at,
     channel_matrices,
     eigensystem,
@@ -56,6 +57,13 @@ class TestHamiltonian:
             TwoLevelHamiltonian(E=0.0, Delta=bad, epsilon=1.0)
         with pytest.raises(ValueError, match="epsilon must be finite"):
             TwoLevelHamiltonian(E=0.0, Delta=1.0, epsilon=bad)
+
+    def test_overflowing_splitting_rejected(self):
+        # a = inf used to pass: transition_probs then gave (nan, nan) and period 0.0.
+        message = "a = hypot(Delta/2, epsilon) must be finite, got inf from Delta = 1.7e+308 and epsilon = 1.7e+308"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TwoLevelHamiltonian(E=0.0, Delta=1.7e308, epsilon=1.7e308)
+        assert TwoLevelHamiltonian(E=0.0, Delta=1.7e308, epsilon=8e307).a < math.inf
 
     def test_matrix_layout(self):
         h = TwoLevelHamiltonian(E=1.0, Delta=0.5, epsilon=0.25)
@@ -213,13 +221,40 @@ class TestTransitionProbs:
     @pytest.mark.parametrize("epsilon", [0.7, 0.0])  # oscillating, and static (a = 0)
     def test_bad_delay_rejected_on_float_and_array_paths(self, bad, epsilon):
         # A NaN delay used to give (nan, nan), t = -1 a channel, and t = inf
-        # a bare "math domain error" from math.cos.
+        # a bare "math domain error" from math.cos. evolve, which shares the
+        # guard, gave a NaN state, a backward evolution and the same error.
         h = TwoLevelHamiltonian(E=0.0, Delta=1.0 if epsilon else 0.0, epsilon=epsilon)
         message = re.escape(f"delay t must be finite and >= 0, got t = {bad}")
         with pytest.raises(ValueError, match=message):
             transition_probs(h, PrepBias(0.1), bad, NAT)
         with pytest.raises(ValueError, match=message):
             transition_probs(h, PrepBias(0.1), np.array([[0.5, bad], [bad, 1.0]]), NAT)
+        with pytest.raises(ValueError, match=message):
+            evolve(h, PrepBias(0.1), bad, NAT)
+
+
+class TestPhaseGuard:
+    def test_overflowing_phase_names_the_delay(self):
+        # transition_probs ended in math.cos's bare "math domain error", and
+        # evolve gave a NaN state from its global phase (E + b)t/hbar. The
+        # array path raises no overflow warning (pytest makes it an error).
+        message = "delay t = 10000000000.0 gives a phase"
+        h = TwoLevelHamiltonian(E=0.0, Delta=1e300, epsilon=1.0)
+        with pytest.raises(ValueError, match=message):
+            transition_probs(h, PrepBias(0.1), 1e10, NAT)
+        with pytest.raises(ValueError, match=message):
+            transition_probs(h, PrepBias(0.1), np.array([0.0, 1e10]), NAT)
+        with pytest.raises(ValueError, match=message):
+            evolve(TwoLevelHamiltonian(E=1e300, Delta=1.0, epsilon=1.0), PrepBias(0.1), 1e10, NAT)
+
+    def test_phase_whose_double_overflows_rejected(self):
+        # cos(2at/hbar) needs twice the phase: at/hbar = 1.5 * 2**1023 is
+        # finite, its double is not.
+        h = TwoLevelHamiltonian(E=0.0, Delta=0.0, epsilon=2.0**1000)
+        probs = transition_probs(h, PrepBias(0.1), 2.0**22, NAT)  # phase 2**1022
+        assert all(0.0 <= x <= 1.0 for x in probs)
+        with pytest.raises(ValueError, match=re.escape(f"delay t = {1.5 * 2.0**23} gives a phase")):
+            transition_probs(h, PrepBias(0.1), 1.5 * 2.0**23, NAT)
 
 
 class TestClampProb:
@@ -393,6 +428,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             PrepBias(1.01)
         assert PrepBias(0.25).variance == pytest.approx(0.1875)
+
+    def test_state_rejects_nan(self):
+        # The norm guard abs(norm - 1) > 1e-12 used to let a NaN through.
+        with pytest.raises(ValueError, match="state norm deviates from 1 by nan"):
+            TwoLevelState(amp0=math.nan, amp1=0.0)
 
     def test_binary_channel_row_sums(self):
         with pytest.raises(ValueError):

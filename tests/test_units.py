@@ -29,6 +29,11 @@ def test_repeated_calls_identical():
     assert constants_for(UnitMode.NATURAL) == constants_for(UnitMode.NATURAL)
 
 
+def test_unknown_mode_rejected():
+    with pytest.raises(ValueError, match="unknown unit mode: 'natural'"):
+        constants_for("natural")
+
+
 def test_hbar_si_constant_matches():
     assert constants_for(UnitMode.SI).hbar == HBAR_SI
 

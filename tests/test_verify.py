@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chancap import infotheory, verify
+from chancap import gaussian, infotheory, verify
 from chancap.twolevel import PrepBias, TwoLevelHamiltonian, period
 from chancap.units import UnitMode, constants_for
 
@@ -64,6 +64,14 @@ class TestSuites:
         probs = next(c for c in report.checks if c.name == "closed-vs-unitary-probs")
         assert not probs.passed
         assert math.isnan(probs.max_deviation)
+
+    def test_power_identity_catches_a_wrong_beta(self, monkeypatch):
+        # The check used to compare placement_power with its own body,
+        # beta * E[X^2], so a wrong beta went unseen. This one forgets the
+        # measurement delay in the cycle time.
+        monkeypatch.setattr(gaussian, "beta", lambda b: b.mass / (2.0 * b.prep_time_T**3))
+        [report] = verify.run_suite("gaussian", seed=7, trials=5)
+        assert [c.name for c in report.failing()] == ["power-identity"]
 
 
 class TestToleranceOverrides:
@@ -128,13 +136,13 @@ class TestReportStructure:
 
 class TestMonotonicityFindings:
     def test_full_grid_is_covered(self):
-        cells = verify.monotonicity_findings(gamma_points=4, time_points=4, r0_points=11)
-        assert len(cells) == 16
+        cells = verify.monotonicity_findings()
+        assert len(cells) == 400
         gammas = {c.gamma for c in cells}
-        assert len(gammas) == 4
+        assert len(gammas) == 20
 
     def test_claim_holds_on_coarse_grid(self):
-        cells = verify.monotonicity_findings(gamma_points=6, time_points=6, r0_points=21)
+        cells = verify.monotonicity_findings()
         worst = max(c.max_violation for c in cells)
         assert worst <= 1e-9, f"monotonicity violated by {worst:.3e}"
 
@@ -149,11 +157,11 @@ class TestMonotonicityFindings:
         monkeypatch.setattr(infotheory, "two_level_capacities", patched)
 
     def test_nan_capacity_shows_in_its_cells(self, monkeypatch):
-        # A NaN in the middle of the r0 column: max() over the rises would
-        # drop it, the fold keeps it.
+        # A NaN in the middle of the r0 column (0.25 is a grid point): Python's
+        # max() over the rises would drop it, np.max keeps it.
         self.nan_at_r0_quarter(monkeypatch)
-        cells = verify.monotonicity_findings(gamma_points=2, time_points=3, r0_points=11)
-        assert len(cells) == 6
+        cells = verify.monotonicity_findings()
+        assert len(cells) == 400
         assert all(math.isnan(cell.max_violation) for cell in cells)
 
     def test_nan_cells_are_counted_in_the_details(self, monkeypatch):
@@ -167,20 +175,26 @@ class TestMonotonicityFindings:
         assert finding.details == "400 of 400 cells violate the monotonicity claim"
 
     def test_cells_match_point_by_point_sweep(self):
-        # The sweep as it reads: one two_level_capacity call per (gamma, t, r0).
+        # The sweep as it reads: one two_level_capacity call per (gamma, t, r0),
+        # for three of its 20 gammas (the whole grid takes about 3 s this way).
         c = constants_for(UnitMode.NATURAL)
+        picked = (0, 7, 19)
         want = []
-        for gamma in np.linspace(0.0, 4.0, 5):
+        for gamma in np.linspace(0.0, 4.0, 20)[list(picked)]:
             eps = 2.0 / math.sqrt(gamma**2 + 4.0)
             h = TwoLevelHamiltonian(E=0.0, Delta=float(gamma * eps), epsilon=float(eps))
-            for frac in np.linspace(0.0, 1.0, 7):
+            for frac in np.linspace(0.0, 1.0, 20):
                 t = float(frac * period(h, c))
                 caps = [
                     infotheory.two_level_capacity(h, PrepBias(float(r)), t, c).capacity
-                    for r in np.linspace(0.0, 0.5, 9)
+                    for r in np.linspace(0.0, 0.5, 51)
                 ]
                 rise = max((b - a for a, b in zip(caps, caps[1:])), default=0.0)
                 want.append((float(gamma), float(frac), max(rise, 0.0)))
-        cells = verify.monotonicity_findings(gamma_points=5, time_points=7, r0_points=9)
-        got = [(cell.gamma, cell.t_over_period, cell.max_violation) for cell in cells]
+        cells = verify.monotonicity_findings()
+        got = [
+            (cell.gamma, cell.t_over_period, cell.max_violation)
+            for k in picked
+            for cell in cells[20 * k : 20 * k + 20]
+        ]
         assert [tuple(map(float.hex, g)) for g in got] == [tuple(map(float.hex, w)) for w in want]
