@@ -13,6 +13,7 @@ an output path that cannot be written among them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -257,86 +258,75 @@ def _add_common(parser: argparse.ArgumentParser, default_units: str | None = Non
     parser.add_argument("--seed", type=int, default=42)
 
 
-def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The chancap parser; only `subcommand` gets its options, or every one when None.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The chancap parser, built once per process: handlers are bound at the first build.
 
-    Every subcommand is registered either way, so usage and help lines are
-    the same. Adding one subcommand's options instead of all five's is most
-    of the cost of a parse.
+    Parsing never changes it. Handlers rebind list options rather than mutate
+    their defaults, and argparse copies the --tolerance default.
     """
     parser = argparse.ArgumentParser(
-        prog="chancap",
-        description="Capacity analysis of the particle-placement and two-level channels",
-    )
+        prog="chancap", description="Capacity analysis of the particle-placement and two-level channels")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, help_line: str) -> argparse.ArgumentParser | None:
-        p = sub.add_parser(name, help=help_line)
-        return p if subcommand in (None, name) else None
+    p = sub.add_parser("fig-gaussian", help="capacity vs preparation precision curves")
+    _add_common(p, "natural")
+    p.add_argument("--ratios", type=finite, nargs="+", default=[0.5, 5.0, 50.0],
+                   help="signal-to-threshold ratios P/v*")
+    p.add_argument("--t", type=finite, default=1.0, help="measurement delay")
+    p.add_argument("--mass", type=finite, default=1.0)
+    p.add_argument("--grid-min", type=finite, default=1e-2, help="smallest sigma2/v*")
+    p.add_argument("--grid-max", type=finite, default=1e2, help="largest sigma2/v*")
+    p.add_argument("--grid-points", type=int, default=401)
+    p.set_defaults(handler=_cmd_fig_gaussian)
 
-    if p := add("fig-gaussian", "capacity vs preparation precision curves"):
-        _add_common(p, "natural")
-        p.add_argument("--ratios", type=finite, nargs="+", default=[0.5, 5.0, 50.0],
-                       help="signal-to-threshold ratios P/v*")
-        p.add_argument("--t", type=finite, default=1.0, help="measurement delay")
-        p.add_argument("--mass", type=finite, default=1.0)
-        p.add_argument("--grid-min", type=finite, default=1e-2, help="smallest sigma2/v*")
-        p.add_argument("--grid-max", type=finite, default=1e2, help="largest sigma2/v*")
-        p.add_argument("--grid-points", type=int, default=401)
-        p.set_defaults(handler=_cmd_fig_gaussian)
+    p = sub.add_parser("fig-two-level", help="two-level capacity over one period")
+    _add_common(p)
+    p.add_argument("--gammas", type=finite, nargs="+", default=[0.0, 1.0, 2.0, 4.0],
+                   help="gap-to-tunneling ratios Delta/epsilon")
+    p.add_argument("--r0", type=finite, default=0.0, help="preparation bias in [0, 0.5)")
+    p.add_argument("--time-points", type=int, default=501)
+    p.set_defaults(handler=_cmd_fig_two_level, units="natural")
 
-    if p := add("fig-two-level", "two-level capacity over one period"):
-        _add_common(p)
-        p.add_argument("--gammas", type=finite, nargs="+", default=[0.0, 1.0, 2.0, 4.0],
-                       help="gap-to-tunneling ratios Delta/epsilon")
-        p.add_argument("--r0", type=finite, default=0.0, help="preparation bias in [0, 0.5)")
-        p.add_argument("--time-points", type=int, default=501)
-        p.set_defaults(handler=_cmd_fig_two_level, units="natural")
+    p = sub.add_parser("contour", help="capacity over a mass/delay grid at optimal precision")
+    _add_common(p)
+    p.add_argument("--mass-min", type=finite, default=1e-31)
+    p.add_argument("--mass-max", type=finite, default=1e-6)
+    p.add_argument("--mass-points", type=int, default=201)
+    p.add_argument("--t-min", type=finite, default=1e-3)
+    p.add_argument("--t-max", type=finite, default=1e3)
+    p.add_argument("--t-points", type=int, default=201)
+    p.add_argument("--p-constraint", type=finite, default=1.0,
+                   help="placement second-moment bound P (m^2 in SI)")
+    p.set_defaults(handler=_cmd_contour, units="si")
 
-    if p := add("contour", "capacity over a mass/delay grid at optimal precision"):
-        _add_common(p)
-        p.add_argument("--mass-min", type=finite, default=1e-31)
-        p.add_argument("--mass-max", type=finite, default=1e-6)
-        p.add_argument("--mass-points", type=int, default=201)
-        p.add_argument("--t-min", type=finite, default=1e-3)
-        p.add_argument("--t-max", type=finite, default=1e3)
-        p.add_argument("--t-points", type=int, default=201)
-        p.add_argument("--p-constraint", type=finite, default=1.0,
-                       help="placement second-moment bound P (m^2 in SI)")
-        p.set_defaults(handler=_cmd_contour, units="si")
+    p = sub.add_parser("evolve", help="raw densities or transition probabilities over time")
+    _add_common(p, "natural")
+    p.add_argument("--channel", choices=["gaussian", "two_level"], required=True)
+    p.add_argument("--times", type=finite, nargs="+", required=True)
+    p.add_argument("--x0", type=finite, default=0.0)
+    p.add_argument("--sigma2", type=finite, default=1.0)
+    p.add_argument("--mass", type=finite, default=1.0)
+    p.add_argument("--grid-points", type=int, default=101)
+    p.add_argument("--gamma", type=finite, default=1.0)
+    p.add_argument("--epsilon", type=finite, default=1.0)
+    p.add_argument("--p", type=finite, default=0.0, help="preparation bias")
+    p.set_defaults(handler=_cmd_evolve)
 
-    if p := add("evolve", "raw densities or transition probabilities over time"):
-        _add_common(p, "natural")
-        p.add_argument("--channel", choices=["gaussian", "two_level"], required=True)
-        p.add_argument("--times", type=finite, nargs="+", required=True)
-        p.add_argument("--x0", type=finite, default=0.0)
-        p.add_argument("--sigma2", type=finite, default=1.0)
-        p.add_argument("--mass", type=finite, default=1.0)
-        p.add_argument("--grid-points", type=int, default=101)
-        p.add_argument("--gamma", type=finite, default=1.0)
-        p.add_argument("--epsilon", type=finite, default=1.0)
-        p.add_argument("--p", type=finite, default=0.0, help="preparation bias")
-        p.set_defaults(handler=_cmd_evolve)
-
-    if p := add("verify", "run the verification suites"):
-        p.add_argument("--out", default=None, help="report path (default: no report)")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--tolerance", action="append", default=[], metavar="NAME=VALUE",
-                       help="override a check tolerance (repeatable; harness self-test hook)")
-        p.set_defaults(handler=_cmd_verify)
-
+    p = sub.add_parser("verify", help="run the verification suites")
+    p.add_argument("--out", default=None, help="report path (default: no report)")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--suite", choices=[*verify.SUITES, "all"], default="all")
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--tolerance", action="append", default=[], metavar="NAME=VALUE",
+                   help="override a check tolerance (repeatable; harness self-test hook)")
+    p.set_defaults(handler=_cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # The top-level options take no value, so the first word that is not an
-    # option is the subcommand argparse will dispatch to.
-    chosen = next((a for a in argv if not a.startswith("-")), None)
-    args = build_parser(chosen).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -66,6 +66,8 @@ class TwoLevelHamiltonian:
             raise ValueError(f"E must be finite, got {self.E}")
         if not 0.0 <= self.Delta < math.inf:
             raise ValueError(f"Delta must be finite and >= 0, got {self.Delta}")
+        if not self.E + self.Delta < math.inf:
+            raise ValueError(f"E + Delta must be finite, got inf from E = {self.E} and Delta = {self.Delta}")
         if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not self.a < math.inf:
@@ -163,7 +165,7 @@ def eigensystem(h: TwoLevelHamiltonian) -> EigenSystem:
     """Closed-form eigenpairs E +- a + b, (sqrt(a -+ b), +-sqrt(a +- b))/sqrt(2a).
 
     The degenerate point a = 0 (Delta = eps = 0) returns the standard basis
-    with both energies E.
+    with both energies E. An energy that overflows raises ValueError.
     """
     a, b = h.a, h.b
     if a == 0.0:
@@ -173,13 +175,21 @@ def eigensystem(h: TwoLevelHamiltonian) -> EigenSystem:
             v_plus=np.array([1.0, 0.0]),
             v_minus=np.array([0.0, 1.0]),
         )
+    e_plus, e_minus = h.E + a + b, h.E - a + b
+    if not (-math.inf < e_minus and e_plus < math.inf):
+        raise ValueError(f"energies E - a + b = {e_minus} and E + a + b = {e_plus} must be finite, "
+                         f"for E = {h.E}, Delta = {h.Delta} and epsilon = {h.epsilon}")
+    # Scaled by an even power of two, so that each square root scales exactly
+    # and 2a and a + b stay in range; the vectors do not depend on the scale.
+    k = -2 * (math.frexp(a)[1] // 2)
+    a, b, eps = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(h.epsilon, k)
     s = 1.0 / math.sqrt(2.0 * a)
     root_apb = math.sqrt(a + b)
     # sqrt(a - b) = eps / sqrt(a + b), as (a - b)(a + b) = eps^2: a - b cancels when eps << Delta.
-    root_amb = h.epsilon / root_apb
+    root_amb = eps / root_apb
     v_plus = np.array([root_amb, root_apb]) * s
     v_minus = np.array([root_apb, -root_amb]) * s
-    return EigenSystem(E_plus=h.E + a + b, E_minus=h.E - a + b, v_plus=v_plus, v_minus=v_minus)
+    return EigenSystem(E_plus=e_plus, E_minus=e_minus, v_plus=v_plus, v_minus=v_minus)
 
 
 def _phase(rate, t, c: Constants):
@@ -225,34 +235,14 @@ def evolve(h: TwoLevelHamiltonian, p: PrepBias, t: float, c: Constants) -> TwoLe
     return TwoLevelState(amp0=amp0, amp1=amp1)
 
 
-def _clamp_prob(x):
-    """x with excursions of at most PROB_CLAMP below 0 or above 1 snapped to 0 or 1.
-
-    A float or an array, with the same bits either way. -0.0 and NaN pass
-    through; values further out are left for stochastic_rows to reject.
-    """
-    if isinstance(x, np.ndarray):
-        x = np.where((-PROB_CLAMP <= x) & (x < 0.0), 0.0, x)
-        return np.where((1.0 < x) & (x <= 1.0 + PROB_CLAMP), 1.0, x)
-    if -PROB_CLAMP <= x < 0.0:
-        return 0.0
-    if 1.0 < x <= 1.0 + PROB_CLAMP:
-        return 1.0
-    return x
-
-
-def transition_probs(h: TwoLevelHamiltonian, p: PrepBias, t, c: Constants):
-    """Probabilities of measuring |0> and |1> a delay t after preparation.
+def _probs(h: TwoLevelHamiltonian, preps, t, c: Constants) -> list:
+    """Unsnapped (prob0, prob1) of each PrepBias in preps, a delay t after preparation.
 
     (prob0, prob1) = ( [ zeta_p cos(2at/hbar) + a^2 (1-p) - zeta_p ] / a^2,
                        [-zeta_p cos(2at/hbar) + a^2 p     + zeta_p ] / a^2 ),
 
     with zeta_p = (eps/2)(eps(1-2p) + 2b sqrt(p(1-p))). Static when a = 0.
-    t is a float, giving two floats, or an ndarray, giving two arrays of its
-    shape with the same values as the float path. A delay that is NaN,
-    negative or infinite, or whose phase at/hbar reaches 2**1023, raises
-    ValueError, on either path.
-
+    The delay guard, the cos map and the scaling are shared by all of preps.
     The phase takes a; the rest takes (a, b, eps) / 2**k, exactly, with a / 2**k
     in [1/2, 1). Each step then rounds as unscaled unless it is subnormal either
     way, and a*a stays in range: every Delta and eps whose a and phase are finite
@@ -261,16 +251,31 @@ def transition_probs(h: TwoLevelHamiltonian, p: PrepBias, t, c: Constants):
     a, b, eps = h.a, h.b, h.epsilon
     theta = _phase(a, t, c)
     if a == 0.0:
-        return _elementwise(lambda _: 1.0 - p.p, t), _elementwise(lambda _: p.p, t)
+        return [(_elementwise(lambda _: 1.0 - p.p, t), _elementwise(lambda _: p.p, t)) for p in preps]
     # 2(at/hbar) is (2a)t/hbar exactly, and stays finite where 2a alone would not.
     cos2 = _elementwise(math.cos, 2.0 * theta)
     k = -math.frexp(a)[1]
     a, b, eps = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(eps, k)
-    zeta = 0.5 * eps * (eps * (1.0 - 2.0 * p.p) + 2.0 * b * math.sqrt(p.variance))
     a2 = a * a
-    prob0 = (zeta * cos2 + a2 * (1.0 - p.p) - zeta) / a2
-    prob1 = (-zeta * cos2 + a2 * p.p + zeta) / a2
-    return _clamp_prob(prob0), _clamp_prob(prob1)
+    zetas = (0.5 * eps * (eps * (1.0 - 2.0 * p.p) + 2.0 * b * math.sqrt(p.variance)) for p in preps)
+    return [((zeta * cos2 + a2 * (1.0 - p.p) - zeta) / a2, (-zeta * cos2 + a2 * p.p + zeta) / a2)
+            for p, zeta in zip(preps, zetas)]
+
+
+def transition_probs(h: TwoLevelHamiltonian, p: PrepBias, t, c: Constants):
+    """Probabilities (prob0, prob1) of measuring |0> and |1> a delay t after preparation.
+
+    The pair of _probs, snapped by stochastic_rows: a value past PROB_CLAMP
+    outside [0, 1] raises "stray from", a sum off 1 by more than PROB_CLAMP
+    "rows must sum to 1"; no valid input reaches either. t is a float, giving two
+    floats, or an ndarray, giving two arrays of its shape. A delay that is
+    NaN, negative or infinite, or whose phase at/hbar reaches 2**1023, raises
+    ValueError.
+    """
+    m = stochastic_rows(np.stack(_probs(h, (p,), t, c)[0], axis=-1))
+    if isinstance(t, np.ndarray):
+        return m[..., 0], m[..., 1]
+    return float(m[0]), float(m[1])
 
 
 def period(h: TwoLevelHamiltonian, c: Constants) -> float:
@@ -278,7 +283,9 @@ def period(h: TwoLevelHamiltonian, c: Constants) -> float:
     a = h.a
     if a == 0.0:
         raise ValueError("Delta = epsilon = 0 gives a static channel with no period")
-    return math.pi * c.hbar / a
+    if not (t0 := math.pi * c.hbar / a) < math.inf:
+        raise ValueError(f"period pi * hbar / a overflows for a = {a} and hbar = {c.hbar}")
+    return t0
 
 
 def eps_for_gamma(gamma: float) -> float:
@@ -294,29 +301,24 @@ def eps_for_gamma(gamma: float) -> float:
     return 2.0 / math.hypot(gamma, 2.0)
 
 
-def _channel_rows(h: TwoLevelHamiltonian, r0: PrepBias, t, c: Constants) -> np.ndarray:
-    if r0.p > 0.5:
-        raise ValueError(f"r0 must lie in [0, 1/2], got {r0.p}")
-    rows = np.array([transition_probs(h, r0, t, c), transition_probs(h, PrepBias(1.0 - r0.p), t, c)])
-    # (row, output, *t.shape) -> (*t.shape, row, output)
-    return np.moveaxis(rows, (0, 1), (-2, -1))
-
-
 def channel_matrices(h: TwoLevelHamiltonian, r0: PrepBias, t, c: Constants) -> np.ndarray:
     """Transition matrices of the channels induced at delays t, shape np.shape(t) + (2, 2).
 
     Row 0 is the preparation p = r0 (input 0), row 1 is p = 1 - r0 (input 1).
     r0 is restricted to [0, 1/2]; larger values merely relabel the inputs.
-    The whole stack is validated and clipped as BinaryChannel does, in one pass.
+    Both rows come from one evaluation, and the whole stack is validated and
+    clipped as BinaryChannel does, in one pass.
     """
-    return stochastic_rows(_channel_rows(h, r0, t, c))
+    if r0.p > 0.5:
+        raise ValueError(f"r0 must lie in [0, 1/2], got {r0.p}")
+    rows = np.array(_probs(h, (r0, PrepBias(1.0 - r0.p)), t, c))
+    # (row, output, *t.shape) -> (*t.shape, row, output)
+    return stochastic_rows(np.moveaxis(rows, (0, 1), (-2, -1)))
 
 
-def channel_at(
-    h: TwoLevelHamiltonian, r0: PrepBias, t: float, c: Constants
-) -> BinaryChannel:
+def channel_at(h: TwoLevelHamiltonian, r0: PrepBias, t: float, c: Constants) -> BinaryChannel:
     """Binary channel induced by the preparations p = r0 (input 0) and p = 1 - r0 (input 1).
 
     The single-delay case of channel_matrices.
     """
-    return BinaryChannel(matrix=_channel_rows(h, r0, t, c))
+    return BinaryChannel(matrix=channel_matrices(h, r0, t, c))

@@ -2,6 +2,8 @@
 
 import importlib
 import pkgutil
+import types
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +92,15 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_tracer_layers_name_package_functions():
+    # perfbench/tracing.py wraps each (module, function) of LAYERS by name,
+    # and --trace 1 crashes on a name that is gone. Read, not imported, so
+    # that no bytecode is written next to it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    missing = [f"{mod}.{fn}" for mod, fn, _ in tracing.LAYERS
+               if not callable(getattr(importlib.import_module(f"chancap.{mod}"), fn, None))]
+    assert tracing.LAYERS and missing == []

@@ -342,8 +342,7 @@ class TestParser:
         ],
     )
     def test_output_matches_the_full_parser(self, argv, capsys, monkeypatch):
-        # main adds options to the invoked subcommand alone; what it prints
-        # and its exit code must be those of the parser with all five.
+        # What main prints, and its exit code, are those of the parser.
         monkeypatch.setenv("COLUMNS", "80")
         outputs = []
         for parse in (main, cli.build_parser().parse_args):
@@ -355,10 +354,21 @@ class TestParser:
 
     @pytest.mark.parametrize("name", SUBCOMMANDS)
     def test_full_parser_gives_every_subcommand_its_options(self, name):
-        # The reference above is only a reference if it is the full parser.
         argv = [name, "--seed", "7", "--channel", "gaussian", "--times", "1"]
         args, _ = cli.build_parser().parse_known_args(argv)
         assert args.seed == 7 and args.handler.__name__ == "_cmd_" + name.replace("-", "_")
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_runs_leave_the_defaults_alone(self, tmp_path):
+        # The parser is shared, so a run must not change a default list.
+        out = str(tmp_path / "g.csv")
+        assert main(["fig-gaussian", "--ratios", "50", "1", "--grid-points", "3", "--out", out]) == 0
+        assert cli.build_parser().parse_args(["fig-gaussian"]).ratios == [0.5, 5.0, 50.0]
+        argv = ["verify", "--suite", "gaussian", "--trials", "2"]
+        assert main([*argv, "--tolerance", "noise-floor=1"]) == 0
+        assert cli.build_parser().parse_args(argv).tolerance == []
 
 
 def row_table_bytes(columns, rows, fmt):

@@ -65,6 +65,16 @@ class TestHamiltonian:
             TwoLevelHamiltonian(E=0.0, Delta=1.7e308, epsilon=1.7e308)
         assert TwoLevelHamiltonian(E=0.0, Delta=1.7e308, epsilon=8e307).a < math.inf
 
+    def test_overflowing_upper_level_rejected(self):
+        # E + Delta = inf used to pass: matrix() then held inf, and evolve
+        # rejected every delay, t = 0 included, for its phase (E + b) t / hbar.
+        message = "E + Delta must be finite, got inf from E = 1e+308 and Delta = 1.7e+308"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TwoLevelHamiltonian(E=1e308, Delta=1.7e308, epsilon=0.0)
+        h = TwoLevelHamiltonian(E=-1e308, Delta=1.7e308, epsilon=0.0)
+        assert np.all(np.isfinite(h.matrix()))
+        assert evolve(h, PrepBias(0.1), 0.0, NAT).populations() == pytest.approx((0.9, 0.1))
+
     def test_matrix_layout(self):
         h = TwoLevelHamiltonian(E=1.0, Delta=0.5, epsilon=0.25)
         np.testing.assert_array_equal(h.matrix(), [[1.0, 0.25], [0.25, 1.5]])
@@ -105,6 +115,23 @@ class TestEigensystem:
             assert np.linalg.norm(m @ v - e * v) <= 1e-15 * h.a
             assert abs(v @ v - 1.0) <= 1e-15
         assert abs(eig.v_plus @ eig.v_minus) <= 1e-15
+
+    def test_orthonormal_at_the_top_of_the_range(self):
+        # 2a overflowed: the vectors used to come out as zeros, v @ v == 0.
+        h = TwoLevelHamiltonian(E=0.0, Delta=0.0, epsilon=1e308)
+        eig = eigensystem(h)
+        m = h.matrix()
+        for e, v in ((eig.E_plus, eig.v_plus), (eig.E_minus, eig.v_minus)):
+            assert np.max(np.abs(m @ v - e * v)) <= 1e-15 * h.a  # the 2-norm would overflow
+            assert abs(v @ v - 1.0) <= 1e-15
+        assert abs(eig.v_plus @ eig.v_minus) <= 1e-15
+
+    def test_overflowing_energy_rejected(self):
+        # E + a + b = inf used to come back as E_plus, with NaN vectors and a RuntimeWarning.
+        with pytest.raises(ValueError, match=re.escape("E + a + b = inf must be finite")):
+            eigensystem(TwoLevelHamiltonian(E=0.0, Delta=1.7e308, epsilon=1e308))
+        with pytest.raises(ValueError, match=re.escape("E - a + b = -inf and")):
+            eigensystem(TwoLevelHamiltonian(E=-1.7e308, Delta=0.0, epsilon=1e308))
 
     def test_residual_on_random_draws(self):
         rng = np.random.default_rng(21)
@@ -258,38 +285,29 @@ class TestPhaseGuard:
 
 
 class TestClampProb:
-    """Entries within PROB_CLAMP outside [0, 1] are cancellation noise and snap back."""
+    """The one snap, stochastic_rows: entries within PROB_CLAMP outside [0, 1] are cancellation noise."""
 
     BELOW = math.nextafter(-PROB_CLAMP, -math.inf)
     ABOVE = math.nextafter(1.0 + PROB_CLAMP, math.inf)
-    VALUES = [-1.0, BELOW, -PROB_CLAMP, -5e-13, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0,
-              1.0 + 2**-52, 1.0 + 5e-13, 1.0 + PROB_CLAMP, ABOVE, 2.0, math.nan, math.inf, -math.inf]
 
     def test_bands_snap_to_zero_and_one(self):
-        for x in (-PROB_CLAMP, -5e-13, -5e-324):
-            assert twolevel._clamp_prob(x) == 0.0
-        for x in (1.0 + 2**-52, 1.0 + 5e-13, 1.0 + PROB_CLAMP):
-            assert twolevel._clamp_prob(x) == 1.0
+        # Each row pairs a value of the lower band with one of the upper.
+        rows = [[-PROB_CLAMP, 1.0 + PROB_CLAMP], [-5e-13, 1.0 + 5e-13], [-5e-324, 1.0 + 2**-52]]
+        assert stochastic_rows(rows).tolist() == [[0.0, 1.0]] * 3
+        assert stochastic_rows([row[::-1] for row in rows]).tolist() == [[1.0, 0.0]] * 3
 
-    def test_negative_zero_and_nan_pass_through(self):
-        assert math.copysign(1.0, twolevel._clamp_prob(-0.0)) == -1.0
-        assert math.isnan(twolevel._clamp_prob(math.nan))
+    def test_negative_zero_kept(self):
+        got = stochastic_rows([[-0.0, 1.0], [1.0, -0.0]])
+        assert bits(got).tolist() == bits([[-0.0, 1.0], [1.0, -0.0]]).tolist()
 
-    def test_beyond_the_bands_left_for_stochastic_rows(self):
-        for bad in (self.BELOW, self.ABOVE):
-            assert twolevel._clamp_prob(bad) == bad
+    def test_beyond_the_bands_or_nan_rejected(self):
+        for bad in (self.BELOW, self.ABOVE, math.nan):
             with pytest.raises(ValueError, match="stray from"):
                 stochastic_rows([[bad, 0.5], [0.5, 0.5]])
 
-    def test_float_and_array_paths_agree_bit_for_bit(self):
-        want = np.array([twolevel._clamp_prob(v) for v in self.VALUES])
-        got = twolevel._clamp_prob(np.array(self.VALUES).reshape(3, 6))
-        assert got.shape == (3, 6)
-        assert got.ravel().view(np.int64).tolist() == want.view(np.int64).tolist()
-
     def test_transition_probs_snaps_rounding_above_one(self):
         # p = 1, Delta = 0, t = 0: prob1 = (a^2/2 + a^2 - a^2/2) / a^2, and for eps = 0.3 the
-        # rounded sums leave 1 + 2**-52 before the clamp.
+        # rounded sums leave 1 + 2**-52 before the snap.
         h = TwoLevelHamiltonian(E=0.0, Delta=0.0, epsilon=0.3)
         assert transition_probs(h, PrepBias(1.0), 0.0, NAT) == (0.0, 1.0)
         prob0, prob1 = transition_probs(h, PrepBias(1.0), np.zeros(3), NAT)
@@ -333,6 +351,13 @@ class TestPeriod:
     def test_static_channel_has_no_period(self):
         with pytest.raises(ValueError):
             period(TwoLevelHamiltonian(E=1.0, Delta=0.0, epsilon=0.0), NAT)
+
+    def test_overflowing_period_rejected(self):
+        # pi * hbar / a used to come back as a silent inf for a subnormal a.
+        message = "period pi * hbar / a overflows for a = 1e-320 and hbar = 1.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            period(TwoLevelHamiltonian(E=0.0, Delta=0.0, epsilon=1e-320), NAT)
+        assert period(TwoLevelHamiltonian(E=0.0, Delta=0.0, epsilon=1e-300), NAT) == math.pi * 1e300
 
 
 class TestChannelAt:
@@ -392,6 +417,22 @@ class TestChannelMatrices:
         want = [channel_at(h, PrepBias(r0), float(t), NAT).matrix for t in ts]
         np.testing.assert_array_equal(bits(stack), bits(want))
 
+    @pytest.mark.parametrize("t", [0.7, np.linspace(0.0, 3.0, 5)])
+    def test_one_phase_per_call(self, t, monkeypatch):
+        # Both rows share one delay guard and one cos map.
+        calls = []
+        phase = twolevel._phase
+        monkeypatch.setattr(twolevel, "_phase", lambda *args: calls.append(args) or phase(*args))
+        channel_matrices(self.HAMILTONIANS[1], PrepBias(0.2), t, NAT)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("h", HAMILTONIANS)
+    @pytest.mark.parametrize("r0", [0.0, 0.2, 0.5])
+    def test_rows_are_transition_probs(self, h, r0):
+        ts = np.random.default_rng(5).uniform(0, 20, (3, 4))
+        assert_rows_are_transition_probs(h, r0, ts)
+        assert_rows_are_transition_probs(h, r0, 1.3)
+
     @pytest.mark.parametrize("h", HAMILTONIANS)
     def test_transition_probs_arrays_match_floats(self, h):
         ts = np.random.default_rng(4).uniform(0, 20, (3, 5))
@@ -419,6 +460,14 @@ class TestChannelMatrices:
         for bad in (np.array([[0.6, 0.5], [0.5, 0.5]]), np.array([[math.nan, 0.5], [0.3, 0.7]])):
             with pytest.raises(ValueError):
                 stochastic_rows(np.stack([good, bad, good]))
+
+
+def assert_rows_are_transition_probs(h, r0, t):
+    """Each row of channel_matrices is, bit for bit, transition_probs of its preparation."""
+    stack = channel_matrices(h, PrepBias(r0), t, NAT)
+    for row, p in ((0, r0), (1, 1.0 - r0)):
+        want = np.stack(transition_probs(h, PrepBias(p), t, NAT), axis=-1)
+        np.testing.assert_array_equal(bits(stack[..., row, :]), bits(want))
 
 
 class TestValidation:
@@ -469,7 +518,7 @@ def reference_probs(h, p, t, scale=1.0):
     prob0 = (swing + stay - zeta) / a2
     prob1 = (-swing + arrive + zeta) / a2
     steps = [a, b, eps, half_eps, eps_term, b_term, zeta, a2, swing, stay, arrive, prob0, prob1]
-    return (twolevel._clamp_prob(prob0), twolevel._clamp_prob(prob1)), steps
+    return (np.clip(prob0, 0.0, 1.0), np.clip(prob1, 0.0, 1.0)), steps  # stochastic_rows' snap
 
 
 TINY = 2.0**-1022  # the smallest normal double
@@ -511,6 +560,14 @@ class TestScaleFree:
         np.testing.assert_allclose(stack[1], stack[0], rtol=0, atol=1e-12)
         caps = two_level_capacities(h, PrepBias(r0), ts, NAT)
         assert np.all((caps >= 0.0) & (caps <= 1.0 + 1e-15))
+
+    @settings(deadline=None)
+    @given(delta=SCALES, eps=SCALES, r0=st.floats(0.0, 0.5), theta=st.floats(0.0, 100.0))
+    def test_channel_rows_are_transition_probs(self, delta, eps, r0, theta):
+        h = TwoLevelHamiltonian(E=0.0, Delta=delta, epsilon=eps)
+        t = theta * NAT.hbar / h.a if h.a else theta
+        assert_rows_are_transition_probs(h, r0, np.array([t, 2.0 * t]))
+        assert_rows_are_transition_probs(h, r0, t)
 
     @settings(deadline=None)
     @given(delta=SCALES, eps=SCALES, p=st.floats(0.0, 1.0), theta=st.floats(0.0, 100.0))
