@@ -39,6 +39,14 @@ def finite(text: str) -> float:
     return value
 
 
+def count(text: str) -> int:
+    """argparse type of every count option: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 #: Rows gathered and joined per write: bounds the text held at once, whatever the table size.
 _CHUNK_ROWS = 4096
 
@@ -123,7 +131,7 @@ def _cmd_fig_gaussian(args) -> int:
     """Capacity vs preparation precision, one curve per signal-to-threshold ratio."""
     if any(r < 0 for r in args.ratios):
         raise ValueError("ratios must be >= 0")
-    if args.grid_points < 1 or args.grid_min <= 0 or args.grid_max < args.grid_min:
+    if args.grid_min <= 0 or args.grid_max < args.grid_min:
         raise ValueError("invalid precision grid")
     c = _constants(args)
     vstar = gaussian.optimal_sigma2(args.t, args.mass, c)
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", type=finite, default=1.0)
     p.add_argument("--grid-min", type=finite, default=1e-2, help="smallest sigma2/v*")
     p.add_argument("--grid-max", type=finite, default=1e2, help="largest sigma2/v*")
-    p.add_argument("--grid-points", type=int, default=401)
+    p.add_argument("--grid-points", type=count, default=401)
     p.set_defaults(handler=_cmd_fig_gaussian)
 
     p = sub.add_parser("fig-two-level", help="two-level capacity over one period")
@@ -286,17 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gammas", type=finite, nargs="+", default=[0.0, 1.0, 2.0, 4.0],
                    help="gap-to-tunneling ratios Delta/epsilon")
     p.add_argument("--r0", type=finite, default=0.0, help="preparation bias in [0, 0.5)")
-    p.add_argument("--time-points", type=int, default=501)
+    p.add_argument("--time-points", type=count, default=501)
     p.set_defaults(handler=_cmd_fig_two_level, units="natural")
 
     p = sub.add_parser("contour", help="capacity over a mass/delay grid at optimal precision")
     _add_common(p)
     p.add_argument("--mass-min", type=finite, default=1e-31)
     p.add_argument("--mass-max", type=finite, default=1e-6)
-    p.add_argument("--mass-points", type=int, default=201)
+    p.add_argument("--mass-points", type=count, default=201)
     p.add_argument("--t-min", type=finite, default=1e-3)
     p.add_argument("--t-max", type=finite, default=1e3)
-    p.add_argument("--t-points", type=int, default=201)
+    p.add_argument("--t-points", type=count, default=201)
     p.add_argument("--p-constraint", type=finite, default=1.0,
                    help="placement second-moment bound P (m^2 in SI)")
     p.set_defaults(handler=_cmd_contour, units="si")
@@ -308,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=finite, default=0.0)
     p.add_argument("--sigma2", type=finite, default=1.0)
     p.add_argument("--mass", type=finite, default=1.0)
-    p.add_argument("--grid-points", type=int, default=101)
+    p.add_argument("--grid-points", type=count, default=101)
     p.add_argument("--gamma", type=finite, default=1.0)
     p.add_argument("--epsilon", type=finite, default=1.0)
     p.add_argument("--p", type=finite, default=0.0, help="preparation bias")

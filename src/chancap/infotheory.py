@@ -6,9 +6,10 @@ prior is kernels.mi_binary. Everything is computed internally in nats;
 ``base="bits"`` converts at the boundary by 1/ln(2). Four independent
 routes to binary-channel capacity cross-check each other:
 
-- the closed form of Muroga (1953) and Silverman (1955), array-valued over
-  channels: the primary solver, behind capacity_binary and the two-level
-  capacities;
+- the closed form of Muroga (1953) and Silverman (1955): the primary
+  solver, array-valued over a stack of channels (two_level_capacities) and
+  on floats for one channel (capacity_binary, two_level_capacity), with the
+  same bits;
 - ternary search on the concave I(q) (kernels.capacity_ternary);
 - alternating maximization (blahut_arimoto, over kernels.ba_binary);
 - an exhaustive scan of the prior (capacity_grid, over kernels.capacity_grid).
@@ -122,8 +123,9 @@ def _binary_capacity(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     the output marginal sigma(-D) = 1/(1 + exp(D)) being optimal. D is the
     difference of two divided differences of x ln x, one per output, each
-    taken stably. Equal rows give C = 0 and q* = 1/2. A single channel goes
-    through here as a 1-element array, so it gets the same bits as a stack.
+    taken stably. Equal rows give C = 0 and q* = 1/2. One channel is solved
+    by the float twin _channel_capacity, with the same bits; the test
+    TestClosedForm::test_float_twin_matches_the_array_path pins the two.
     """
     ca, cb = 1.0 - a, 1.0 - b
     slopes = _xlogx_slope(np.stack([ca, a]), np.stack([cb, b]))
@@ -139,6 +141,51 @@ def _binary_capacity(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.where(same, 0.0, np.maximum(cap, 0.0)), np.where(same, 0.5, q)
 
 
+def _log0_float(x: float) -> float:
+    """_log0 of one float, through numpy's log loop: math.log differs from it in the last bit."""
+    return float(np.log(x)) if x > 0.0 else 0.0
+
+
+def _xlogx_slope_float(x: float, y: float) -> float:
+    """_xlogx_slope of two floats, the larger of them positive.
+
+    Each np.where is an if on the branch it keeps. As hi > 0, the stand-in
+    safe_hi would be hi itself, so it is left out.
+    """
+    # np.minimum and np.maximum give their second operand on a tie.
+    lo, hi = (x if x < y else y), (x if x > y else y)
+    log_hi = float(np.log(hi))
+    if lo + lo >= hi:
+        u = (hi - lo) / hi
+        log1p_ratio = float(np.log1p(-u)) / u if u > 0.0 else -1.0
+        return log_hi - (lo / hi) * log1p_ratio
+    return (hi * log_hi - lo * _log0_float(lo)) / (hi - lo)
+
+
+def _channel_capacity(a: float, b: float) -> tuple[float, float]:
+    """_binary_capacity of one channel, on Python floats, with the same bits.
+
+    The same expressions run in the same order. Float arithmetic is IEEE, as
+    numpy's elementwise loops are; logarithms and exponentials go through
+    numpy, whose loops give other bits than math's. The ties of np.maximum
+    and np.clip are numpy's, signed zeros included.
+    """
+    if a == b:
+        return 0.0, 0.5
+    # Unequal rows: one of a, b and one of 1-a, 1-b is positive.
+    ca, cb = 1.0 - a, 1.0 - b
+    d = _xlogx_slope_float(ca, cb) - _xlogx_slope_float(a, b)
+    h_b = -(b * _log0_float(b) + cb * _log0_float(cb))
+    e = float(np.exp(-abs(d)))
+    t0, t1 = -cb * d, b * d
+    cap = -h_b + (t0 if t0 > t1 else t1) + float(np.log1p(e))
+    y0 = e / (1.0 + e) if d > 0.0 else 1.0 / (1.0 + e)
+    q = (y0 - b) / (a - b)
+    # np.clip keeps q on a tie with a bound: -0.0 stays -0.0.
+    q = 0.0 if q < 0.0 else 1.0 if q > 1.0 else q
+    return (cap if cap > 0.0 else 0.0), q
+
+
 def capacity_binary(ch: BinaryChannel, base: Base = "nats") -> CapacityResult:
     """Capacity of a binary channel from the Muroga-Silverman closed form.
 
@@ -146,10 +193,10 @@ def capacity_binary(ch: BinaryChannel, base: Base = "nats") -> CapacityResult:
     form, so iterations is 0; channels with coinciding rows report q = 1/2.
     """
     factor = _base_factor(base)
-    cap, q = _binary_capacity(np.array([ch.matrix[0, 0]]), np.array([ch.matrix[1, 0]]))
+    cap, q = _channel_capacity(float(ch.matrix[0, 0]), float(ch.matrix[1, 0]))
     return CapacityResult(
-        capacity=float(cap[0]) * factor,
-        q=float(q[0]),
+        capacity=cap * factor,
+        q=q,
         iterations=0,
         converged=True,
         base=base,

@@ -139,11 +139,11 @@ def stochastic_rows(m) -> np.ndarray:
     matrices is checked in one pass.
     """
     m = np.asarray(m, dtype=float)
-    # Positive conditions, so that a NaN fails them.
-    if not np.all((m >= -PROB_CLAMP) & (m <= 1.0 + PROB_CLAMP)):
+    # Positive conditions, so that a NaN fails them; `initial` keeps an empty stack valid.
+    if not (m.min(initial=0.0) >= -PROB_CLAMP and m.max(initial=1.0) <= 1.0 + PROB_CLAMP):
         raise ValueError("transition probabilities stray from [0, 1] beyond cancellation noise")
     rowsums = m.sum(axis=-1)
-    if not np.all(np.abs(rowsums - 1.0) <= PROB_CLAMP):
+    if not abs(rowsums - 1.0).max(initial=0.0) <= PROB_CLAMP:
         raise ValueError(f"rows must sum to 1, got {rowsums}")
     return np.clip(m, 0.0, 1.0)
 

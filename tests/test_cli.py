@@ -20,6 +20,14 @@ def read_csv(path):
     return header, rows
 
 
+def exit_code(argv):
+    """main's exit code, or that of the SystemExit with which argparse rejects an option."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestFigGaussian:
     def test_columns_and_peak_location(self, tmp_path):
         out = tmp_path / "fig.csv"
@@ -549,8 +557,28 @@ class TestUsageErrors:
         ],
     )
     def test_invalid_grid_exits_two(self, tmp_path, argv):
-        assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 2
+        assert exit_code([*argv, "--out", str(tmp_path / "t.csv")]) == 2
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig-gaussian", "--grid-points"],
+            ["fig-two-level", "--time-points"],
+            ["contour", "--mass-points"],
+            ["contour", "--t-points"],
+            ["evolve", "--channel", "gaussian", "--times", "1", "--grid-points"],
+        ],
+    )
+    def test_count_below_one_names_its_option(self, tmp_path, capsys, argv, value):
+        # A zero count used to write a header-only table, and a negative one
+        # ended in numpy's "Number of samples, -1, must be non-negative."
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value, "--out", str(tmp_path / "t.csv")])
+        assert exc.value.code == 2
+        assert f"argument {argv[-1]}: invalid count value: '{value}'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_underflowed_vstar_names_the_scalar_error(self, tmp_path, capsys):
         argv = ["contour", "--out", str(tmp_path / "t.csv"), "--mass-min", "1e300",

@@ -14,6 +14,7 @@ from chancap.infotheory import (
     two_level_capacities,
     two_level_capacity,
     _binary_capacity,
+    _channel_capacity,
 )
 from chancap.twolevel import (
     BinaryChannel,
@@ -53,6 +54,17 @@ ENTRIES = st.one_of(
     _LOG_UNIFORM.map(lambda x: 1.0 - x),
     st.sampled_from([0.0, 1.0, 5e-324]),
 )
+
+
+def bits(x):
+    return int(np.float64(x).view(np.int64))
+
+
+def assert_twins_agree(a, b):
+    """_channel_capacity and a 1-element _binary_capacity give the same bits, signs of zero included."""
+    caps, qs = _binary_capacity(np.array([a]), np.array([b]))
+    cap, q = _channel_capacity(a, b)
+    assert (bits(cap), bits(q)) == (bits(caps[0]), bits(qs[0])), (a, b)
 
 
 class TestEntropy:
@@ -195,6 +207,52 @@ class TestClosedForm:
         for a, b, cap, q in zip(p00.tolist(), p10.tolist(), caps.tolist(), qs.tolist()):
             res = capacity_binary(binary(a, b))
             assert res.capacity.hex() == cap.hex() and res.q.hex() == q.hex()
+
+    @settings(max_examples=400, deadline=None)
+    @given(ENTRIES, ENTRIES)
+    def test_float_twin_matches_the_array_path(self, a, b):
+        assert_twins_agree(a, b)
+
+    def test_float_twin_matches_the_array_path_at_the_edges(self):
+        rng = np.random.default_rng(17)
+        rows = rng.uniform(0.0, 1.0, 50).tolist() + [1e-300, 1e-17, 0.5, 1.0 - 2**-53]
+        cases = [*verify.ADVERSARIAL_CHANNELS]
+        for a in rows:
+            cases += [(a, math.nextafter(a, 1.0)), (a, math.nextafter(a, 0.0)), (a, a)]
+            cases += [(a, min(a + 1e-12, 1.0)), (a, max(a - 1e-12, 0.0))]
+        edges = [0.0, -0.0, 5e-324, 1.0, 0.3]
+        cases += [(a, b) for a in edges for b in edges]
+        for a, b in cases:
+            assert_twins_agree(a, b)
+            assert_twins_agree(b, a)
+
+    def test_numpy_tie_rules_the_float_twin_mirrors(self):
+        # _channel_capacity writes np.maximum and np.clip as comparisons; a
+        # numpy that changed these rules would split the two paths' bits.
+        assert math.copysign(1.0, np.maximum(0.0, -0.0)) == -1.0
+        assert math.copysign(1.0, np.maximum(-0.0, 0.0)) == 1.0
+        assert math.copysign(1.0, np.minimum(0.0, -0.0)) == -1.0
+        assert math.copysign(1.0, np.clip(-0.0, 0.0, 1.0)) == -1.0
+
+    def test_negative_zero_entries_solve_alike_on_both_paths(self, monkeypatch):
+        stack = np.array([[[-0.0, 1.0], [0.3, 0.7]], [[0.6, 0.4], [-0.0, 1.0]],
+                          [[-0.0, 1.0], [0.0, 1.0]], [[-0.0, 1.0], [5e-324, 1.0]]])
+        singles = [capacity_binary(BinaryChannel(matrix=m), base="bits") for m in stack]
+        monkeypatch.setattr(infotheory, "channel_matrices", lambda h, r0, t, c: stack)
+        caps = two_level_capacities(TwoLevelHamiltonian(0.0, 1.0, 1.0), PrepBias(0.1), 0.0, NAT)
+        assert [bits(c) for c in caps] == [bits(res.capacity) for res in singles]
+        assert singles[2].capacity == 0.0 and singles[2].q == 0.5
+
+    def test_one_channel_never_reaches_the_array_path(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("array path")
+
+        monkeypatch.setattr(infotheory, "_binary_capacity", refuse)
+        h, r0 = TwoLevelHamiltonian(0.0, 1.0, 1.0), PrepBias(0.1)
+        assert capacity_binary(BSC_011).capacity > 0.0
+        assert two_level_capacity(h, r0, 0.7, NAT).capacity > 0.0
+        with pytest.raises(AssertionError, match="array path"):
+            two_level_capacities(h, r0, np.array([0.7]), NAT)
 
 
 class TestBlahutArimoto:

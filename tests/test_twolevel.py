@@ -301,9 +301,16 @@ class TestClampProb:
         assert bits(got).tolist() == bits([[-0.0, 1.0], [1.0, -0.0]]).tolist()
 
     def test_beyond_the_bands_or_nan_rejected(self):
-        for bad in (self.BELOW, self.ABOVE, math.nan):
+        for bad in (self.BELOW, self.ABOVE, math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="stray from"):
                 stochastic_rows([[bad, 0.5], [0.5, 0.5]])
+
+    def test_row_sums_checked_and_empty_stacks_pass(self):
+        for row in ([0.5, 0.5 + 2e-12], [0.5, 0.5 - 2e-12], [0.0, 0.0]):
+            with pytest.raises(ValueError, match="rows must sum to 1"):
+                stochastic_rows([[0.5, 0.5], row])
+        assert stochastic_rows([0.5, 0.5 + 5e-13]).tolist() == [0.5, 0.5 + 5e-13]
+        assert stochastic_rows(np.zeros((0, 2, 2))).shape == (0, 2, 2)
 
     def test_transition_probs_snaps_rounding_above_one(self):
         # p = 1, Delta = 0, t = 0: prob1 = (a^2/2 + a^2 - a^2/2) / a^2, and for eps = 0.3 the
