@@ -18,18 +18,29 @@ computed row entropies h0, h1 as constants. f is convex in q whatever h0
 and h1 are, because y0 is affine in q and y ln y is convex; this is the
 concavity of I in the prior (Cover & Thomas, Thm 2.7.4).
 
-Let E bound |s(i) - f(i/n)| for every i. The scan evaluates s at about
-_GRID_EDGES evenly spaced edges and takes k, the first edge with the least
-s. Walking out from k, it stops on each side at the first edge e with
-s(e) > s(k) + 2E, and scans only the range between the two stopping edges,
-in blocks. Nothing outside the range can tie s(k): s(e) > s(k) + 2E gives
-f(e) > f(k), so by convexity f(j) > f(e) for every j beyond e, and
+Let E bound |s(i) - f(i/n)| for every i. Take any grid point k, and on
+each side of k either a point e with s(e) > s(k) + 2E or the grid's end.
+Nothing beyond such an e can tie s(k): s(e) > s(k) + 2E gives f(e) > f(k),
+so by convexity f(j) > f(e) for every j beyond e, and
 
     s(j) >= f(j) - E > f(e) - E >= s(e) - 2E > s(k).
 
-The first argmin over the range is therefore the full scan's, bits
-included. Edges and blocks go through one ufunc sequence (_neg_mi), so a
-point gets the same double either way. Rows within about 1e-12 of each
+So if k is the first argmin over the points between the two, it is the
+full scan's, bits included. The scan uses this with two choices of k:
+
+1. The window. s is evaluated on the 2 _WINDOW + 1 points around the index
+   nearest the stationary prior, where I'(q) = 0 in closed form, and k is
+   the window's first argmin. If both ends of the window clear s(k) + 2E,
+   or lie at the grid's ends, k is the answer. The stationary prior only
+   says where to look: a start anywhere gives the same bits.
+2. The edges, if either end falls short. s is evaluated at about
+   _GRID_EDGES evenly spaced edges and k is the first edge with the least
+   s. Walking out from k, the scan stops on each side at the first edge
+   that clears s(k) + 2E, and scans only the range between the two
+   stopping edges, in blocks.
+
+Window, edges and blocks go through one ufunc sequence (_neg_mi), so a
+point gets the same double in any of them. Rows within about 1e-12 of each
 other prune nothing: their I(q) is below the rounding noise, and every
 point is scanned.
 
@@ -65,8 +76,10 @@ E is 18-78u over 2,000 uniform random channels, and at most 358u, at
 (0, 1). Against a 60-digit decimal evaluation of f, the measured error
 reaches 34u on the adversarial channels of verify, under 0.28 E.
 
-Each block is three rows of _GRID_BLOCK doubles, on a 64-byte boundary and
-reused through out= ufuncs, plus a row of offsets: with the edges, a call
+Each pass gets three rows of scratch, on a 64-byte boundary and reused
+through out= ufuncs, plus a row of offsets, sized to the points it
+evaluates: 2 _WINDOW + 1 for the window, the edges, and at most _GRID_BLOCK
+for a block. The edges' buffers are freed before the blocks', so a call
 stays under 256 KiB.
 """
 
@@ -79,6 +92,7 @@ import numpy as np
 
 _GRID_BLOCK = 7680  # four rows of 60 KiB: a call stays under 256 KiB
 _GRID_EDGES = 1024
+_WINDOW = 32  # the first pass evaluates 2 _WINDOW + 1 points around the stationary prior
 _U = 2.0**-53  # unit roundoff of a double
 _LOG_ULPS = 4  # assumed error bound of np.log, in ulps of its result
 _TERNARY_WIDTH = 1e-8
@@ -227,38 +241,52 @@ def _neg_mi(off, start, n, p00, p10, h0, h1, a, b, s):
     return s
 
 
-@_checked
-def capacity_grid(p00: float, p10: float, step: float) -> tuple[float, float, int]:
-    """Brute-force capacity: the best input prior on a uniform grid.
+def _stationary_index(p00: float, p10: float, h0: float, h1: float, n: int) -> int:
+    """The grid index nearest the stationary prior of I(q), where the scan starts.
 
-    Finds the maximum of the mutual information over q = i/n, i = 0..n,
-    for n = round(1/step), and returns (capacity_nats, q_argmax, n + 1).
-    Ties keep the lowest q. The result is exactly the full scan's over all
-    n + 1 points, but only the points that can still win are evaluated
-    (see the module docstring). step must lie in [2**-52, 1], so that
-    n + 1 <= 2**53 and every index is exact in a double.
+    I'(q) = (p00 - p10) ln(y1/y0) - (h0 - h1) vanishes at y0 = 1/(1 + e**c),
+    c = (h0 - h1)/(p00 - p10). Only the scan's cost depends on this index.
     """
-    if not (2.0**-52 <= step <= 1.0):
-        raise ValueError(f"step must lie in [2**-52, 1], got {step}")
-    n = int(1.0 / step + 0.5)
-    h0, h1 = _h2(p00), _h2(p10)
-    size = min(_GRID_BLOCK, n + 1)
-    offsets = np.arange(size, dtype=float)
-    a, b, s = _aligned_empty(3, size)
-    # s = y0 ln y0 + y1 ln y1 + q h0 + (1-q) h1 is exactly -I(q), since
-    # -x - y == -(x + y) under round-to-nearest: argmin(s) is argmax(I),
-    # with the same ties.
+    if p00 == p10:
+        return n // 2
+    c = (h0 - h1) / (p00 - p10)
+    if c >= 0.0:
+        e = math.exp(-c)
+        y0 = e / (1.0 + e)
+    else:
+        y0 = 1.0 / (1.0 + math.exp(c))
+    q = (y0 - p10) / (p00 - p10)
+    if not q > 0.0:  # a NaN starts at 0 too
+        return 0
+    return int(q * n + 0.5) if q < 1.0 else n
+
+
+def _evaluate(off, start, n, p00, p10, h0, h1):
+    """s at the indices off + start, in aligned buffers sized to off."""
+    a, b, s = _aligned_empty(3, off.size)
+    return _neg_mi(off, start, n, p00, p10, h0, h1, a, b, s)
+
+
+def _edge_range(n, p00, p10, h0, h1, reach):
+    """The indices lo..hi between the stopping edges around the best of _GRID_EDGES edges."""
     width = -(-n // _GRID_EDGES)  # edges at 0, width, 2 width, ..., and n
-    count = -(-n // width) + 1
-    edges = offsets[:count] * width
+    edges = np.arange(-(-n // width) + 1, dtype=float) * width
     np.minimum(edges, n, out=edges)
-    at_edges = _neg_mi(edges, 0, n, p00, p10, h0, h1, a[:count], b[:count], s[:count])
+    at_edges = _evaluate(edges, 0, n, p00, p10, h0, h1)
     k = int(at_edges.argmin())
-    above = at_edges > at_edges[k] + 2.0 * _grid_error_bound(p00, p10)
+    above = at_edges > at_edges[k] + reach
     right = int(above[k:].argmax())  # 0: no edge to the right rises above
     left = int(above[k::-1].argmax())
     lo = (k - left) * width if left else 0
     hi = min((k + right) * width, n) if right else n
+    return lo, hi
+
+
+def _block_scan(lo, hi, n, p00, p10, h0, h1):
+    """(s, i) of the first argmin of s over lo..hi, in blocks of at most _GRID_BLOCK points."""
+    size = min(_GRID_BLOCK, hi + 1 - lo)
+    offsets = np.arange(size, dtype=float)
+    a, b, s = _aligned_empty(3, size)
     best_s, best_i = 1.0, 0
     for start in range(lo, hi + 1, size):
         m = min(size, hi + 1 - start)
@@ -267,6 +295,39 @@ def capacity_grid(p00: float, p10: float, step: float) -> tuple[float, float, in
         if block[j] < best_s:
             best_s = float(block[j])
             best_i = start + j
+    return best_s, best_i
+
+
+@_checked
+def capacity_grid(p00: float, p10: float, step: float) -> tuple[float, float, int]:
+    """Brute-force capacity: the best input prior on a uniform grid.
+
+    Finds the maximum of the mutual information over q = i/n, i = 0..n,
+    for n = round(1/step), and returns (capacity_nats, q_argmax, n + 1).
+    Ties keep the lowest q. The result is exactly the full scan's over all
+    n + 1 points. Only a window around the stationary prior is evaluated
+    when its ends prove that no point outside it can tie its best, and
+    otherwise only the points between the stopping edges (see the module
+    docstring). step must lie in [2**-52, 1], so that n + 1 <= 2**53 and
+    every index is exact in a double.
+    """
+    if not (2.0**-52 <= step <= 1.0):
+        raise ValueError(f"step must lie in [2**-52, 1], got {step}")
+    n = int(1.0 / step + 0.5)
+    h0, h1 = _h2(p00), _h2(p10)
+    # s = y0 ln y0 + y1 ln y1 + q h0 + (1-q) h1 is exactly -I(q), since
+    # -x - y == -(x + y) under round-to-nearest: argmin(s) is argmax(I),
+    # with the same ties.
+    reach = 2.0 * _grid_error_bound(p00, p10)
+    lo = min(max(_stationary_index(p00, p10, h0, h1, n) - _WINDOW, 0), max(n - 2 * _WINDOW, 0))
+    hi = min(lo + 2 * _WINDOW, n)
+    window = _evaluate(np.arange(hi + 1 - lo, dtype=float), lo, n, p00, p10, h0, h1)
+    k = int(window.argmin())
+    rise = window[k] + reach
+    if (lo == 0 or window[0] > rise) and (hi == n or window[-1] > rise):
+        best_s, best_i = float(window[k]), lo + k
+    else:
+        best_s, best_i = _block_scan(*_edge_range(n, p00, p10, h0, h1, reach), n, p00, p10, h0, h1)
     best = -best_s  # -0.0 when s cancels exactly; report +0.0 then
     return (best if best > 0.0 else 0.0), best_i / n, n + 1
 

@@ -236,7 +236,7 @@ class TestPrunedScan:
 
         monkeypatch.setattr(kernels, "_neg_mi", counting)
         kernels.capacity_grid(0.7, 0.3, 1e-6)
-        assert sum(evaluated) < 5_000  # the edges and two gaps between them
+        assert len(evaluated) == 1 and evaluated[0] <= 2 * kernels._WINDOW + 1  # the window alone
         evaluated.clear()
         # Equal rows: I(q) = 0 is below the rounding noise, so nothing is pruned.
         kernels.capacity_grid(0.3, 0.3, 1e-6)
@@ -252,6 +252,48 @@ class TestPrunedScan:
             tracemalloc.stop()
         # numpy reports its buffers to tracemalloc, so the three scan rows show.
         assert 3 * 8 * kernels._GRID_BLOCK <= peak <= 256 * 1024
+
+
+#: Start indices on a grid of n + 1 points: its ends and its middle.
+FIXED_STARTS = {"0": lambda n: 0, "n": lambda n: n, "n//2": lambda n: n // 2}
+#: A fixed start, or any index of the grid.
+STARTS = st.one_of(
+    st.sampled_from(list(FIXED_STARTS.values())),
+    st.floats(0.0, 1.0).map(lambda x: lambda n: int(x * n)),
+)
+
+
+class TestStartIndex:
+    """The start index moves only the cost: from any start the scan returns the full scan's bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(GRID_ENTRIES, GRID_ENTRIES),
+            NEAR_EQUAL_ROWS,
+            st.sampled_from(verify.ADVERSARIAL_CHANNELS),
+        ),
+        STARTS,
+        st.sampled_from([1e-5, 1 / 7]),
+    )
+    def test_any_start_gives_full_scan_bits(self, chan, start, step):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_stationary_index", lambda p00, p10, h0, h1, n: start(n))
+            assert_full_scan_bits(*chan, step)
+
+    @pytest.mark.parametrize("step", [1e-5, 1 / 7])
+    @pytest.mark.parametrize("start", list(FIXED_STARTS.values()), ids=list(FIXED_STARTS))
+    def test_fixed_starts_on_adversarial_channels(self, monkeypatch, start, step):
+        monkeypatch.setattr(kernels, "_stationary_index", lambda p00, p10, h0, h1, n: start(n))
+        for p00, p10 in verify.ADVERSARIAL_CHANNELS:
+            assert_full_scan_bits(p00, p10, step)
+
+    def test_stationary_index_is_a_grid_index(self):
+        n = 10**6
+        for p00, p10 in list(verify.ADVERSARIAL_CHANNELS) + [(0.0, 5e-324), (5e-324, 0.0), (0.3, 0.3), (0.7, 0.3)]:
+            i = kernels._stationary_index(p00, p10, kernels._h2(p00), kernels._h2(p10), n)
+            assert isinstance(i, int) and 0 <= i <= n, (p00, p10, i)
+        assert kernels._stationary_index(0.7, 0.3, kernels._h2(0.7), kernels._h2(0.3), n) == n // 2
 
 
 def scan_values(p00, p10, indices, n):
