@@ -8,7 +8,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chancap import kernels, verify
@@ -230,17 +230,23 @@ class TestPrunedScan:
         evaluated = []
         neg_mi = kernels._neg_mi
 
-        def counting(off, *args):
-            evaluated.append(off.size)
-            return neg_mi(off, *args)
+        def counting(idx, *args):
+            evaluated.append((idx.size, idx[0], idx[-1]))
+            return neg_mi(idx, *args)
 
         monkeypatch.setattr(kernels, "_neg_mi", counting)
         kernels.capacity_grid(0.7, 0.3, 1e-6)
-        assert len(evaluated) == 1 and evaluated[0] <= 2 * kernels._WINDOW + 1  # the window alone
-        evaluated.clear()
-        # Equal rows: I(q) = 0 is below the rounding noise, so nothing is pruned.
-        kernels.capacity_grid(0.3, 0.3, 1e-6)
-        assert sum(evaluated) > 10**6
+        assert len(evaluated) == 1  # the window alone
+        assert evaluated[0][0] <= 2 * kernels._WINDOW + 1
+        # Too flat for the window to settle: the scan starts at the edges. Rows
+        # within 1e-12 prune nothing, as I(q) is below the rounding noise.
+        for chan in ((0.3, 0.3), (3e-10, 7e-10), (0.3, 0.3 + 1e-13)):
+            evaluated.clear()
+            kernels.capacity_grid(*chan, 1e-6)
+            size, first, last = evaluated[0]
+            assert (first, last) == (0, 10**6) and size > 2 * kernels._WINDOW + 1, chan
+            if chan[1] - chan[0] < 1e-12:
+                assert sum(e[0] for e in evaluated) > 10**6
 
     def test_flat_channel_footprint(self):
         kernels.capacity_grid(0.3, 0.3, 1e-6)  # one-time allocations are not the scan's
@@ -299,9 +305,10 @@ class TestStartIndex:
 def scan_values(p00, p10, indices, n):
     """The scan's s(i) at the given indices, with the row entropies it uses."""
     h0, h1 = kernels._h2(p00), kernels._h2(p10)
-    off = np.asarray(indices, dtype=float)
-    a, b, s = np.empty((3, off.size))
-    return kernels._neg_mi(off, 0, n, p00, p10, h0, h1, a, b, s), h0, h1
+    idx = np.asarray(indices, dtype=float)
+    a, b, s = np.empty((3, idx.size))
+    clamp = kernels._needs_clamp(p00, p10)
+    return kernels._neg_mi(idx, n, p00, p10, h0, h1, clamp, a, b, s), h0, h1
 
 
 def exact_neg_mi(p00, p10, h0, h1, i, n):
@@ -315,6 +322,38 @@ def exact_neg_mi(p00, p10, h0, h1, i, n):
             if y > 0:
                 total += y * y.ln()
         return total
+
+
+_TINY = kernels._TINY
+#: Channel entries at and one ulp around the bounds of kernels._needs_clamp,
+#: lo >= 2 _TINY and hi <= 1 - 2**-50, with the grid's extremes.
+CLAMP_EDGES = (
+    0.0, 5e-324, _TINY,
+    float(np.nextafter(2 * _TINY, 0)), 2 * _TINY, float(np.nextafter(2 * _TINY, 1)),
+    float(np.nextafter(1 - 2.0**-50, 0)), 1 - 2.0**-50, float(np.nextafter(1 - 2.0**-50, 1)),
+    1 - 2.0**-53, 1.0,
+)
+
+
+class TestClampSkip:
+    """Where _needs_clamp is False, the clamps at _TINY would not move a bit of s."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(CLAMP_EDGES), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from(CLAMP_EDGES), st.floats(0.0, 1.0)),
+        st.sampled_from([2**12, 7]),
+    )
+    # lo >= _TINY would not do: at n = 12, (_TINY, _TINY) gives y0 = _TINY - 5e-324 at i = 1.
+    @example(_TINY, _TINY, 12)
+    @example(0.5, 1.0, 7)  # hi = 1: y1 = 0 at q = 1
+    def test_skipped_clamps_keep_every_bit(self, p00, p10, n):
+        h0, h1 = kernels._h2(p00), kernels._h2(p10)
+        idx = np.arange(n + 1, dtype=float)
+        clamp = kernels._needs_clamp(p00, p10)
+        got = kernels._neg_mi(idx, n, p00, p10, h0, h1, clamp, *np.empty((3, n + 1)))
+        want = kernels._neg_mi(idx, n, p00, p10, h0, h1, True, *np.empty((3, n + 1)))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), (p00, p10, n)
 
 
 class TestGridErrorBound:
