@@ -104,6 +104,14 @@ class TestChannelValidation:
         with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
             kernels.ba_binary(p00, p10, 1e-9, 100)
 
+    def test_mi_binary_rejects_a_prior_outside_0_1(self):
+        # A prior outside [0, 1] is no distribution; a NaN one fails the check too.
+        for q in (-0.1, 1.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"q must lie in [0, 1], got {q}")):
+                kernels.mi_binary(0.7, 0.3, q)
+        for q in (0.0, -0.0, 1.0):
+            assert kernels.mi_binary(0.7, 0.3, q) == 0.0
+
     def test_endpoints_accepted(self):
         assert kernels.capacity_ternary(1.0, 0.0)[0] == pytest.approx(math.log(2), abs=1e-12)
         assert kernels.capacity_grid(0.0, 1.0, 1e-3)[0] == pytest.approx(math.log(2), abs=1e-6)
@@ -227,14 +235,16 @@ class TestPrunedScan:
             assert_full_scan_bits(p00, p10, 1e-6)
 
     def test_evaluates_few_points_unless_flat(self, monkeypatch):
+        # Every evaluated point goes through the y0 step, whether its L(y0)
+        # is computed or looked up in a table.
         evaluated = []
-        neg_mi = kernels._neg_mi
+        y0 = kernels._y0
 
         def counting(idx, *args):
             evaluated.append((idx.size, idx[0], idx[-1]))
-            return neg_mi(idx, *args)
+            return y0(idx, *args)
 
-        monkeypatch.setattr(kernels, "_neg_mi", counting)
+        monkeypatch.setattr(kernels, "_y0", counting)
         kernels.capacity_grid(0.7, 0.3, 1e-6)
         assert len(evaluated) == 1  # the window alone
         assert evaluated[0][0] <= 2 * kernels._WINDOW + 1
@@ -354,6 +364,64 @@ class TestClampSkip:
         got = kernels._neg_mi(idx, n, p00, p10, h0, h1, clamp, *np.empty((3, n + 1)))
         want = kernels._neg_mi(idx, n, p00, p10, h0, h1, True, *np.empty((3, n + 1)))
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), (p00, p10, n)
+
+
+#: Entries where a table meets zero of either sign, underflow, the clamps and 1.
+TABLE_EDGES = (0.0, -0.0, 5e-324, _TINY, 1 - 2.0**-53, 1.0)
+#: Rows whose y0 takes few doubles per block: within 1e-12 of each other,
+#: each edge entry alone or nudged, and pairs of edge entries.
+FLAT_ROWS = st.one_of(
+    NEAR_EQUAL_ROWS,
+    st.sampled_from(TABLE_EDGES).map(lambda p: (p, p)),
+    st.tuples(st.sampled_from(TABLE_EDGES), st.floats(-1e-12, 1e-12)).map(
+        lambda t: (t[0], min(max(t[0] + t[1], 0.0), 1.0))
+    ),
+    st.tuples(st.sampled_from(TABLE_EDGES), st.sampled_from(TABLE_EDGES)),
+)
+
+
+class TestEntropyTable:
+    """A block that looks L(y0) up by the bits of y0 keeps the full scan's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(FLAT_ROWS, st.booleans(), st.sampled_from([7, 12, 4096]))
+    @example((0.3, 0.3 + 1e-13), False, 4096)
+    @example((1.0, 1.0), False, 4096)  # y0 = 1 + 2u: the table reaches past 1
+    @example((_TINY, _TINY), False, 4096)  # y0 below _TINY: the clamps in the table
+    def test_matches_full_scan_and_y0_stays_in_range(self, rows, flip, n):
+        p00, p10 = rows[::-1] if flip else rows
+        blocks = []
+        y0 = kernels._y0
+
+        def recording(idx, *args):
+            s = y0(idx, *args)
+            blocks.append((int(idx[0]), int(idx[-1]), s.view(np.int64).copy()))
+            return s
+
+        with pytest.MonkeyPatch.context() as patch:
+            # Small blocks and tables, so that a scan of 4097 points builds several.
+            patch.setattr(kernels, "_GRID_BLOCK", 48)
+            patch.setattr(kernels, "_TABLE", 40)
+            patch.setattr(kernels, "_y0", recording)
+            assert_full_scan_bits(p00, p10, 1.0 / n)
+        slack = kernels._y0_slack(p00, p10)
+        for first, last, bits in blocks:
+            span = kernels._y0_bits(first, last, n, p00, p10, slack)
+            if span:
+                assert span[0] <= bits.min() and bits.max() <= span[1], (p00, p10, n, first, last)
+
+    @pytest.mark.parametrize("chan", [(0.3, 0.3 + 1e-13), (0.3 + 1e-13, 0.3), (0.7, 0.7)])
+    def test_flat_scan_looks_up_every_block(self, monkeypatch, chan):
+        # y0 drifts over about 1,800 doubles in the whole scan. A table built
+        # in the scan's direction covers it in one or two builds; one built
+        # the other way would be left by every block.
+        builds, direct = [], []
+        table, neg_mi = kernels._y_ln_y_table, kernels._neg_mi
+        monkeypatch.setattr(kernels, "_y_ln_y_table", lambda *args: builds.append(args[0]) or table(*args))
+        monkeypatch.setattr(kernels, "_neg_mi", lambda idx, *args: direct.append(idx.size) or neg_mi(idx, *args))
+        assert_full_scan_bits(*chan, 1e-6)
+        assert 1 <= len(builds) <= 2
+        assert len(direct) == 1 and direct[0] <= kernels._GRID_EDGES + 1  # the edges alone
 
 
 class TestGridErrorBound:
