@@ -390,12 +390,12 @@ class TestEntropyTable:
     @example((_TINY, _TINY), False, 4096)  # y0 below _TINY: the clamps in the table
     def test_matches_full_scan_and_y0_stays_in_range(self, rows, flip, n):
         p00, p10 = rows[::-1] if flip else rows
-        blocks = []
+        passes = []
         y0 = kernels._y0
 
         def recording(idx, *args):
             s = y0(idx, *args)
-            blocks.append((int(idx[0]), int(idx[-1]), s.view(np.int64).copy()))
+            passes.append((int(idx[0]), int(idx[-1]), s.view(np.int64).copy()))
             return s
 
         with pytest.MonkeyPatch.context() as patch:
@@ -405,7 +405,7 @@ class TestEntropyTable:
             patch.setattr(kernels, "_y0", recording)
             assert_full_scan_bits(p00, p10, 1.0 / n)
         slack = kernels._y0_slack(p00, p10)
-        for first, last, bits in blocks:
+        for first, last, bits in passes:  # window, edges and blocks
             span = kernels._y0_bits(first, last, n, p00, p10, slack)
             if span:
                 assert span[0] <= bits.min() and bits.max() <= span[1], (p00, p10, n, first, last)
