@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, gaussian, infotheory, verify
+from . import __version__, _floattext, gaussian, infotheory, verify
 from .twolevel import PrepBias, TwoLevelHamiltonian, eps_for_gamma, period, transition_probs
 from .units import UnitMode, constants_for
 
@@ -47,34 +47,18 @@ def count(text: str) -> int:
     return value
 
 
-#: Rows gathered and joined per write: bounds the text held at once, whatever the table size.
-_CHUNK_ROWS = 4096
-
-
-def _distinct_cells(column: np.ndarray, fmt: str, before: str, after: str):
-    """Texts before + cell + after of a column's distinct values, and the index of each row's text.
-
-    Values are keyed on their bit pattern, so -0.0 and 0.0 stay apart. All
-    distinct values are formatted and framed in one call: "%.16e" for CSV,
-    and for JSON json's own spelling, float.__repr__ or NaN / Infinity.
-    The separators go into that one call, so the framed texts are split
-    out of one string and no column's texts are ever held twice.
-    """
-    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    values = keys.view(np.float64).tolist()
-    # No cell or separator contains NUL or "%", and no JSON number contains ", ".
-    if fmt == "csv":
-        text = "\0".join([before + "%.16e" + after] * len(values)) % tuple(values)
-    else:
-        text = before + json.dumps(values)[1:-1].replace(", ", after + "\0" + before) + after
-    return np.array(text.split("\0"), dtype=object), inverse
+#: Rows formatted and written per chunk: bounds the bytes held at once, whatever the table size.
+_CHUNK_ROWS = 1024
 
 
 def _write_table(path: Path, table: dict[str, np.ndarray], fmt: str) -> None:
     """Write equal-length columns as CSV, or as json.dumps({"columns", "rows"}, indent=1) does.
 
-    Every cell carries the separator that precedes it, so each chunk of
-    _CHUNK_ROWS rows is gathered into one block and joined in one pass.
+    Cells are "%.16e" for CSV and json's float spelling for JSON, from
+    _floattext. A chunk of _CHUNK_ROWS rows is one uint8 block of equal-width
+    units, each a cell between its separators, from one kernel call over the
+    chunk's values taken row by row. Bytes a unit does not use are NUL and
+    are deleted before the block is written.
     """
     columns = list(table)
     values = [np.ascontiguousarray(col, dtype=np.float64).ravel() for col in table.values()]
@@ -83,9 +67,11 @@ def _write_table(path: Path, table: dict[str, np.ndarray], fmt: str) -> None:
         lengths = ", ".join(f"{name}={len(col)}" for name, col in zip(columns, values))
         raise ValueError(f"table columns differ in length: {lengths}")
     if fmt == "csv":
+        cells = _floattext.csv_cells
         seps = [("," if k else "\n", "") for k in range(len(values))]
         head, tail = ",".join(columns), "\n"
     else:
+        cells = _floattext.json_cells
         last = len(values) - 1
         seps = [
             (",\n   " if k else ",\n  [\n   ", "\n  ]" if k == last else "")
@@ -93,16 +79,19 @@ def _write_table(path: Path, table: dict[str, np.ndarray], fmt: str) -> None:
         ]
         head = json.dumps({"columns": columns, "rows": []}, indent=1)[: -len("]\n}")]
         tail = "\n ]\n}\n" if nrows else "]\n}\n"
-    cells = [_distinct_cells(col, fmt, *sep) for col, sep in zip(values, seps)]
-    with path.open("w") as f:
-        f.write(head)
+    seps = tuple((before.encode(), after.encode()) for before, after in seps)
+    with path.open("wb") as f:
+        f.write(head.encode())
         for start in range(0, nrows, _CHUNK_ROWS):
-            rows = slice(start, start + _CHUNK_ROWS)
-            block = np.column_stack([texts[inverse[rows]] for texts, inverse in cells])
+            chunk = np.stack([col[start : start + _CHUNK_ROWS] for col in values], axis=1)
+            block = cells(chunk.ravel(), seps)
             if start == 0 and fmt == "json":
-                block[0, 0] = block[0, 0][1:]  # no comma before the first row
-            f.write("".join(block.ravel().tolist()))
-        f.write(tail)
+                block[0, block[0].tobytes().index(b",")] = 0  # no comma before the first row
+            data = block.tobytes()
+            if b"\0" in data:
+                data = data.translate(None, b"\0")
+            f.write(data)
+        f.write(tail.encode())
 
 
 def _emit(args, table: dict[str, np.ndarray], unused: tuple[str, ...] = ()) -> int:

@@ -235,14 +235,27 @@ def capacity_at_optimum(t, mass, P: float, c: Constants) -> tuple[np.ndarray, np
 
 
 def beta(b: PowerBudget) -> float:
-    """Power per unit of placement second moment: m / (2*T^2*(T + t))."""
+    """Power per unit of placement second moment: m / (2*T^2*(T + t)).
+
+    Raises ValueError where that overflows, or where T*T underflows to 0.
+    """
     T = b.prep_time_T
-    return b.mass / (2.0 * T * T * (T + b.measure_delay_t))
+    denominator = 2.0 * T * T * (T + b.measure_delay_t)
+    value = b.mass / denominator if denominator > 0.0 else inf
+    if not value < inf:
+        raise ValueError(
+            f"beta = m / (2 T^2 (T + t)) overflows for mass={b.mass}, prep_time_T={T}, "
+            f"measure_delay_t={b.measure_delay_t}"
+        )
+    return value
 
 
 def placement_power(b: PowerBudget) -> float:
-    """Minimum average power to run the placement cycle: beta * E[X^2]."""
-    return beta(b) * b.mean_square_X
+    """Minimum average power to run the placement cycle: beta * E[X^2]. ValueError where it overflows."""
+    power = beta(b) * b.mean_square_X
+    if not power < inf:
+        raise ValueError(f"placement power beta * E[X^2] overflows for mean_square_X={b.mean_square_X}")
+    return power
 
 
 def capacity_vs_precision_curve(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chancap import cli, gaussian, infotheory
+from chancap import _floattext, cli, gaussian, infotheory
 from chancap.cli import main
 from chancap.twolevel import PrepBias, TwoLevelHamiltonian, period, transition_probs
 from chancap.units import UnitMode, constants_for
@@ -397,6 +397,25 @@ WRITER_TABLES = {
     "one-row": {"x": np.array([math.pi]), "y": np.array([-math.nan]), "z": np.array([1e300])},
     "one-column": {"only": np.array([2.5, math.inf, 2.5])},
     "empty": {"x": np.array([]), "y": np.array([])},
+    # Both signs, and 2- and 3-digit exponents, in one column.
+    "signs-exponents": {
+        "x": np.array([1.5e5, -2.5e-105, 3e200, -4e-7, 7.0, -1e100, 9.99e99, 1e-100]),
+        "y": np.array([-1.0, 2.0, -3.0, 4.0, -5.0, 6.0, -7.0, 8.0]),
+    },
+    # Every cell left to the standard library: CSV declines NaN, inf and 2**-25 (a
+    # 17-digit tie), JSON NaN, inf, subnormals, the least normal double and 1e23.
+    "declined": {
+        "csv": np.array([math.nan, math.inf, -math.inf, 2.0**-25, -(2.0**-25)]),
+        "json": np.array([math.nan, -math.inf, 5e-324, 2.2250738585072014e-308, 1e23]),
+    },
+    # JSON switches between fixed and exponent notation at 1e-4 and 1e16.
+    "notation-switch": {
+        "x": np.array([
+            np.nextafter(1e-5, 0), 1e-5, np.nextafter(1e-5, 1), np.nextafter(1e-4, 0), 1e-4,
+            np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16, np.nextafter(1e16, np.inf), 1e15,
+            123456789012345.67, -0.00012345678901234567, 0.5, 100.0,
+        ]),
+    },
 }
 
 
@@ -443,6 +462,20 @@ class TestColumnWriter:
         cli._write_table(out, table, fmt)
         rows = list(zip(*table.values()))
         assert out.read_bytes() == row_table_bytes(list(table), rows, fmt)
+
+    def test_declined_table_is_all_fallback(self):
+        table = WRITER_TABLES["declined"]
+        assert not _floattext.digits17(table["csv"])[2].any()
+        assert not _floattext.shortest(table["json"])[2].any()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_declined_values_either_side_of_a_chunk_boundary(self, tmp_path, fmt):
+        x = np.linspace(1.0, 2.0, CHUNK + 2)
+        x[CHUNK - 1], x[CHUNK] = (2.0**-25, math.nan) if fmt == "csv" else (1e23, 5e-324)
+        table = {"x": x, "y": x[::-1].copy()}
+        out = tmp_path / f"t.{fmt}"
+        cli._write_table(out, table, fmt)
+        assert out.read_bytes() == row_table_bytes(list(table), list(zip(*table.values())), fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 0)])

@@ -228,6 +228,35 @@ class TestPlacementPower:
             PowerBudget(**{**fields, field: math.inf})
 
 
+    @pytest.mark.parametrize(
+        "fields,match",
+        [
+            # T = 1e-160: beta was a silent inf
+            ((1e-160, 1.0, 1.0, 1.0), "beta .* overflows for .*prep_time_T=1e-160"),
+            # T = 1e-300: T*T underflows, and beta raised ZeroDivisionError
+            ((1e-300, 1.0, 1.0, 1.0), "beta .* overflows for .*prep_time_T=1e-300"),
+            # beta is finite, beta * E[X^2] was a silent inf
+            ((1.0, 1.0, 1e300, 1e300), "placement power .* overflows for mean_square_X=1e\\+300"),
+        ],
+    )
+    def test_overflow_rejected(self, fields, match):
+        b = PowerBudget(*fields)
+        with pytest.raises(ValueError, match=match):
+            placement_power(b)
+        if "beta" in match:
+            with pytest.raises(ValueError, match=match):
+                beta(b)
+
+    def test_finite_results_keep_their_bits(self):
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            T, t, m, x2 = (float(v) for v in 10.0 ** rng.uniform(-100, 100, 4))
+            b = PowerBudget(T, t, m, x2)
+            ref = m / (2.0 * T * T * (T + t))
+            if 0.0 < ref < math.inf and ref * x2 < math.inf:
+                assert beta(b) == ref and placement_power(b) == ref * x2
+
+
 class TestPrecisionCurve:
     def test_single_point_at_threshold(self):
         vstar = optimal_sigma2(1.0, 1.0, NAT)
