@@ -64,8 +64,8 @@ import json
 
 import numpy as np
 
-#: Bytes per JSON cell: sign, 17 digits (or "0.000"), ".0", 17 digits, "e-ddd".
-JSON_WIDTH = 42
+# Bytes per JSON cell: sign, 17 digits (or "0.000"), ".0", 17 digits, "e-ddd".
+_JSON_WIDTH = 42
 
 _MARGIN = 2.0**-30
 _SPLIT = 134217729.0  # 2**27 + 1
@@ -366,7 +366,7 @@ def _json_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     k = np.arange(_K_MIN, _K_MAX + 1)
     whole, small = (k >= 0) & (k <= 15), (k >= -4) & (k < 0)
     exponent = ~whole & ~small
-    cells = np.zeros((2, len(k), JSON_WIDTH), dtype=np.uint8)
+    cells = np.zeros((2, len(k), _JSON_WIDTH), dtype=np.uint8)
     cells[1, :, 0] = ord("-")
     cells[:, whole, 18] = ord(".")
     cells[:, exponent, 37] = ord("e")
@@ -382,7 +382,7 @@ def _json_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     fill = (keep & whole[:, None]) * ord("0")
     for j, char in enumerate(b"0.000"):
         fill[small & (k <= min(-1, -j)), 3 + j] = char
-    return (cells.reshape(-1, JSON_WIDTH), fill.astype(np.uint8), (keep * 0xFF).astype(np.uint8),
+    return (cells.reshape(-1, _JSON_WIDTH), fill.astype(np.uint8), (keep * 0xFF).astype(np.uint8),
             np.where(small, 4, split + 4))
 
 
@@ -418,5 +418,5 @@ def json_cells(x: np.ndarray, seps: Separators) -> np.ndarray:
     whole = out[:, pre + 18] != 0
     out[:, pre + 18] |= (follows & (out[:, pre + 37] != 0)).view(np.uint8) * ord(".")
     out[:, pre + 19] = (whole & ~follows).view(np.uint8) * ord("0")
-    _fallback(out[:, pre : pre + JSON_WIDTH], x, ok, texts)
+    _fallback(out[:, pre : pre + _JSON_WIDTH], x, ok, texts)
     return out

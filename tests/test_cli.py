@@ -402,11 +402,16 @@ WRITER_TABLES = {
         "x": np.array([1.5e5, -2.5e-105, 3e200, -4e-7, 7.0, -1e100, 9.99e99, 1e-100]),
         "y": np.array([-1.0, 2.0, -3.0, 4.0, -5.0, 6.0, -7.0, 8.0]),
     },
-    # Every cell left to the standard library: CSV declines NaN, inf and 2**-25 (a
-    # 17-digit tie), JSON NaN, inf, subnormals, the least normal double and 1e23.
-    "declined": {
-        "csv": np.array([math.nan, math.inf, -math.inf, 2.0**-25, -(2.0**-25)]),
-        "json": np.array([math.nan, -math.inf, 5e-324, 2.2250738585072014e-308, 1e23]),
+    # Every cell left to the standard library, in one format each: CSV declines
+    # NaN, inf and 2**-25 (a 17-digit tie); JSON NaN, inf, subnormals, the
+    # least normal double and 1e23 (on its rounding boundary).
+    "declined-csv": {
+        "x": np.array([math.nan, math.inf, -math.inf, 2.0**-25, -(2.0**-25)]),
+        "y": np.array([-(2.0**-25), math.nan, 2.0**-25, -math.inf, math.inf]),
+    },
+    "declined-json": {
+        "x": np.array([math.nan, -math.inf, 5e-324, 2.2250738585072014e-308, 1e23]),
+        "y": np.array([1e23, math.inf, -5e-324, math.nan, -2.2250738585072014e-308]),
     },
     # JSON switches between fixed and exponent notation at 1e-4 and 1e16.
     "notation-switch": {
@@ -455,7 +460,8 @@ class TestColumnWriter:
         assert out.read_bytes() == row_table_bytes(list(table), rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("nrows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    # 4 * CHUNK and 8 * CHUNK: row counts of 4096 and 8192 at a CHUNK of 1024.
+    @pytest.mark.parametrize("nrows", [0, 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 3])
     def test_chunk_boundaries_match_row_formatter(self, tmp_path, nrows, fmt):
         table = chunked_table(nrows)
         out = tmp_path / f"t.{fmt}"
@@ -463,10 +469,10 @@ class TestColumnWriter:
         rows = list(zip(*table.values()))
         assert out.read_bytes() == row_table_bytes(list(table), rows, fmt)
 
-    def test_declined_table_is_all_fallback(self):
-        table = WRITER_TABLES["declined"]
-        assert not _floattext.digits17(table["csv"])[2].any()
-        assert not _floattext.shortest(table["json"])[2].any()
+    def test_declined_tables_are_all_fallback(self):
+        for kernel, fmt in ((_floattext.digits17, "csv"), (_floattext.shortest, "json")):
+            for column in WRITER_TABLES[f"declined-{fmt}"].values():
+                assert not kernel(column)[2].any()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_declined_values_either_side_of_a_chunk_boundary(self, tmp_path, fmt):
