@@ -123,15 +123,55 @@ def _dispersed_variance(sigma2_A, sigma_A, mass, t, hbar):
     return sigma2_A + disp * disp
 
 
+# A noise variance at or below this is narrow enough that both closed forms
+# are 0 wherever (x - x0)^2 overflows; see _square.
+_NARROW = 2.0**1012
+
+
+def _square(dx, prep: GaussianPrep, t, c: Constants):
+    """dx * dx, inf where it overflows, without a warning.
+
+    Where dx * dx overflows, dx^2 > 2**1023.99; with Delta_t^2 <= 2**1012
+    the exponent -dx^2 / (4 Delta_t^2) of the amplitude is below -1000, so
+    |psi| <= (2 pi 2**-1074)**(-1/4) e**-1000 < 2**-1170 (Delta_t^2 >=
+    sigma2_A >= 2**-1074): psi and the density round to 0, as the closed
+    forms give them from an inf. A wider packet at such an x raises
+    ValueError.
+    """
+    with np.errstate(over="ignore"):
+        sq = dx * dx
+    if sq.max(initial=0.0) == inf:
+        var = noise_variance(prep, t, c)
+        ok = (sq < inf) | (var <= _NARROW)
+        _require(ok, np.broadcast_to(var, ok.shape),
+                 "noise variance {} is too wide to resolve a position x where (x - x0)^2 overflows; "
+                 "it must be at most 2**1012 there")
+    return sq
+
+
 def noise_variance(prep: GaussianPrep, t, c: Constants):
     """Variance of Bob's position measurement after a delay t.
 
     Delta_t^2 = sigma_A^2 + (hbar*t / (2*m*sigma_A))^2. Grows quadratically
     in t for fixed preparation variance. t is a float or an array; a delay
-    that is NaN, negative or infinite raises ValueError.
+    that is NaN, negative or infinite raises ValueError, and so does a
+    Delta_t^2 that overflows or whose 2*m*sigma_A underflows to 0.
     """
-    _check_time(t)
-    return _dispersed_variance(prep.sigma2_A, math.sqrt(prep.sigma2_A), prep.mass, t, c.hbar)
+    sigma2_A, sigma_A = prep.sigma2_A, math.sqrt(prep.sigma2_A)
+    if ((0.0 <= t) & (t < inf)) is True:  # a valid float delay: Python floats, which never warn
+        try:
+            var = _dispersed_variance(sigma2_A, sigma_A, prep.mass, t, c.hbar)
+        except ZeroDivisionError:
+            var = inf
+        if var < inf:
+            return var
+    else:
+        _check_time(t)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rejected below
+            var = _dispersed_variance(sigma2_A, sigma_A, prep.mass, t, c.hbar)
+    _require(var < inf, t, f"noise variance Delta_t^2 = sigma2_A + (hbar t / (2 m sigma_A))^2 leaves the "
+                           f"double range for sigma2_A={sigma2_A}, mass={prep.mass} at delay t = {{}}")
+    return var
 
 
 def density_at(prep: GaussianPrep, x, t, c: Constants):
@@ -140,11 +180,11 @@ def density_at(prep: GaussianPrep, x, t, c: Constants):
     Gaussian with mean x0 and variance ``noise_variance(prep, t, c)``.
     x and t are floats or arrays, broadcast against each other; a float
     for both gives a float. A position that is NaN or infinite raises
-    ValueError.
+    ValueError, and so does a noise variance above 2**1012 at an x where
+    (x - x0)^2 overflows (see ``_square``).
     """
     var = noise_variance(prep, t, c)
-    dx = _position(x) - prep.x0
-    out = np.exp(-(dx * dx) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+    out = np.exp(-_square(_position(x) - prep.x0, prep, t, c) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
     return float(out) if out.ndim == 0 else out
 
 
@@ -157,17 +197,25 @@ def wavefunction_at(prep: GaussianPrep, x, t, c: Constants):
     with the principal branch of the complex square root. Its squared
     modulus equals ``density_at``. x and t are floats or arrays, broadcast
     against each other; a float for both gives a complex. A position that
-    is NaN or infinite raises ValueError.
+    is NaN or infinite raises ValueError, and so does a b = hbar*t/(2m)
+    whose 4*b or sqrt(2*pi)*b/sigma_A overflows, or a wide packet as in
+    ``density_at``.
     """
     _check_time(t)
     # The complex width sigma2_A + i*b, scaled one part at a time as Python
     # complex arithmetic scales it.
-    b = c.hbar * t / (2.0 * prep.mass)
     sigma_A = math.sqrt(prep.sigma2_A)
     root = math.sqrt(2.0 * math.pi)
-    prefactor = 1.0 / np.sqrt(_complex(root * (prep.sigma2_A / sigma_A), root * (b / sigma_A)))
-    dx = _position(x) - prep.x0
-    gauss = np.exp(-(dx * dx) / _complex(4.0 * prep.sigma2_A, 4.0 * b))
+    with np.errstate(over="ignore"):  # rejected below
+        b = c.hbar * t / (2.0 * prep.mass)
+        width, root_width = 4.0 * b, root * (b / sigma_A)
+    _require((width < inf) & (root_width < inf), t,
+             f"the packet's width b = hbar t / (2 m) overflows for mass={prep.mass}, "
+             f"sigma2_A={prep.sigma2_A} at delay t = {{}}")
+    prefactor = 1.0 / np.sqrt(_complex(root * (prep.sigma2_A / sigma_A), root_width))
+    sq = _square(_position(x) - prep.x0, prep, t, c)
+    far = sq == inf  # psi is 0 there; kept out of the complex division, which would give NaN
+    gauss = np.where(far, 0.0, np.exp(-np.where(far, 0.0, sq) / _complex(4.0 * prep.sigma2_A, width)))
     # The product one component at a time: numpy's array complex multiply
     # does not round as its scalar multiply does.
     pr, pi, gr, gi = prefactor.real, prefactor.imag, gauss.real, gauss.imag
@@ -224,13 +272,18 @@ def capacity_at_optimum(t, mass, P: float, c: Constants) -> tuple[np.ndarray, np
 
     Equal, bit for bit, to optimal_sigma2, noise_variance of
     GaussianPrep(0, v*, mass) and capacity_nats applied point by point.
-    Checks P, then t, then mass, then v*, and raises ValueError for the
-    first bad value in C order.
+    Checks P, then t, then mass, then v*, then the noise variance, and
+    raises ValueError for the first bad value in C order.
     """
     _check_signal(P)
     t, mass = np.asarray(t, dtype=float), np.asarray(mass, dtype=float)
     vstar = optimal_sigma2(t, mass, c)
-    noise = _dispersed_variance(vstar, np.sqrt(vstar), mass, t, c.hbar)
+    with np.errstate(over="ignore"):  # rejected below
+        noise = _dispersed_variance(vstar, np.sqrt(vstar), mass, t, c.hbar)
+    if (over := ~(noise < inf)).any():  # noise_variance raises its error at the first such point
+        k = np.argmax(over)
+        t_k, mass_k = (float(np.broadcast_to(a, over.shape).flat[k]) for a in (t, mass))
+        noise_variance(GaussianPrep(0.0, float(vstar.flat[k]), mass_k), t_k, c)
     return vstar, capacity_nats(P, noise)
 
 

@@ -15,9 +15,13 @@ and the path's length moves that.
 
 The file holds `what`, `host`, `runs` (the last line each run printed) and
 `summary`. For each workload and end-to-end metric of BENCHMARK.json the
-summary gives each side's median and quartiles, the pairs the change won
-(ties count for neither), the parent's IQR and the ratio of the medians.
-The same summary is printed as a table. Standard library only.
+summary gives each side's median, quartiles and mean, the pairs the change
+won (ties count for neither), the parent's IQR and the ratio of the medians,
+change / parent. The same summary is printed as a table.
+
+`summarize_pairs`, `table` and `order` are also the summary, the table and
+the run order of tests/grid_classes.py and tests/table_timing.py, so the
+three tools print the same columns. Standard library only.
 """
 
 from __future__ import annotations
@@ -32,41 +36,37 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def _quartiles(values: list[float]) -> dict:
+def order(i: int) -> tuple[str, str]:
+    """The sides in the order pair i runs them: the parent first in even pairs, the change in odd ones."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def _stats(values: list[float]) -> dict:
     if len(values) < 2:
         q1 = q3 = values[0]
     else:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "mean": statistics.fmean(values)}
 
 
-def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric: medians, quartiles, pairs won and the parent's IQR.
+def summarize_pairs(samples: dict, better: dict[str, str]) -> dict:
+    """Per group and metric: each side's median, quartiles and mean, pairs won, parent's IQR, median ratio.
 
-    `runs` holds {"workload", "seed", "tree", "result"} records; a pair is the
-    two trees' runs of one workload and seed, and a pair with a failed run
-    (result None) is left out. `metrics` are BENCHMARK.json's end_to_end
-    entries, each with a name and whether "lower" or "higher" is better.
+    samples[group][metric][side] holds one value per pair, in pair order; every
+    metric and side of a group holds the same number of pairs. better[metric]
+    is "lower" or "higher". Ties count for neither side, and the ratio is
+    change / parent (None where the parent's median is 0).
     """
-    results = {(r["workload"], r["seed"], r["tree"]): r["result"] for r in runs}
     summary = {}
-    for workload in dict.fromkeys(r["workload"] for r in runs):
-        seeds = [
-            seed for seed in dict.fromkeys(r["seed"] for r in runs if r["workload"] == workload)
-            if all(results.get((workload, seed, side)) for side in SIDES)
-        ]
-        entry = summary[workload] = {"pairs": len(seeds)}
-        if not seeds:
+    for group, by_metric in samples.items():
+        entry = summary[group] = {"pairs": len(next(iter(by_metric.values()))["parent"])}
+        if not entry["pairs"]:
             continue
-        for metric in metrics:
-            name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
-            value = {
-                side: [results[workload, seed, side]["metrics"][name]["value"] for seed in seeds]
-                for side in SIDES
-            }
-            parent, change = (_quartiles(value[side]) for side in SIDES)
+        for name, value in by_metric.items():
+            sign = 1.0 if better[name] == "higher" else -1.0
+            parent, change = (_stats(value[side]) for side in SIDES)
             entry[name] = {
-                "better": metric["better"],
+                "better": better[name],
                 "parent": parent,
                 "change": change,
                 "change_wins": sum(sign * (c - p) > 0.0 for p, c in zip(value["parent"], value["change"])),
@@ -76,20 +76,47 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
-def table(summary: dict) -> str:
-    """The summary as aligned text, one row per workload and metric."""
-    rows = [("workload", "metric", "parent median [q1, q3]", "change median [q1, q3]",
-             "wins", "gap/IQR")]
-    for workload, entry in summary.items():
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """summarize_pairs of benchmark runs, one group per workload.
+
+    `runs` holds {"workload", "seed", "tree", "result"} records; a pair is the
+    two trees' runs of one workload and seed, and a pair with a failed run
+    (result None) is left out. `metrics` are BENCHMARK.json's end_to_end
+    entries, each with a name and whether "lower" or "higher" is better.
+    """
+    results = {(r["workload"], r["seed"], r["tree"]): r["result"] for r in runs}
+    samples = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        seeds = [
+            seed for seed in dict.fromkeys(r["seed"] for r in runs if r["workload"] == workload)
+            if all(results.get((workload, seed, side)) for side in SIDES)
+        ]
+        samples[workload] = {
+            m["name"]: {side: [results[workload, seed, side]["metrics"][m["name"]]["value"] for seed in seeds]
+                        for side in SIDES}
+            for m in metrics
+        }
+    return summarize_pairs(samples, {m["name"]: m["better"] for m in metrics})
+
+
+def table(summary: dict, group: str = "workload") -> str:
+    """The summary as aligned text, one row per group and metric."""
+    rows = [(group, "metric", "parent median [q1, q3]", "parent mean", "change median [q1, q3]",
+             "change mean", "change/parent", "wins", "gap/IQR")]
+    for label, entry in summary.items():
         for name, m in entry.items():
             if name == "pairs":
                 continue
             gap = abs(m["change"]["median"] - m["parent"]["median"])
+            ratio = m["median_ratio"]
             rows.append((
-                workload,
+                label,
                 name,
                 "{median:.4g} [{q1:.4g}, {q3:.4g}]".format(**m["parent"]),
+                f"{m['parent']['mean']:.4g}",
                 "{median:.4g} [{q1:.4g}, {q3:.4g}]".format(**m["change"]),
+                f"{m['change']['mean']:.4g}",
+                "-" if ratio is None else f"{ratio:.3f}",
                 f"{m['change_wins']}/{entry['pairs']}",
                 f"{gap / m['parent_iqr']:.2f}" if m["parent_iqr"] else ("0" if not gap else "inf"),
             ))
@@ -136,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload in args.workloads:
         for i in range(args.pairs):
             seed = args.first_seed + i
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            for side in order(i):
                 result, run_detail = _run(checkouts[side], workload, seed, seconds)
                 detail = detail or run_detail
                 runs.append({"workload": workload, "seed": seed, "tree": side, "result": result})

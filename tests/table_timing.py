@@ -2,18 +2,20 @@
 
     python tests/table_timing.py --parent DIR --change DIR --runs 10
 
-Each of DIR is a checkout. Run i starts one fresh Python process per
-checkout, with that checkout's src/ on PYTHONPATH, the checkout that starts
-first alternating with i. The process imports chancap.cli and times
+Each of DIR is a checkout. Run i is one pair: it starts one fresh Python
+process per checkout, with that checkout's src/ on PYTHONPATH, in the order
+bench_pairs.order(i) gives. The process imports chancap.cli and times
 ``cli.main`` once for each command of artefacts.TABLES in CSV and then in
 JSON, writing into a temporary directory, so the first write of a process
 pays any set-up the writer builds on first use. It then runs each command
 again under tracemalloc and records the peak of the ``cli._write_table``
 call alone: the bytes the writer holds at once, not the table's own arrays.
 
-Prints, per table and format, each side's p50 in milliseconds, the ratio
-parent / change (above 1: the change is faster) and each side's writer peak
-in MB (the largest over the runs).
+Prints bench_pairs.table with one group per table and format and two
+metrics, the time `ms` and the writer peak `writer_peak_mb`: each side's
+median [q1, q3] and mean, the ratio change / parent (below 1: the change
+is faster or smaller), the runs the change won and the gap against the
+parent's IQR.
 """
 
 from __future__ import annotations
@@ -21,16 +23,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 from artefacts import TABLES
+from bench_pairs import SIDES, order, summarize_pairs, table
 
-SIDES = ("parent", "change")
 FORMATS = ("csv", "json")
+METRICS = {"ms": "lower", "writer_peak_mb": "lower"}
 
 # Runs in the fresh process: argv[1] is a JSON list of [name, argv] pairs.
 _CHILD = r"""
@@ -86,39 +88,6 @@ def run_once(checkout: Path) -> dict:
     return result
 
 
-def summarize(runs: dict[str, list[dict]]) -> dict[str, dict]:
-    """Per table: each side's p50 seconds and largest peak bytes, and the p50 ratio parent / change.
-
-    runs[side] holds one run_once result per run; both sides hold the same
-    tables.
-    """
-    summary = {}
-    for name in runs["parent"][0]:
-        row = {}
-        for side in SIDES:
-            row[side] = {
-                "p50": statistics.median(r[name]["s"] for r in runs[side]),
-                "peak": max(r[name]["peak"] for r in runs[side]),
-            }
-        row["p50_ratio"] = row["parent"]["p50"] / row["change"]["p50"]
-        summary[name] = row
-    return summary
-
-
-def table(summary: dict[str, dict]) -> str:
-    """The summary as aligned text, times in ms and peaks in MB."""
-    rows = [("table", "parent p50", "change p50", "p50 ratio", "parent peak", "change peak")]
-    for name, row in summary.items():
-        rows.append((
-            name,
-            *(f"{row[side]['p50'] * 1e3:.1f}" for side in SIDES),
-            f"{row['p50_ratio']:.3f}",
-            *(f"{row[side]['peak'] / 1e6:.2f}" for side in SIDES),
-        ))
-    widths = [max(len(row[k]) for row in rows) for k in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -128,11 +97,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.runs < 1:
         parser.error("--runs must be >= 1")
     checkouts = {side: getattr(args, side).resolve() for side in SIDES}
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    samples = {name: {metric: {side: [] for side in SIDES} for metric in METRICS} for name, _ in tables()}
     for i in range(args.runs):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(run_once(checkouts[side]))
-    print(table(summarize(runs)))
+        for side in order(i):
+            for name, r in run_once(checkouts[side]).items():
+                samples[name]["ms"][side].append(r["s"] * 1e3)
+                samples[name]["writer_peak_mb"][side].append(r["peak"] / 1e6)
+    print(table(summarize_pairs(samples, METRICS), "table"))
     return 0
 
 

@@ -1,6 +1,17 @@
-"""bench_pairs' summary on made-up runs: no benchmark is run."""
+"""bench_pairs' summary on made-up and recorded runs, and the timers that print it."""
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import bench_pairs
+import table_timing
+
+ROOT = Path(__file__).resolve().parents[1]
 
 METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "latency_p50_ms", "better": "lower"}]
 
@@ -21,8 +32,8 @@ def test_summary_counts_wins_and_gives_quartiles():
     summary = bench_pairs.summarize(runs, METRICS)["w"]
     assert summary["pairs"] == 5
     ops = summary["ops_per_s"]
-    assert ops["parent"] == {"median": 12, "q1": 11, "q3": 13}
-    assert ops["change"] == {"median": 13, "q1": 12, "q3": 14}
+    assert ops["parent"] == {"median": 12, "q1": 11, "q3": 13, "mean": 12.0}
+    assert ops["change"] == {"median": 13, "q1": 12, "q3": 14, "mean": 13.0}
     assert ops["change_wins"] == 3  # one tie, one loss
     assert ops["parent_iqr"] == 2 and ops["median_ratio"] == 13 / 12
     p50 = summary["latency_p50_ms"]
@@ -37,5 +48,73 @@ def test_a_pair_with_a_failed_run_is_left_out():
             {"workload": "v", "seed": 1, "tree": "parent", "result": None}, run("v", 1, "change", 1, 1.0)]
     summary = bench_pairs.summarize(runs, METRICS)
     assert summary["w"]["pairs"] == 1 and summary["w"]["ops_per_s"]["change_wins"] == 1
-    assert summary["w"]["ops_per_s"]["parent"] == {"median": 10, "q1": 10, "q3": 10}
+    assert summary["w"]["ops_per_s"]["parent"] == {"median": 10, "q1": 10, "q3": 10, "mean": 10.0}
     assert summary["v"] == {"pairs": 0}
+
+
+def rows(text):
+    """The table's rows below its header, split into cells."""
+    return [re.split(r"\s{2,}", line) for line in text.splitlines()[1:]]
+
+
+def test_samples_of_grid_classes_and_tables():
+    # Shaped as the timers build them: one group per grid class (metric us)
+    # and per table (metrics ms and writer_peak_mb), one value per pair.
+    samples = {
+        "flat": {"us": {"parent": [4.0, 1.0, 3.0], "change": [2.0, 1.0, 3.0]}},
+        "uniform": {"us": {"parent": [1.0, 3.0], "change": [2.0, 2.0]}},
+        "contour csv": {
+            "ms": {"parent": [40.0, 50.0, 30.0], "change": [20.0, 25.0, 30.0]},
+            "writer_peak_mb": {"parent": [4.0, 4.5, 4.2], "change": [2.0, 2.1, 1.9]},
+        },
+    }
+    better = {"us": "lower", "ms": "lower", "writer_peak_mb": "lower"}
+    summary = bench_pairs.summarize_pairs(samples, better)
+    flat = summary["flat"]
+    assert flat["pairs"] == 3
+    assert flat["us"]["parent"] == {"median": 3.0, "q1": 2.0, "q3": 3.5, "mean": 8.0 / 3.0}
+    assert flat["us"]["change"] == {"median": 2.0, "q1": 1.5, "q3": 2.5, "mean": 2.0}
+    assert flat["us"]["change_wins"] == 1  # two ties
+    assert flat["us"]["parent_iqr"] == 1.5 and flat["us"]["median_ratio"] == 2.0 / 3.0
+    uniform = summary["uniform"]
+    assert uniform["pairs"] == 2 and uniform["us"]["change_wins"] == 1 and uniform["us"]["median_ratio"] == 1.0
+    contour = summary["contour csv"]
+    assert contour["ms"]["change_wins"] == 2 and contour["ms"]["median_ratio"] == 25.0 / 40.0
+    assert contour["writer_peak_mb"]["change_wins"] == 3
+    assert contour["writer_peak_mb"]["parent"]["median"] == 4.2
+    text = bench_pairs.table(summary, "class")
+    assert text.splitlines()[0].split()[:2] == ["class", "metric"]
+    assert rows(text) == [
+        ["flat", "us", "3 [2, 3.5]", "2.667", "2 [1.5, 2.5]", "2", "0.667", "1/3", "0.67"],
+        ["uniform", "us", "2 [1.5, 2.5]", "2", "2 [2, 2]", "2", "1.000", "1/2", "0.00"],
+        ["contour csv", "ms", "40 [35, 45]", "40", "25 [22.5, 27.5]", "25", "0.625", "2/3", "1.50"],
+        ["contour csv", "writer_peak_mb", "4.2 [4.1, 4.35]", "4.233", "2 [1.95, 2.05]", "2", "0.476", "3/3", "8.80"],
+    ]
+
+
+@pytest.mark.parametrize("tag", ["pr17", "pr18", "pr19", "pr20", "pr21"])
+def test_recorded_summaries_come_back_from_their_runs(tag):
+    record = json.loads((ROOT / f"BENCH_{tag}.json").read_text())
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    again = bench_pairs.summarize(record["runs"], metrics)
+    for entry in again.values():
+        for m in entry.values():
+            if isinstance(m, dict):  # the mean is the one field added since these were written
+                for side in bench_pairs.SIDES:
+                    del m[side]["mean"]
+    assert again == record["summary"]
+
+
+def test_timers_print_one_row_per_group_and_metric(tmp_path):
+    # This checkout as both sides; -B, so that no bytecode is written under perfbench/.
+    def run(script, *args):
+        cmd = [sys.executable, "-B", str(ROOT / "tests" / script), "--parent", str(ROOT), "--change", str(ROOT), *args]
+        return subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+
+    grid, tables = run("grid_classes.py", "--ops", "16"), run("table_timing.py", "--runs", "1")
+    assert grid.splitlines()[0].split()[1:] == tables.splitlines()[0].split()[1:]
+    # ops 7 and 15 are the corners of the first 16 inputs
+    assert [(r[0], r[1], r[-2].split("/")[1]) for r in rows(grid)] == [
+        ("uniform", "us", "14"), ("rows-within-1e-12", "us", "1"), ("entry-near-0", "us", "1")]
+    assert [(r[0], r[1], r[-2].split("/")[1]) for r in rows(tables)] == [
+        (name, metric, "1") for name, _ in table_timing.tables() for metric in table_timing.METRICS]

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -508,6 +509,7 @@ class TestCapacityAtOptimum:
         [
             ([1.0, 1e-300, 1.0], [1.0, 1e300, 1.0], 1.0),  # v* underflows to 0
             ([1.0, 1e300], [1.0, 1e-300], 1.0),  # v* overflows to inf
+            ([1.0, 1.0], [1.0, 4e-309], 1.0),  # v* = 1.25e308, but 2 v* overflows
             ([1.0, -1.0], [1.0, 1.0], 1.0),
             ([1.0, 1.0], [1.0, 0.0], 1.0),
             ([1.0, -1.0], [1.0, -1.0], 1.0),  # v* > 0, but t and mass are not
@@ -528,3 +530,73 @@ class TestCapacityAtOptimum:
     def test_empty_grid(self):
         vstar, cap = capacity_at_optimum(np.array([]), np.array([]), 1.0, SI)
         assert vstar.shape == cap.shape == (0,)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOutOfRange:
+    """Inputs whose closed forms leave the double range: a ValueError naming them, or an exact 0."""
+
+    @pytest.mark.parametrize(
+        "prep,t",
+        [
+            # each of these gave a silent inf
+            (GaussianPrep(0.0, 1.0, 1e-160), 1.0),
+            (GaussianPrep(0.0, 5e-324, 1.0), 1.0),
+            (GaussianPrep(0.0, 1.0, 1.0), 1e160),
+            # 2 m sigma_A underflows to 0: ZeroDivisionError
+            (GaussianPrep(0.0, 1e-100, 1e-300), 1.0),
+        ],
+    )
+    def test_noise_variance_overflow_rejected(self, prep, t):
+        match = f"sigma2_A={prep.sigma2_A}, mass={prep.mass} at delay t = {t}"
+        with pytest.raises(ValueError, match=re.escape(match)):
+            noise_variance(prep, t, NAT)
+        # the first bad delay is named, with no overflow warning
+        with pytest.raises(ValueError, match=re.escape(match)):
+            noise_variance(prep, np.array([t, 2.0 * t]), NAT)
+
+    def test_curve_names_the_overflow(self):
+        # It failed with "noise variance must be positive, got inf".
+        with pytest.raises(ValueError, match=re.escape("sigma2_A=1.0, mass=1e-160 at delay t = 1.0")):
+            capacity_vs_precision_curve(1.0, 1e-160, 1.0, [1.0], NAT)
+
+    def test_finite_noise_variance_keeps_its_bits_and_the_rest_is_rejected(self):
+        rng = np.random.default_rng(13)
+        s2, m, t = (10.0 ** rng.uniform(-200, 200, (3, 2000))).tolist()
+        for s2_i, m_i, t_i in zip(s2, m, t):
+            den = 2.0 * m_i * math.sqrt(s2_i)
+            disp = t_i / den if den else INF
+            ref = s2_i + disp * disp
+            prep = GaussianPrep(0.0, s2_i, m_i)
+            if ref < INF:
+                assert noise_variance(prep, t_i, NAT) == ref
+                assert bits(noise_variance(prep, np.array([t_i]), NAT)) == bits(ref)
+            else:
+                with pytest.raises(ValueError, match="leaves the double range"):
+                    noise_variance(prep, t_i, NAT)
+
+    @pytest.mark.parametrize("fn", [density_at, wavefunction_at])
+    def test_overflowing_square_gives_exact_zero(self, fn):
+        # (x - x0)^2 overflows: the right 0 came with an overflow warning.
+        assert fn(PREP, 1e160, 1.0, NAT) == 0.0
+        x, t = np.array([0.5, 1e160, -1e200]), np.array([[1.0], [2.0]])
+        out = fn(PREP, x, t, NAT)
+        assert np.all(out[:, 1:] == 0.0)
+        assert out[:, 0].tolist() == [fn(PREP, 0.5, t_k, NAT) for t_k in (1.0, 2.0)]
+
+    @pytest.mark.parametrize("fn", [density_at, wavefunction_at])
+    def test_overflowing_square_of_a_wide_packet_rejected(self, fn):
+        # Delta_t^2 = 1e306 at x = 1.5e154: the true density is about 5e-203, not 0.
+        with pytest.raises(ValueError, match="noise variance 1e\\+306 is too wide"):
+            fn(GaussianPrep(0.0, 1e306, 1.0), 1.5e154, 0.0, NAT)
+        with pytest.raises(ValueError, match="noise variance 1e\\+306 is too wide"):
+            fn(GaussianPrep(0.0, 1e306, 1.0), np.array([0.0, 1.5e154]), 0.0, NAT)
+
+    def test_wavefunction_width_overflow_rejected(self):
+        # b = hbar t / (2 m) overflows: it gave nan+nanj with an "invalid value" warning.
+        prep = GaussianPrep(0.0, 1.0, 5e-324)
+        match = re.escape("b = hbar t / (2 m) overflows for mass=5e-324, sigma2_A=1.0 at delay t = 1.0")
+        with pytest.raises(ValueError, match=match):
+            wavefunction_at(prep, 0.5, 1.0, NAT)
+        with pytest.raises(ValueError, match=match):
+            wavefunction_at(prep, np.array([0.5, 1.0]), np.array([[0.0], [1.0]]), NAT)
