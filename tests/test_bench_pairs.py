@@ -57,41 +57,6 @@ def rows(text):
     return [re.split(r"\s{2,}", line) for line in text.splitlines()[1:]]
 
 
-def test_samples_of_grid_classes_and_tables():
-    # Shaped as the timers build them: one group per grid class (metric us)
-    # and per table (metrics ms and writer_peak_mb), one value per pair.
-    samples = {
-        "flat": {"us": {"parent": [4.0, 1.0, 3.0], "change": [2.0, 1.0, 3.0]}},
-        "uniform": {"us": {"parent": [1.0, 3.0], "change": [2.0, 2.0]}},
-        "contour csv": {
-            "ms": {"parent": [40.0, 50.0, 30.0], "change": [20.0, 25.0, 30.0]},
-            "writer_peak_mb": {"parent": [4.0, 4.5, 4.2], "change": [2.0, 2.1, 1.9]},
-        },
-    }
-    better = {"us": "lower", "ms": "lower", "writer_peak_mb": "lower"}
-    summary = bench_pairs.summarize_pairs(samples, better)
-    flat = summary["flat"]
-    assert flat["pairs"] == 3
-    assert flat["us"]["parent"] == {"median": 3.0, "q1": 2.0, "q3": 3.5, "mean": 8.0 / 3.0}
-    assert flat["us"]["change"] == {"median": 2.0, "q1": 1.5, "q3": 2.5, "mean": 2.0}
-    assert flat["us"]["change_wins"] == 1  # two ties
-    assert flat["us"]["parent_iqr"] == 1.5 and flat["us"]["median_ratio"] == 2.0 / 3.0
-    uniform = summary["uniform"]
-    assert uniform["pairs"] == 2 and uniform["us"]["change_wins"] == 1 and uniform["us"]["median_ratio"] == 1.0
-    contour = summary["contour csv"]
-    assert contour["ms"]["change_wins"] == 2 and contour["ms"]["median_ratio"] == 25.0 / 40.0
-    assert contour["writer_peak_mb"]["change_wins"] == 3
-    assert contour["writer_peak_mb"]["parent"]["median"] == 4.2
-    text = bench_pairs.table(summary, "class")
-    assert text.splitlines()[0].split()[:2] == ["class", "metric"]
-    assert rows(text) == [
-        ["flat", "us", "3 [2, 3.5]", "2.667", "2 [1.5, 2.5]", "2", "0.667", "1/3", "0.67"],
-        ["uniform", "us", "2 [1.5, 2.5]", "2", "2 [2, 2]", "2", "1.000", "1/2", "0.00"],
-        ["contour csv", "ms", "40 [35, 45]", "40", "25 [22.5, 27.5]", "25", "0.625", "2/3", "1.50"],
-        ["contour csv", "writer_peak_mb", "4.2 [4.1, 4.35]", "4.233", "2 [1.95, 2.05]", "2", "0.476", "3/3", "8.80"],
-    ]
-
-
 @pytest.mark.parametrize("tag", ["pr17", "pr18", "pr19", "pr20", "pr21"])
 def test_recorded_summaries_come_back_from_their_runs(tag):
     record = json.loads((ROOT / f"BENCH_{tag}.json").read_text())

@@ -509,7 +509,6 @@ class TestCapacityAtOptimum:
         [
             ([1.0, 1e-300, 1.0], [1.0, 1e300, 1.0], 1.0),  # v* underflows to 0
             ([1.0, 1e300], [1.0, 1e-300], 1.0),  # v* overflows to inf
-            ([1.0, 1.0], [1.0, 4e-309], 1.0),  # v* = 1.25e308, but 2 v* overflows
             ([1.0, -1.0], [1.0, 1.0], 1.0),
             ([1.0, 1.0], [1.0, 0.0], 1.0),
             ([1.0, -1.0], [1.0, -1.0], 1.0),  # v* > 0, but t and mass are not
@@ -517,6 +516,7 @@ class TestCapacityAtOptimum:
             ([1.0, math.nan], [1.0, 1.0], 1.0),
             ([1.0, 1e-300], [1.0, 1e300], -1.0),  # P fails at the first point
             ([1.0, 1.0], [1.0, 1.0], math.nan),
+            ([1.0, 1.0], [1.0, 4e-309], 1.0),  # v* = 1.25e308, but 2 v* overflows
         ],
     )
     def test_raises_the_scalar_chain_error(self, t, mass, P):
