@@ -91,9 +91,7 @@ class PowerBudget:
 
 
 def _check_time(t) -> None:
-    # `is not True` first saves a call per float: capacity_vs_precision_curve makes one per grid value.
-    if (ok := (0.0 <= t) & (t < inf)) is not True:
-        _require(ok, t, "time delay must be >= 0, got {}; it must also be finite")
+    _require((0.0 <= t) & (t < inf), t, "time delay must be >= 0, got {}; it must also be finite")
 
 
 def _position(x) -> np.ndarray:
@@ -115,17 +113,34 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
-def _dispersed_variance(sigma2_A, sigma_A, mass, t, hbar):
-    # Scalars or arrays. The caller takes sigma_A = sqrt(sigma2_A) with
-    # math.sqrt or np.sqrt, which agree (both are correctly rounded), so a
-    # scalar caller stays in Python floats.
-    disp = hbar * t / (2.0 * mass * sigma_A)
-    return sigma2_A + disp * disp
+def _noise(sigma2_A, mass, t, hbar):
+    """Delta_t^2 for floats or broadcast arrays, under the module's one range rule.
+
+    Where 2*m*sigma_A underflows to 0, the dispersion is taken as
+    (hbar*t / (2*m)) / sigma_A, on those elements only; everywhere else it
+    is noise_variance's float expression, bit for bit (math.sqrt and np.sqrt
+    are both correctly rounded). A Delta_t^2 that overflows raises
+    ValueError naming sigma2_A, mass and t at the first such point.
+    """
+    sigma_A = np.sqrt(sigma2_A)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rejected or replaced below
+        den = 2.0 * mass * sigma_A
+        disp = hbar * t / den
+        if not np.all(den):  # 2*m*sigma_A underflowed somewhere; the fallback costs ops on every element
+            disp = np.where(den > 0.0, disp, hbar * t / (2.0 * mass) / sigma_A)
+        var = sigma2_A + disp * disp
+    _require(var < inf, (sigma2_A, mass, t),
+             "noise variance Delta_t^2 = sigma2_A + (hbar t / (2 m sigma_A))^2 leaves the double range "
+             "for sigma2_A={}, mass={} at delay t = {}")
+    return var
 
 
 # A noise variance at or below this is narrow enough that both closed forms
 # are 0 wherever (x - x0)^2 overflows; see _square.
 _NARROW = 2.0**1012
+
+# 2*pi*Delta_t^2 overflows only for a noise variance above this (from about 2.86e307).
+_WIDE = 2.0**1021
 
 
 def _square(dx, prep: GaussianPrep, t, c: Constants):
@@ -143,7 +158,7 @@ def _square(dx, prep: GaussianPrep, t, c: Constants):
     if sq.max(initial=0.0) == inf:
         var = noise_variance(prep, t, c)
         ok = (sq < inf) | (var <= _NARROW)
-        _require(ok, np.broadcast_to(var, ok.shape),
+        _require(ok, var,
                  "noise variance {} is too wide to resolve a position x where (x - x0)^2 overflows; "
                  "it must be at most 2**1012 there")
     return sq
@@ -155,23 +170,15 @@ def noise_variance(prep: GaussianPrep, t, c: Constants):
     Delta_t^2 = sigma_A^2 + (hbar*t / (2*m*sigma_A))^2. Grows quadratically
     in t for fixed preparation variance. t is a float or an array; a delay
     that is NaN, negative or infinite raises ValueError, and so does a
-    Delta_t^2 that overflows or whose 2*m*sigma_A underflows to 0.
+    Delta_t^2 that overflows (see ``_noise``).
     """
-    sigma2_A, sigma_A = prep.sigma2_A, math.sqrt(prep.sigma2_A)
-    if ((0.0 <= t) & (t < inf)) is True:  # a valid float delay: Python floats, which never warn
-        try:
-            var = _dispersed_variance(sigma2_A, sigma_A, prep.mass, t, c.hbar)
-        except ZeroDivisionError:
-            var = inf
-        if var < inf:
+    # A valid float delay with a nonzero 2*m*sigma_A: Python floats, which never warn.
+    if ((0.0 <= t) & (t < inf)) is True and (den := 2.0 * prep.mass * math.sqrt(prep.sigma2_A)):
+        disp = c.hbar * t / den
+        if (var := prep.sigma2_A + disp * disp) < inf:
             return var
-    else:
-        _check_time(t)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rejected below
-            var = _dispersed_variance(sigma2_A, sigma_A, prep.mass, t, c.hbar)
-    _require(var < inf, t, f"noise variance Delta_t^2 = sigma2_A + (hbar t / (2 m sigma_A))^2 leaves the "
-                           f"double range for sigma2_A={sigma2_A}, mass={prep.mass} at delay t = {{}}")
-    return var
+    _check_time(t)
+    return _noise(prep.sigma2_A, prep.mass, t, c.hbar)
 
 
 def density_at(prep: GaussianPrep, x, t, c: Constants):
@@ -184,7 +191,13 @@ def density_at(prep: GaussianPrep, x, t, c: Constants):
     (x - x0)^2 overflows (see ``_square``).
     """
     var = noise_variance(prep, t, c)
-    out = np.exp(-_square(_position(x) - prep.x0, prep, t, c) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+    sq, s = _square(_position(x) - prep.x0, prep, t, c), 1.0
+    if (narrow := var < _WIDE) is not True and not np.all(narrow):
+        # 2*pi*Delta_t^2 may overflow: there x - x0 and Delta_t are scaled by s = 1/4, an exact
+        # power of two, which keeps the bits of every density that fits.
+        s = np.where(narrow, 1.0, 0.25)
+        sq, var = sq * (s * s), var * (s * s)
+    out = np.exp(-sq / (2.0 * var)) / (np.sqrt(2.0 * math.pi * var) / s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -278,13 +291,7 @@ def capacity_at_optimum(t, mass, P: float, c: Constants) -> tuple[np.ndarray, np
     _check_signal(P)
     t, mass = np.asarray(t, dtype=float), np.asarray(mass, dtype=float)
     vstar = optimal_sigma2(t, mass, c)
-    with np.errstate(over="ignore"):  # rejected below
-        noise = _dispersed_variance(vstar, np.sqrt(vstar), mass, t, c.hbar)
-    if (over := ~(noise < inf)).any():  # noise_variance raises its error at the first such point
-        k = np.argmax(over)
-        t_k, mass_k = (float(np.broadcast_to(a, over.shape).flat[k]) for a in (t, mass))
-        noise_variance(GaussianPrep(0.0, float(vstar.flat[k]), mass_k), t_k, c)
-    return vstar, capacity_nats(P, noise)
+    return vstar, capacity_nats(P, _noise(vstar, mass, t, c.hbar))
 
 
 def beta(b: PowerBudget) -> float:

@@ -68,9 +68,12 @@ def _require(ok, x, message: str) -> None:
     """Raise ValueError(message) for the first value of x, in C order, where ok is False.
 
     ok is a guard's positive condition on x, so that a NaN fails it: a bool
-    for a float x, a bool array of x's shape for an array. A float that
-    passes costs no numpy call.
+    for a float x, a bool array of x's shape for an array. x may also be a
+    tuple of values that broadcast to ok's shape; the message then names
+    each of them at that index, one ``{}`` each. A float that passes costs
+    no numpy call.
     """
     if ok is not True and not np.all(ok):
-        bad = np.ravel(x)[np.argmin(np.ravel(ok))].item()
-        raise ValueError(message.format(bad))
+        k, shape = np.argmin(np.ravel(ok)), np.shape(ok)
+        bad = (np.broadcast_to(v, shape).flat[k].item() for v in (x if isinstance(x, tuple) else (x,)))
+        raise ValueError(message.format(*bad))

@@ -210,18 +210,14 @@ def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[t
         floor = c.hbar * t / mass
         vstar = gaussian.optimal_sigma2(t, mass, c)
         sigma2 = vstar * float(rng.uniform(0.05, 20.0))
-        prep = gaussian.GaussianPrep(x0=0.0, sigma2_A=sigma2, mass=mass)
-        yield "noise-floor", (floor - gaussian.noise_variance(prep, t, c)) / floor
-        at_opt = gaussian.noise_variance(
-            gaussian.GaussianPrep(x0=0.0, sigma2_A=vstar, mass=mass), t, c
-        )
+        # at sigma2, at v*, then 10% and 50% above and below v*
+        noise, at_opt, *off = gaussian._noise(
+            np.array([sigma2, vstar, vstar * 1.1, vstar * 0.9, vstar * 1.5, vstar * 0.5]), mass, t, c.hbar
+        ).tolist()
+        yield "noise-floor", (floor - noise) / floor
         yield "noise-floor", abs(at_opt - floor) / floor
-        for delta in (0.1, 0.5):
-            for s in (vstar * (1 + delta), vstar * (1 - delta)):
-                off = gaussian.noise_variance(
-                    gaussian.GaussianPrep(x0=0.0, sigma2_A=s, mass=mass), t, c
-                )
-                yield "noise-floor", (at_opt - off) / floor
+        for v in off:
+            yield "noise-floor", (at_opt - v) / floor
 
     # unimodality: strictly decreasing below v*, strictly increasing above
     for _ in range(max(trials // 10, 1)):
@@ -229,7 +225,7 @@ def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[t
         t = float(rng.uniform(0.1, 3.0))
         vstar = gaussian.optimal_sigma2(t, mass, c)
         grid = vstar * np.logspace(-1.5, 1.5, 41)
-        noise = [gaussian.noise_variance(gaussian.GaussianPrep(0.0, float(s), mass), t, c) for s in grid]
+        noise = gaussian._noise(grid, mass, t, c.hbar)
         steps, mid = np.diff(noise), len(grid) // 2
         yield "noise-unimodal", np.concatenate((steps[:mid], -steps[mid:])).max()
 

@@ -494,6 +494,28 @@ def threshold_point(t, mass, P, c):
     return vstar, capacity_nats(P, noise_variance(prep, t, c))
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used on a float path")
+
+
+def test_float_paths_make_no_numpy_call(monkeypatch):
+    # capacity_vs_precision_curve makes 401 calls of each per placement-oracle op.
+    import chancap.gaussian
+
+    monkeypatch.setattr(chancap.gaussian, "np", _NoNumpy())
+    prep = GaussianPrep(0.0, 0.5, 2.0)
+    for got in (
+        noise_variance(prep, 0.0, NAT),
+        noise_variance(prep, 1.5, NAT),
+        noise_variance(prep, 1.5, SI),
+        capacity_nats(1.0, 2.0),
+        capacity_nats(0.0, 2.0),
+        capacity_nats(1e300, 1e-300),  # P / delta2 overflows: ln P - ln delta2
+    ):
+        assert type(got) is float
+
+
 class TestCapacityAtOptimum:
     def test_matches_scalar_chain_bit_for_bit(self):
         t = np.tile(np.logspace(-3, 3, 23), 19)
@@ -562,18 +584,72 @@ class TestOutOfRange:
 
     def test_finite_noise_variance_keeps_its_bits_and_the_rest_is_rejected(self):
         rng = np.random.default_rng(13)
-        s2, m, t = (10.0 ** rng.uniform(-200, 200, (3, 2000))).tolist()
-        for s2_i, m_i, t_i in zip(s2, m, t):
+        wide = 10.0 ** rng.uniform(-200, 200, (3, 2000))
+        # Then draws where 2 m sigma_A mostly underflows to 0; delays below 5e-324 round to 0.
+        tiny = 10.0 ** rng.uniform([[-200], [-320], [-330]], [[-50], [-250], [-200]], (3, 1000))
+        underflowed = {True: 0, False: 0}  # by whether Delta_t^2 is finite
+        for s2_i, m_i, t_i in zip(*np.hstack((wide, tiny)).tolist()):
             den = 2.0 * m_i * math.sqrt(s2_i)
-            disp = t_i / den if den else INF
+            disp = t_i / den if den else t_i / (2.0 * m_i) / math.sqrt(s2_i)
             ref = s2_i + disp * disp
             prep = GaussianPrep(0.0, s2_i, m_i)
+            if den == 0.0:
+                underflowed[ref < INF] += 1
             if ref < INF:
                 assert noise_variance(prep, t_i, NAT) == ref
                 assert bits(noise_variance(prep, np.array([t_i]), NAT)) == bits(ref)
             else:
                 with pytest.raises(ValueError, match="leaves the double range"):
                     noise_variance(prep, t_i, NAT)
+        assert min(underflowed.values()) > 50, underflowed
+
+    @pytest.mark.parametrize("t,want", [(0.0, 1e-200), (1e-300, 2.5e99)])
+    def test_underflowed_denominator_gives_the_true_variance(self, t, want):
+        # 2 m sigma_A = 2e-350 underflows to 0: both raised "leaves the double range".
+        prep = GaussianPrep(0.0, 1e-200, 1e-250)
+        got = noise_variance(prep, t, NAT)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        arr = noise_variance(prep, np.array([1.0e-320, t]), NAT)
+        assert bits(arr[1]) == bits(got)
+        assert arr.tolist() == [noise_variance(prep, 1.0e-320, NAT), got]
+
+    def test_underflowed_denominator_density(self):
+        # It raised "leaves the double range"; the density is 1 / sqrt(2 pi 1e-200).
+        prep = GaussianPrep(0.0, 1e-200, 1e-250)
+        got = density_at(prep, 0.0, 0.0, NAT)
+        assert got == pytest.approx(3.989422804014327e99, rel=1e-15, abs=0.0)
+        assert density_at(prep, np.array([0.0, 1e-100]), np.array([[0.0]]), NAT)[0, 0] == got
+
+    @pytest.mark.parametrize("v", [2.0**1021, 2.9e307, 1e308, 2.0**1023, 1.7976931348623157e308])
+    def test_wide_density_is_scaled_not_zero(self, v):
+        # 2 pi Delta_t^2 overflowed to inf above about 2.86e307 and the density came out 0.0.
+        # Scaled by 1/16, the density is exactly 4 times the density of Delta_t^2 / 16 at x / 4.
+        x = np.array([0.0, 1e153, 1.3e154, -2.0**511])
+        narrow = density_at(GaussianPrep(0.0, v / 16.0, 1.0), x / 4.0, 0.0, NAT)
+        got = density_at(GaussianPrep(0.0, v, 1.0), x, 0.0, NAT)
+        np.testing.assert_array_equal(bits(got), bits(narrow / 4.0))
+        assert got.tolist() == [density_at(GaussianPrep(0.0, v, 1.0), x_k, 0.0, NAT) for x_k in x.tolist()]
+        assert np.all(got > 0.0)
+
+    def test_wide_density_hand_value(self):
+        want = pytest.approx(3.989422804014327e-155, rel=1e-15, abs=0.0)  # 1 / sqrt(2 pi 1e308)
+        assert density_at(GaussianPrep(0.0, 1e308, 1.0), 0.0, 0.0, NAT) == want
+        # an array of delays across the scaling threshold: Delta_t^2 = 1e307, then 3.25e307
+        prep, t = GaussianPrep(0.0, 1e307, 1.0), np.array([0.0, 3e307])
+        got = density_at(prep, np.array([0.0, 1e150]), t[:, None], NAT)
+        assert got.tolist() == [[density_at(prep, x, t_k, NAT) for x in (0.0, 1e150)] for t_k in t.tolist()]
+        want = 1.0 / math.sqrt(2.0 * math.pi) / math.sqrt(3.25e307)
+        assert got[1, 0] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_density_that_fits_keeps_its_bits(self):
+        # Today's expression, where 2 pi Delta_t^2 fits, against the scaled form.
+        rng = np.random.default_rng(23)
+        var = 2.0 ** rng.uniform(1015, 1024, 2000)
+        x = rng.uniform(-1.0, 1.0, 2000) * 2.0**511  # (x - x0)^2 stays finite
+        for v, x_k in zip(var.tolist(), x.tolist()):
+            old = np.exp(-(x_k * x_k) / (2.0 * v)) / np.sqrt(2.0 * math.pi * v)  # 0.0 where 2 pi v is inf
+            got = density_at(GaussianPrep(0.0, v, 1.0), x_k, 0.0, NAT)
+            assert got == old if old > 0.0 else got > 0.0
 
     @pytest.mark.parametrize("fn", [density_at, wavefunction_at])
     def test_overflowing_square_gives_exact_zero(self, fn):

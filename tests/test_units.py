@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from chancap.units import HBAR_SI, Constants, UnitMode, constants_for
+from chancap.units import HBAR_SI, Constants, UnitMode, _require, constants_for
 
 
 def test_si_hbar_value():
@@ -48,3 +49,24 @@ def test_nonpositive_hbar_rejected():
         Constants(hbar=math.nan, mode=UnitMode.NATURAL)
     with pytest.raises(ValueError, match="hbar must be positive and finite, got inf"):
         Constants(hbar=math.inf, mode=UnitMode.SI)
+
+
+def test_require_names_each_value_of_a_tuple_at_the_first_failing_index():
+    full = np.arange(6.0).reshape(2, 3)
+    row = np.array([10.0, 20.0, 30.0])  # broadcast against full
+    ok = (full != 2.0) & (full != 3.0)  # fails at [0, 2], then [1, 0]: first in C order, not Fortran
+    with pytest.raises(ValueError, match=r"^a=0\.5, b=30\.0, c=2\.0$"):
+        _require(ok, (0.5, row, full), "a={}, b={}, c={}")
+    with pytest.raises(ValueError, match=r"^a=0\.5, b=1$"):
+        _require(False, (0.5, 1), "a={}, b={}")
+    _require(np.ones((2, 3), bool), (0.5, row, full), "a={}, b={}, c={}")
+
+
+def test_require_formats_a_single_value_as_before():
+    with pytest.raises(ValueError, match=r"^got 2\.5$"):
+        _require(np.array([[True, True], [False, False]]), np.array([[1.0, 2.0], [2.5, 3.0]]), "got {}")
+    with pytest.raises(ValueError, match=r"^got 3$"):
+        _require(False, 3, "got {}")
+    with pytest.raises(ValueError, match=r"^got nan$"):
+        _require(math.nan > 0.0, math.nan, "got {}")
+    _require(True, 3, "got {}")
