@@ -47,44 +47,93 @@ def count(text: str) -> int:
     return value
 
 
-#: Rows formatted and written per chunk: bounds the bytes held at once, whatever the table size.
-_CHUNK_ROWS = 1024
+#: Values formatted per kernel call: bounds the bytes held at once, whatever the table size.
+_CHUNK_VALUES = 4096
+
+#: A table column: an array, or a level column (levels, index) that stands for levels[index].
+Column = np.ndarray | tuple[np.ndarray, np.ndarray]
 
 
-def _write_table(path: Path, table: dict[str, np.ndarray], fmt: str) -> None:
+def _levels(levels, repeat: int = 1, tile: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """np.tile(np.repeat(levels, repeat), tile) as a level column, its index in the smallest integer type."""
+    index = np.arange(len(levels), dtype=np.min_scalar_type(len(levels)))
+    return np.asarray(levels, dtype=np.float64), np.tile(np.repeat(index, repeat), tile)
+
+
+def _packed(units: np.ndarray) -> np.ndarray:
+    """The rows of a uint8 array with their NUL bytes deleted, each NUL-padded to the longest."""
+    width = np.count_nonzero(units, axis=1)
+    out = np.zeros((len(units), width.max(initial=0)), dtype=np.uint8)
+    text = units.tobytes().translate(None, b"\0")
+    out[np.arange(out.shape[1]) < width[:, None]] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
+def _write_table(path: Path, table: dict[str, Column], fmt: str) -> int:
     """Write equal-length columns as CSV, or as json.dumps({"columns", "rows"}, indent=1) does.
 
-    Cells are "%.16e" for CSV and json's float spelling for JSON, from
-    _floattext. A chunk of _CHUNK_ROWS rows is one uint8 block of equal-width
-    units, each a cell between its separators, from one kernel call over the
-    chunk's values taken row by row. Bytes a unit does not use are NUL and
-    are deleted before the block is written.
+    Returns the row count. Cells are "%.16e" for CSV and json's float
+    spelling for JSON, from _floattext; each comes as a unit, the cell
+    between its column's separators. The units of every level of every level
+    column come from one kernel call, before any row, and are kept
+    NUL-stripped. A chunk of rows takes _CHUNK_VALUES values of the other
+    columns row by row through one kernel call into one uint8 block of
+    equal-width units, and gathers each level column's units by its index
+    beside them. Bytes a unit does not use are NUL and are deleted before
+    the chunk is written.
     """
     columns = list(table)
-    values = [np.ascontiguousarray(col, dtype=np.float64).ravel() for col in table.values()]
-    nrows = len(values[0]) if values else 0
-    if any(len(col) != nrows for col in values):
-        lengths = ", ".join(f"{name}={len(col)}" for name, col in zip(columns, values))
-        raise ValueError(f"table columns differ in length: {lengths}")
+    levels = {
+        k: (np.ascontiguousarray(col[0], dtype=np.float64).ravel(), np.asarray(col[1]).ravel())
+        for k, col in enumerate(table.values()) if isinstance(col, tuple)
+    }
+    plain = {
+        k: np.ascontiguousarray(col, dtype=np.float64).ravel()
+        for k, col in enumerate(table.values()) if k not in levels
+    }
+    lengths = [len(levels[k][1]) if k in levels else len(plain[k]) for k in range(len(columns))]
+    nrows = lengths[0] if columns else 0
+    if any(n != nrows for n in lengths):
+        named = ", ".join(f"{name}={n}" for name, n in zip(columns, lengths))
+        raise ValueError(f"table columns differ in length: {named}")
+    for k, (values, index) in levels.items():
+        if index.size and not (index.min() >= 0 and index.max() < len(values)):
+            raise ValueError(f"level index of column {columns[k]} lies outside [0, {len(values)})")
     if fmt == "csv":
         cells = _floattext.csv_cells
-        seps = [("," if k else "\n", "") for k in range(len(values))]
+        seps = [("," if k else "\n", "") for k in range(len(columns))]
         head, tail = ",".join(columns), "\n"
     else:
         cells = _floattext.json_cells
-        last = len(values) - 1
+        last = len(columns) - 1
         seps = [
             (",\n   " if k else ",\n  [\n   ", "\n  ]" if k == last else "")
-            for k in range(len(values))
+            for k in range(len(columns))
         ]
         head = json.dumps({"columns": columns, "rows": []}, indent=1)[: -len("]\n}")]
         tail = "\n ]\n}\n" if nrows else "]\n}\n"
-    seps = tuple((before.encode(), after.encode()) for before, after in seps)
+    seps = [(before.encode(), after.encode()) for before, after in seps]
+    units = {}
+    if levels and nrows:
+        # Every level column side by side, the shorter ones padded with zeros.
+        grid = np.zeros((max(len(values) for values, _ in levels.values()), len(levels)))
+        for j, (values, _) in enumerate(levels.values()):
+            grid[: len(values), j] = values
+        block = cells(grid.ravel(), tuple(seps[k] for k in levels)).reshape(len(grid), len(levels), -1)
+        units = {k: _packed(block[: len(values), j]) for j, (k, (values, _)) in enumerate(levels.items())}
+    step = _CHUNK_VALUES // max(len(plain), 1)
     with path.open("wb") as f:
         f.write(head.encode())
-        for start in range(0, nrows, _CHUNK_ROWS):
-            chunk = np.stack([col[start : start + _CHUNK_ROWS] for col in values], axis=1)
-            block = cells(chunk.ravel(), seps)
+        for start in range(0, nrows, step):
+            stop = min(start + step, nrows)
+            if plain:
+                chunk = np.stack([col[start:stop] for col in plain.values()], axis=1)
+                block = cells(chunk.ravel(), tuple(seps[k] for k in plain)).reshape(stop - start, -1)
+            if levels:
+                parts = dict(zip(plain, np.split(block, len(plain), axis=1))) if plain else {}
+                for k, (_, index) in levels.items():
+                    parts[k] = np.take(units[k], index[start:stop], axis=0)
+                block = np.concatenate([parts.pop(k) for k in range(len(columns))], axis=1)
             if start == 0 and fmt == "json":
                 block[0, block[0].tobytes().index(b",")] = 0  # no comma before the first row
             data = block.tobytes()
@@ -92,9 +141,10 @@ def _write_table(path: Path, table: dict[str, np.ndarray], fmt: str) -> None:
                 data = data.translate(None, b"\0")
             f.write(data)
         f.write(tail.encode())
+    return nrows
 
 
-def _emit(args, table: dict[str, np.ndarray], unused: tuple[str, ...] = ()) -> int:
+def _emit(args, table: dict[str, Column], unused: tuple[str, ...] = ()) -> int:
     """Write the table and its sidecar, whose params are the options but run fields and `unused`."""
     out = Path(args.out or f"{args.subcommand}.{args.format}")
     options = vars(args)
@@ -106,9 +156,9 @@ def _emit(args, table: dict[str, np.ndarray], unused: tuple[str, ...] = ()) -> i
         "columns": list(table),
         "artifact_version": __version__,
     }
-    _write_table(out, table, args.format)
+    nrows = _write_table(out, table, args.format)
     out.with_suffix(".meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(next(iter(table.values())))} rows to {out}")
+    print(f"wrote {nrows} rows to {out}")
     return 0
 
 
@@ -135,7 +185,7 @@ def _cmd_fig_gaussian(args) -> int:
         args,
         {
             "sigma2_over_vstar": curves[:, 0],
-            "ratio": np.repeat(ratios, grid.size),
+            "ratio": _levels(ratios, repeat=grid.size),
             "capacity_nats": curves[:, 1],
         },
     )
@@ -160,7 +210,7 @@ def _cmd_fig_two_level(args) -> int:
     return _emit(
         args,
         {
-            "gamma": np.repeat(gammas, args.time_points),
+            "gamma": _levels(gammas, repeat=args.time_points),
             "t": np.concatenate(times),
             "capacity_bits": np.concatenate(caps),
         },
@@ -176,9 +226,9 @@ def _cmd_contour(args) -> int:
     masses = np.logspace(math.log10(args.mass_min), math.log10(args.mass_max), args.mass_points)
     times = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points)
     # Row order: mass outer, t inner.
-    mass, t = np.repeat(masses, times.size), np.tile(times, masses.size)
-    vstar, cap = gaussian.capacity_at_optimum(t, mass, args.p_constraint, c)
-    return _emit(args, {"mass": mass, "t": t, "vstar": vstar, "capacity_nats": cap})
+    vstar, cap = gaussian.capacity_at_optimum(times, masses[:, None], args.p_constraint, c)
+    return _emit(args, {"mass": _levels(masses, repeat=times.size), "t": _levels(times, tile=masses.size),
+                        "vstar": vstar.ravel(), "capacity_nats": cap.ravel()})
 
 
 def _cmd_evolve(args) -> int:
@@ -190,8 +240,8 @@ def _cmd_evolve(args) -> int:
         width = 10.0 * math.sqrt(gaussian.noise_variance(prep, times[-1], c))
         x = np.linspace(prep.x0 - width, prep.x0 + width, args.grid_points)
         table = {
-            "t": np.repeat(times, x.size),
-            "x": np.tile(x, len(times)),
+            "t": _levels(times, repeat=x.size),
+            "x": np.tile(x, len(times)),  # as a level column it measured slower: 101 levels, 404 rows
             "density": gaussian.density_at(prep, x, np.array(times)[:, None], c).ravel(),
         }
         unused = ("gamma", "epsilon", "p")

@@ -113,21 +113,26 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
+# The least normal double: a 2*m*sigma_A below it has lost bits to underflow.
+_MIN_NORMAL = 2.0**-1022
+
+
 def _noise(sigma2_A, mass, t, hbar):
     """Delta_t^2 for floats or broadcast arrays, under the module's one range rule.
 
-    Where 2*m*sigma_A underflows to 0, the dispersion is taken as
-    (hbar*t / (2*m)) / sigma_A, on those elements only; everywhere else it
-    is noise_variance's float expression, bit for bit (math.sqrt and np.sqrt
-    are both correctly rounded). A Delta_t^2 that overflows raises
-    ValueError naming sigma2_A, mass and t at the first such point.
+    Where 2*m*sigma_A is below _MIN_NORMAL (subnormal, or 0), the dispersion
+    is taken as (hbar*t / (2*m)) / sigma_A, on those elements only;
+    everywhere else it is noise_variance's float expression, bit for bit
+    (math.sqrt and np.sqrt are both correctly rounded). A Delta_t^2 that
+    overflows raises ValueError naming sigma2_A, mass and t at the first
+    such point.
     """
     sigma_A = np.sqrt(sigma2_A)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rejected or replaced below
         den = 2.0 * mass * sigma_A
         disp = hbar * t / den
-        if not np.all(den):  # 2*m*sigma_A underflowed somewhere; the fallback costs ops on every element
-            disp = np.where(den > 0.0, disp, hbar * t / (2.0 * mass) / sigma_A)
+        if not np.all(normal := den >= _MIN_NORMAL):  # the fallback costs ops on every element
+            disp = np.where(normal, disp, hbar * t / (2.0 * mass) / sigma_A)
         var = sigma2_A + disp * disp
     _require(var < inf, (sigma2_A, mass, t),
              "noise variance Delta_t^2 = sigma2_A + (hbar t / (2 m sigma_A))^2 leaves the double range "
@@ -172,8 +177,8 @@ def noise_variance(prep: GaussianPrep, t, c: Constants):
     that is NaN, negative or infinite raises ValueError, and so does a
     Delta_t^2 that overflows (see ``_noise``).
     """
-    # A valid float delay with a nonzero 2*m*sigma_A: Python floats, which never warn.
-    if ((0.0 <= t) & (t < inf)) is True and (den := 2.0 * prep.mass * math.sqrt(prep.sigma2_A)):
+    # A valid float delay with a normal 2*m*sigma_A: Python floats, which never warn.
+    if ((0.0 <= t) & (t < inf)) is True and (den := 2.0 * prep.mass * math.sqrt(prep.sigma2_A)) >= _MIN_NORMAL:
         disp = c.hbar * t / den
         if (var := prep.sigma2_A + disp * disp) < inf:
             return var

@@ -7,15 +7,19 @@ process per checkout, with that checkout's src/ on PYTHONPATH, in the order
 bench_pairs.order(i) gives. The process imports chancap.cli and times
 ``cli.main`` once for each command of artefacts.TABLES in CSV and then in
 JSON, writing into a temporary directory, so the first write of a process
-pays any set-up the writer builds on first use. It then runs each command
-again under tracemalloc and records the peak of the ``cli._write_table``
-call alone: the bytes the writer holds at once, not the table's own arrays.
+pays any set-up the writer builds on first use. It then writes the whole
+set WARM_SETS more times, as perfbench's cli-tables op does, and keeps the
+median of each table's warm writes. Last it runs each command again under
+tracemalloc and records the peak of the ``cli._write_table`` call alone:
+the bytes the writer holds at once, not the table's own arrays.
 
-Prints bench_pairs.table with one group per table and format and two
-metrics, the time `ms` and the writer peak `writer_peak_mb`: each side's
-median [q1, q3] and mean, the ratio change / parent (below 1: the change
-is faster or smaller), the runs the change won and the gap against the
-parent's IQR.
+Prints bench_pairs.table with one group per table and format and three
+metrics, the first write's time `ms`, the warm time `warm_ms` and the
+writer peak `writer_peak_mb`: each side's median [q1, q3] and mean, the
+ratio change / parent (below 1: the change is faster or smaller), the runs
+the change won and the gap against the parent's IQR. A first write also
+times the table builds of first use and moves with where the tree sits;
+`warm_ms` is the writer's steady cost.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -32,9 +37,11 @@ from artefacts import TABLES
 from bench_pairs import SIDES, order, summarize_pairs, table
 
 FORMATS = ("csv", "json")
-METRICS = {"ms": "lower", "writer_peak_mb": "lower"}
+METRICS = {"ms": "lower", "warm_ms": "lower", "writer_peak_mb": "lower"}
+#: Further in-process writes of the whole set after the first, for warm_ms.
+WARM_SETS = 5
 
-# Runs in the fresh process: argv[1] is a JSON list of [name, argv] pairs.
+# Runs in the fresh process: argv[1] is a JSON list of [name, argv] pairs, argv[2] WARM_SETS.
 _CHILD = r"""
 import contextlib, io, json, sys, time, tracemalloc
 from chancap import cli
@@ -45,13 +52,20 @@ with contextlib.redirect_stdout(io.StringIO()):
     for name, argv in tables:
         start = time.perf_counter()
         code = cli.main(argv)
-        result[name] = {"s": time.perf_counter() - start, "code": code}
+        result[name] = {"s": time.perf_counter() - start, "code": code, "warm": []}
+    for _ in range(int(sys.argv[2])):
+        for name, argv in tables:
+            start = time.perf_counter()
+            code = cli.main(argv)
+            result[name]["warm"].append(time.perf_counter() - start)
+            result[name]["code"] = result[name]["code"] or code
     write, peaks = cli._write_table, []
 
     def traced(*args):
         tracemalloc.reset_peak()
-        write(*args)
+        nrows = write(*args)
         peaks.append(tracemalloc.get_traced_memory()[1])
+        return nrows
 
     cli._write_table = traced
     tracemalloc.start()
@@ -74,11 +88,14 @@ def tables() -> list[tuple[str, list[str]]]:
 
 
 def run_once(checkout: Path) -> dict:
-    """One fresh process in a checkout: {name: {"s": seconds, "code": exit code, "peak": bytes}}."""
+    """One fresh process in a checkout: {name: {"s": seconds, "warm": [seconds], "code": exit code, "peak": bytes}}.
+
+    "code" is the first nonzero exit code of the table's writes, or 0.
+    """
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(tables())], cwd=tmp, env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(tables()), str(WARM_SETS)], cwd=tmp,
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     if proc.returncode:
         raise SystemExit(f"{checkout}: exited {proc.returncode}: {proc.stderr.strip()}")
     result = json.loads(proc.stdout)
@@ -102,6 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in order(i):
             for name, r in run_once(checkouts[side]).items():
                 samples[name]["ms"][side].append(r["s"] * 1e3)
+                samples[name]["warm_ms"][side].append(statistics.median(r["warm"]) * 1e3)
                 samples[name]["writer_peak_mb"][side].append(r["peak"] / 1e6)
     print(table(summarize_pairs(samples, METRICS), "table"))
     return 0

@@ -256,6 +256,14 @@ class TestOutputs:
         want = {k: sorted(v) if isinstance(v, list) else v for k, v in parsed.items() if k not in unused}
         assert meta["params"] == want
 
+    @pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
+    def test_wrote_line_counts_rows(self, tmp_path, case, capsys):
+        # The count a benchmark reads from stdout; a level column is a pair, not a row.
+        out = tmp_path / "t.csv"
+        assert main([*SIDECAR_CASES[case][0], "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert capsys.readouterr().out == f"wrote {len(rows)} rows to {out}\n"
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "fig.json"
         main(["fig-gaussian", "--out", str(out), "--grid-points", "5", "--format", "json"])
@@ -379,6 +387,11 @@ class TestParser:
         assert cli.build_parser().parse_args(argv).tolerance == []
 
 
+def expanded(table):
+    """The table with each level column (levels, index) written out as levels[index]."""
+    return {name: col[0][col[1]] if isinstance(col, tuple) else col for name, col in table.items()}
+
+
 def row_table_bytes(columns, rows, fmt):
     """The row-by-row table format: .16e CSV cells, or json.dumps(indent=1)."""
     if fmt == "csv":
@@ -390,6 +403,7 @@ def row_table_bytes(columns, rows, fmt):
 
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.nan, math.inf, -math.inf, 1.0, 1.0, 0.1]
+LEVELS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 2.0**-25, 1e23, 5e-324, -2.5e-310, 1e300]
 WRITER_TABLES = {
     "repeats": {"a": np.repeat([1.5, -2.0, 1.5], 4), "b": np.tile([0.0, -0.0, 1e-310, 3.0], 3)},
     "special": {"x": np.array(SPECIAL), "y": np.array(SPECIAL[::-1]), "z": np.ones(len(SPECIAL))},
@@ -413,6 +427,25 @@ WRITER_TABLES = {
         "x": np.array([math.nan, -math.inf, 5e-324, 2.2250738585072014e-308, 1e23]),
         "y": np.array([1e23, math.inf, -5e-324, math.nan, -2.2250738585072014e-308]),
     },
+    # Level columns (levels, index): levels that need a sign, the fallback or
+    # nothing at all, unused levels, level columns first (the JSON first-row
+    # comma) and last (the closing bracket), and tables of level columns only.
+    "levels-first": {
+        "a": (np.array(LEVELS), np.array([1, 0, 2, 3, 4, 5, 6, 7, 0, 1, 5])),
+        "b": np.arange(11) / 3.0,
+        "c": (np.array([4.0, -0.5, 1e-7]), np.array([1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1])),
+    },
+    "levels-middle": {
+        "x": np.linspace(-1.0, 1.0, 6),
+        "level": (np.array(LEVELS[::-1]), np.array([4, 4, 9, 2, 3, 4])),
+        "y": np.array([2.0**-25, 1e23, 5e-324, 0.0, -0.0, math.nan]),
+    },
+    "levels-only": {
+        "t": (np.array([0.0, -0.0, 5e-324]), np.repeat([0, 1, 2], 4)),
+        "x": (np.array(LEVELS), np.tile([9, 3, 0, 2], 3)),
+    },
+    "levels-one-row": {"x": (np.array([-math.inf, 1e23]), np.array([1])), "y": np.array([-0.0])},
+    "levels-empty": {"x": (np.array(LEVELS), np.array([], dtype=int)), "y": np.array([])},
     # JSON switches between fixed and exponent notation at 1e-4 and 1e16.
     "notation-switch": {
         "x": np.array([
@@ -424,16 +457,18 @@ WRITER_TABLES = {
 }
 
 
-CHUNK = cli._CHUNK_ROWS
 EDGE = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310]
+# Rows per chunk of chunked_table, whose len(EDGE) columns s<j> are its only plain columns.
+CHUNK = cli._CHUNK_VALUES // len(EDGE)
 
 
 def chunked_table(nrows):
     """Every EDGE value in the last row of a chunk and in the first row of the next, in some column.
 
-    Column j holds EDGE rotated by j in the rows edge-4 .. edge+3 around the
-    table's start, end and every chunk boundary, and random normals
-    elsewhere; "same" repeats one value and "distinct" never does.
+    Column s<j> holds EDGE rotated by j in the rows edge-4 .. edge+3 around
+    the table's start, end and every chunk boundary, and random normals
+    elsewhere. Two level columns follow: "same" repeats one value, with two
+    unused levels, and "distinct" never repeats, its levels shuffled.
     """
     rng = np.random.default_rng(nrows)
     table = {}
@@ -444,8 +479,11 @@ def chunked_table(nrows):
                 if 0 <= i < nrows:
                     col[i] = EDGE[(k + j) % len(EDGE)]
         table[f"s{j}"] = col
-    table["same"] = np.full(nrows, 0.1)
-    table["distinct"] = np.arange(nrows) / 7.0
+    table["same"] = (np.array([math.nan, 0.1, -0.0]), np.ones(nrows, dtype=int))
+    order = rng.permutation(nrows)
+    levels = np.empty(nrows)
+    levels[order] = np.arange(nrows) / 7.0
+    table["distinct"] = (levels, order)
     return table
 
 
@@ -455,18 +493,19 @@ class TestColumnWriter:
     def test_bytes_match_row_formatter(self, tmp_path, name, fmt):
         table = WRITER_TABLES[name]
         out = tmp_path / f"t.{fmt}"
-        cli._write_table(out, table, fmt)
-        rows = list(zip(*table.values()))
+        assert cli._write_table(out, table, fmt) == len(expanded(table)[next(iter(table))])
+        rows = list(zip(*expanded(table).values()))
         assert out.read_bytes() == row_table_bytes(list(table), rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    # 4 * CHUNK and 8 * CHUNK: row counts of 4096 and 8192 at a CHUNK of 1024.
-    @pytest.mark.parametrize("nrows", [0, 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 3])
+    # 8 * CHUNK and 16 * CHUNK: row counts of 4096 and 8192 at a CHUNK of 512 rows. CHUNK + 1:
+    # the first chunk's 4,096 values, then one row.
+    @pytest.mark.parametrize("nrows", [0, 1, 8 * CHUNK - 1, 8 * CHUNK, 8 * CHUNK + 1, 16 * CHUNK + 3, CHUNK + 1])
     def test_chunk_boundaries_match_row_formatter(self, tmp_path, nrows, fmt):
         table = chunked_table(nrows)
         out = tmp_path / f"t.{fmt}"
         cli._write_table(out, table, fmt)
-        rows = list(zip(*table.values()))
+        rows = list(zip(*expanded(table).values()))
         assert out.read_bytes() == row_table_bytes(list(table), rows, fmt)
 
     def test_declined_tables_are_all_fallback(self):
@@ -476,19 +515,28 @@ class TestColumnWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_declined_values_either_side_of_a_chunk_boundary(self, tmp_path, fmt):
-        x = np.linspace(1.0, 2.0, CHUNK + 2)
-        x[CHUNK - 1], x[CHUNK] = (2.0**-25, math.nan) if fmt == "csv" else (1e23, 5e-324)
+        edge = cli._CHUNK_VALUES // 2  # rows per chunk of a two-column table
+        x = np.linspace(1.0, 2.0, edge + 2)
+        x[edge - 1], x[edge] = (2.0**-25, math.nan) if fmt == "csv" else (1e23, 5e-324)
         table = {"x": x, "y": x[::-1].copy()}
         out = tmp_path / f"t.{fmt}"
         cli._write_table(out, table, fmt)
         assert out.read_bytes() == row_table_bytes(list(table), list(zip(*table.values())), fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 0)])
+    # An int n is a column of n zeros; (n, index) a level column of n zero levels.
+    @pytest.mark.parametrize(
+        "lengths",
+        [(3, 2), (2, 3), (3, 3, 0), (3, (2, [0, 1])), (3, (2, [0, 2, 1])), ((2, [0, -1, 1]), 3)],
+    )
     def test_unequal_columns_rejected(self, tmp_path, lengths, fmt):
-        table = {f"c{k}": np.zeros(n) for k, n in enumerate(lengths)}
+        table = {
+            f"c{k}": (np.zeros(n[0]), np.array(n[1])) if isinstance(n, tuple) else np.zeros(n)
+            for k, n in enumerate(lengths)
+        }
+        rows = {len(n[1]) if isinstance(n, tuple) else n for n in lengths}
         out = tmp_path / f"t.{fmt}"
-        with pytest.raises(ValueError, match="differ in length"):
+        with pytest.raises(ValueError, match="differ in length" if len(rows) > 1 else r"outside \[0, 2\)"):
             cli._write_table(out, table, fmt)
         assert not out.exists()
 

@@ -590,7 +590,7 @@ class TestOutOfRange:
         underflowed = {True: 0, False: 0}  # by whether Delta_t^2 is finite
         for s2_i, m_i, t_i in zip(*np.hstack((wide, tiny)).tolist()):
             den = 2.0 * m_i * math.sqrt(s2_i)
-            disp = t_i / den if den else t_i / (2.0 * m_i) / math.sqrt(s2_i)
+            disp = t_i / den if den >= 2.0**-1022 else t_i / (2.0 * m_i) / math.sqrt(s2_i)
             ref = s2_i + disp * disp
             prep = GaussianPrep(0.0, s2_i, m_i)
             if den == 0.0:
@@ -612,6 +612,26 @@ class TestOutOfRange:
         arr = noise_variance(prep, np.array([1.0e-320, t]), NAT)
         assert bits(arr[1]) == bits(got)
         assert arr.tolist() == [noise_variance(prep, 1.0e-320, NAT), got]
+
+    @pytest.mark.parametrize(
+        "s2,m,t",
+        [
+            (1e-200, 3.5e-224, 1e-300),  # 2 m sigma_A = 7e-324 rounded to 5e-324: 4.097e46, not 2.041e46
+            (1e-200, 1e-215, 1e-290),  # 2 m sigma_A = 2e-315
+            (4e-300, 1e-160, 1e-250),  # 2 m sigma_A = 4e-310
+            (1e-200, 1.1e-208, 1e-250),  # 2 m sigma_A = 2.2e-308, just below the least normal double
+        ],
+    )
+    def test_subnormal_denominator_matches_decimal(self, s2, m, t):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            disp = decimal.Decimal(t) / (2 * decimal.Decimal(m) * decimal.Decimal(s2).sqrt())
+            want = float(decimal.Decimal(s2) + disp * disp)
+        prep = GaussianPrep(0.0, s2, m)
+        assert 0.0 < 2.0 * m * math.sqrt(s2) < 2.0**-1022
+        got = noise_variance(prep, t, NAT)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert bits(noise_variance(prep, np.array([t, 0.0]), NAT)[0]) == bits(got)
 
     def test_underflowed_denominator_density(self):
         # It raised "leaves the double range"; the density is 1 / sqrt(2 pi 1e-200).
