@@ -117,22 +117,32 @@ def _complex(re, im) -> np.ndarray:
 _MIN_NORMAL = 2.0**-1022
 
 
-def _noise(sigma2_A, mass, t, hbar):
-    """Delta_t^2 for floats or broadcast arrays, under the module's one range rule.
+def _dispersion(sigma2_A, mass, t, hbar):
+    """The dispersion hbar*t / (2*m*sigma_A) for floats or broadcast arrays, under the module's one range rule.
 
-    Where 2*m*sigma_A is below _MIN_NORMAL (subnormal, or 0), the dispersion
-    is taken as (hbar*t / (2*m)) / sigma_A, on those elements only;
-    everywhere else it is noise_variance's float expression, bit for bit
-    (math.sqrt and np.sqrt are both correctly rounded). A Delta_t^2 that
-    overflows raises ValueError naming sigma2_A, mass and t at the first
-    such point.
+    Where 2*m*sigma_A is below _MIN_NORMAL (subnormal, or 0), it is taken
+    as (hbar*t / (2*m)) / sigma_A, on those elements only; everywhere else
+    it is noise_variance's float expression, bit for bit (math.sqrt and
+    np.sqrt are both correctly rounded). It is inf, without a warning, where
+    it overflows.
     """
     sigma_A = np.sqrt(sigma2_A)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # rejected or replaced below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # replaced below, or left to the caller
         den = 2.0 * mass * sigma_A
         disp = hbar * t / den
         if not np.all(normal := den >= _MIN_NORMAL):  # the fallback costs ops on every element
             disp = np.where(normal, disp, hbar * t / (2.0 * mass) / sigma_A)
+    return disp
+
+
+def _noise(sigma2_A, mass, t, hbar):
+    """Delta_t^2 = sigma2_A + _dispersion^2 for floats or broadcast arrays.
+
+    A Delta_t^2 that overflows raises ValueError naming sigma2_A, mass and t
+    at the first such point.
+    """
+    disp = _dispersion(sigma2_A, mass, t, hbar)
+    with np.errstate(over="ignore"):  # rejected below
         var = sigma2_A + disp * disp
     _require(var < inf, (sigma2_A, mass, t),
              "noise variance Delta_t^2 = sigma2_A + (hbar t / (2 m sigma_A))^2 leaves the double range "
@@ -146,6 +156,11 @@ _NARROW = 2.0**1012
 
 # 2*pi*Delta_t^2 overflows only for a noise variance above this (from about 2.86e307).
 _WIDE = 2.0**1021
+
+# Where Delta_t^2 overflows (Delta_t >= 2**512), density_at scales Delta_t and x - x0
+# by this exact power of two: (s Delta_t)^2 lies in [2**-4, 2**1020), and the scaled
+# x - x0 of two finite positions below 2**511.
+_HUGE = 2.0**-514
 
 
 def _square(dx, prep: GaussianPrep, t, c: Constants):
@@ -193,9 +208,13 @@ def density_at(prep: GaussianPrep, x, t, c: Constants):
     x and t are floats or arrays, broadcast against each other; a float
     for both gives a float. A position that is NaN or infinite raises
     ValueError, and so does a noise variance above 2**1012 at an x where
-    (x - x0)^2 overflows (see ``_square``).
+    (x - x0)^2 overflows (see ``_square``). Where Delta_t^2 overflows but
+    Delta_t does not, see ``_huge_density``.
     """
-    var = noise_variance(prep, t, c)
+    try:
+        var = noise_variance(prep, t, c)
+    except ValueError:  # an invalid delay, or a Delta_t^2 that overflows: _huge_density raises again for the first
+        return _huge_density(prep, x, t, c)
     sq, s = _square(_position(x) - prep.x0, prep, t, c), 1.0
     if (narrow := var < _WIDE) is not True and not np.all(narrow):
         # 2*pi*Delta_t^2 may overflow: there x - x0 and Delta_t are scaled by s = 1/4, an exact
@@ -203,6 +222,34 @@ def density_at(prep: GaussianPrep, x, t, c: Constants):
         s = np.where(narrow, 1.0, 0.25)
         sq, var = sq * (s * s), var * (s * s)
     out = np.exp(-sq / (2.0 * var)) / (np.sqrt(2.0 * math.pi * var) / s)
+    return float(out) if out.ndim == 0 else out
+
+
+def _huge_density(prep: GaussianPrep, x, t, c: Constants):
+    """density_at where Delta_t^2 overflows at some delay.
+
+    There x - x0 and Delta_t are scaled by s = _HUGE, an exact power of two,
+    and the density is exp(-(s dx)^2 / (2 (s Delta_t)^2)) / sqrt(2 pi (s
+    Delta_t)^2) * s: it is at most 2**-512, subnormal from Delta_t of about
+    2**1021 on. Every other point is density_at's, bit for bit. An invalid
+    delay or position raises as in density_at, and so does a Delta_t that
+    overflows.
+    """
+    _check_time(t)
+    x = _position(x)
+    disp = _dispersion(prep.sigma2_A, prep.mass, t, c.hbar)
+    _require(disp < inf, t,
+             f"noise width Delta_t = sqrt(sigma2_A + (hbar t / (2 m sigma_A))^2) leaves the double range "
+             f"for sigma2_A={prep.sigma2_A}, mass={prep.mass} at delay t = {{}}")
+    with np.errstate(over="ignore"):  # split off below
+        var = prep.sigma2_A + disp * disp
+    x, t, disp, fits = np.broadcast_arrays(x, t, disp, var < inf)
+    out = np.empty(x.shape)
+    out[fits] = density_at(prep, x[fits], t[fits], c)
+    s, disp = _HUGE, disp[~fits]
+    dx = s * x[~fits] - s * prep.x0  # x - x0 itself may overflow
+    var = (s * s) * prep.sigma2_A + (s * disp) * (s * disp)
+    out[~fits] = np.exp(-(dx * dx) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var) * s
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,10 +6,11 @@ Each of DIR is a checkout. Run i is one pair: it starts one fresh Python
 process per checkout, with that checkout's src/ on PYTHONPATH, in the order
 bench_pairs.order(i) gives. The process imports chancap.cli and times
 ``cli.main`` once for each command of artefacts.TABLES in CSV and then in
-JSON, writing into a temporary directory, so the first write of a process
-pays any set-up the writer builds on first use. It then writes the whole
-set WARM_SETS more times, as perfbench's cli-tables op does, and keeps the
-median of each table's warm writes. Last it runs each command again under
+JSON, writing into a new temporary directory, so the first write of a
+process pays any set-up the writer builds on first use and creates its
+files. It then writes the whole set WARM_SETS more times, as perfbench's
+cli-tables op does, each write over the file the previous set left at its
+path, and keeps the median of each table's warm writes. Last it runs each command again under
 tracemalloc and records the peak of the ``cli._write_table`` call alone:
 the bytes the writer holds at once, not the table's own arrays.
 

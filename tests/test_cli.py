@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,7 +230,118 @@ SIDECAR_CASES = {
 }
 
 
+def written(directory, argv, monkeypatch):
+    """Run chancap with argv in directory (made if absent); return {file name: bytes} of what it holds."""
+    directory.mkdir(exist_ok=True)
+    monkeypatch.chdir(directory)
+    assert main(argv) == 0
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+# Given a relative --out, a table's sidecar holds the same bytes in any directory.
+REWRITE_ARGV = SIDECAR_CASES["fig-two-level"][0]
+REPORT_ARGV = ["verify", "--suite", "two_level", "--trials", "10"]
+
+
 class TestOutputs:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("before", ["longer table", "longer sidecar", "shorter files", "its own output"])
+    def test_rewrite_matches_a_fresh_write(self, tmp_path, monkeypatch, before, fmt):
+        argv = [*REWRITE_ARGV, "--format", fmt, "--out", f"t.{fmt}"]
+        want = written(tmp_path / "fresh", argv, monkeypatch)
+        again = tmp_path / "again"
+        again.mkdir()
+        table, sidecar = again / f"t.{fmt}", again / "t.meta.json"
+        if before == "longer table":
+            table.write_bytes(b"x" * 2**20)
+        elif before == "longer sidecar":
+            sidecar.write_bytes(b"x" * 2**20)
+        elif before == "shorter files":
+            table.write_bytes(b"x")
+            sidecar.write_bytes(b"x")
+        else:
+            written(again, argv, monkeypatch)
+        assert written(again, argv, monkeypatch) == want
+
+    def test_report_over_a_longer_file(self, tmp_path, monkeypatch):
+        argv = [*REPORT_ARGV, "--out", "r.json"]
+        want = written(tmp_path / "fresh", argv, monkeypatch)
+        (tmp_path / "again").mkdir()
+        (tmp_path / "again" / "r.json").write_bytes(b"x" * 2**20)
+        assert written(tmp_path / "again", argv, monkeypatch) == want
+
+    def test_symlinked_out_stays_a_link(self, tmp_path, monkeypatch):
+        argv = [*REWRITE_ARGV, "--out", "link.csv"]
+        want = written(tmp_path / "fresh", argv, monkeypatch)
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"x" * 2**20)
+        (tmp_path / "again").mkdir()
+        (tmp_path / "again" / "link.csv").symlink_to(target)
+        written(tmp_path / "again", argv, monkeypatch)
+        assert (tmp_path / "again" / "link.csv").is_symlink()
+        assert target.read_bytes() == want["link.csv"]
+        assert (tmp_path / "again" / "link.meta.json").read_bytes() == want["link.meta.json"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_device_out_is_written_uncut(self, fmt):
+        # /dev/null cannot be cut to length; "wb" does not try either.
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert cli._write_table(Path(os.devnull), {"t": np.arange(5.0)}, fmt) == 5
+        assert main([*REPORT_ARGV, "--out", os.devnull]) == 0
+
+    def test_new_files_get_the_default_mode(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert main([*REWRITE_ARGV, "--out", str(tmp_path / "t.csv")]) == 0
+            assert main([*REPORT_ARGV, "--out", str(tmp_path / "r.json")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("t.csv", "t.meta.json", "r.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~0o027
+
+    def test_outputs_are_opened_without_truncation(self, tmp_path, monkeypatch):
+        # O_TRUNC frees an existing output's blocks at open; chancap writes over them and cuts the rest.
+        flags, real_open = {}, os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags[os.fspath(path)] = flag
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        assert main([*REWRITE_ARGV, "--out", str(tmp_path / "t.csv")]) == 0
+        assert main([*REPORT_ARGV, "--out", str(tmp_path / "r.json")]) == 0
+        for name in ("t.csv", "t.meta.json", "r.json"):
+            flag = flags[str(tmp_path / name)]
+            assert flag & (os.O_WRONLY | os.O_CREAT | os.O_TRUNC) == os.O_WRONLY | os.O_CREAT, name
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_failed_write_keeps_only_the_bytes_written(self, tmp_path, monkeypatch, exc):
+        # No level column, so the second csv_cells call formats the second chunk.
+        argv = ["evolve", "--channel", "two_level", "--times", *map(str, range(2000)), "--out", "t.csv"]
+        want = written(tmp_path / "fresh", argv, monkeypatch)["t.csv"]
+        first_chunk = b"\n".join(want.split(b"\n")[: 1 + cli._CHUNK_VALUES // 3])
+        again = tmp_path / "again"
+        again.mkdir()
+        (again / "t.csv").write_bytes(b"x" * 2**20)
+        monkeypatch.chdir(again)
+        calls, cells = [], _floattext.csv_cells
+
+        def failing_cells(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise exc("formatting failed")
+            return cells(*args)
+
+        monkeypatch.setattr(_floattext, "csv_cells", failing_cells)
+        if exc is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 2
+        assert (again / "t.csv").read_bytes() == first_chunk
+        assert 0 < len(first_chunk) < len(want)
+        assert not (again / "t.meta.json").exists()
+
     def test_csv_is_deterministic(self, tmp_path):
         out = tmp_path / "fig.csv"
         args = ["fig-two-level", "--out", str(out), "--gammas", "0", "2",

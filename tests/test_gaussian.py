@@ -661,6 +661,55 @@ class TestOutOfRange:
         want = 1.0 / math.sqrt(2.0 * math.pi) / math.sqrt(3.25e307)
         assert got[1, 0] == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "prep,x,t",
+        [
+            # it raised "leaves the double range"; wavefunction_at gives 6.3e-81 - 6.3e-81j
+            (GaussianPrep(0.0, 1e-160, 1e-80), 0.5, 1.0),
+            (GaussianPrep(0.0, 1e-160, 1e-80), 1e160, 1.0),  # (x - x0)^2 overflows too
+            (GaussianPrep(0.0, 1.5e308, 1e-154), 1e154, 1.5e154),  # sigma2_A + disp^2 overflows, not disp^2
+            (GaussianPrep(0.0, 1.0, 1e-300), 0.0, 3.5e8),  # Delta_t = 1.75e308: a subnormal density
+            (GaussianPrep(-1e308, 1.0, 1e-300), 1e308, 2e8),  # x - x0 overflows
+        ],
+    )
+    def test_overflowing_noise_variance_density_matches_decimal(self, prep, x, t):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            D = decimal.Decimal
+            disp = D(t) / (2 * D(prep.mass) * D(prep.sigma2_A).sqrt())
+            var, dx = D(prep.sigma2_A) + disp * disp, D(x) - D(prep.x0)
+            pi = D("3.14159265358979323846264338327950288419716939937511")
+            want = float((-(dx * dx) / (2 * var)).exp() / (2 * pi * var).sqrt())
+        assert var > D(1.7976931348623157e308)  # Delta_t^2 overflows a double
+        got = density_at(prep, x, t, NAT)
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-322)
+        assert got > 0.0
+        assert density_at(prep, np.array([x]), np.array([[t]]), NAT)[0, 0] == got
+
+    def test_overflowing_noise_variance_density_is_the_squared_wavefunction(self):
+        prep, x = GaussianPrep(0.0, 1e-160, 1e-80), np.array([0.5, -3.0, 1e154])
+        for t in (1.0, 2.0, 1e10):
+            psi = wavefunction_at(prep, x, t, NAT)
+            np.testing.assert_allclose(density_at(prep, x, t, NAT), np.abs(psi) ** 2, rtol=1e-14, atol=0.0)
+
+    def test_overflowing_noise_variance_array_matches_points(self):
+        # Delays where Delta_t^2 overflows (1, 2) beside ones where it fits (1e-200, 0).
+        prep, x = GaussianPrep(0.0, 1e-160, 1e-80), np.array([0.5, 1e160, -3e159, 0.0])
+        t = np.array([[1.0], [1e-200], [0.0], [2.0]])
+        got = density_at(prep, x, t, NAT)
+        want = [[density_at(prep, x_j, t_i, NAT) for x_j in x.tolist()] for t_i in t.ravel().tolist()]
+        np.testing.assert_array_equal(bits(got), bits(np.array(want)))
+        assert np.all(got[[0, 3]] > 0.0)
+
+    def test_overflowing_noise_width_rejected(self):
+        # Delta_t itself overflows: 4e8 / (2e-300) = 2e308
+        match = re.escape("Delta_t = sqrt(sigma2_A + (hbar t / (2 m sigma_A))^2) leaves the double range "
+                          "for sigma2_A=1.0, mass=1e-300 at delay t = 400000000.0")
+        with pytest.raises(ValueError, match=match):
+            density_at(GaussianPrep(0.0, 1.0, 1e-300), 0.0, 4e8, NAT)
+        with pytest.raises(ValueError, match=match):
+            density_at(GaussianPrep(0.0, 1.0, 1e-300), np.array([0.0, 1.0]), np.array([[3e8], [4e8]]), NAT)
+
     def test_density_that_fits_keeps_its_bits(self):
         # Today's expression, where 2 pi Delta_t^2 fits, against the scaled form.
         rng = np.random.default_rng(23)

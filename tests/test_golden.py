@@ -16,14 +16,21 @@ GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 
 
 def test_artefacts_match_the_manifest(tmp_path, monkeypatch):
+    # Written fresh, then over their own copies, then over longer junk: chancap
+    # writes over an existing output in place, so a stale tail would show here.
     monkeypatch.chdir(tmp_path)
-    got, want = artefacts.write(), GOLDEN["sha256"]
-    moved = [
-        f"{name}: {want.get(name, 'absent')} -> {got.get(name, 'absent')}"
-        for name in sorted(want.keys() | got.keys())
-        if want.get(name) != got.get(name)
-    ]
-    assert not moved, (
-        f"manifest made with numpy {GOLDEN['numpy']}, run with numpy {np.__version__}; moved:\n"
-        + "\n".join(moved)
-    )
+    want = GOLDEN["sha256"]
+    for before in ("nothing", "their own copies", "longer junk"):
+        if before == "longer junk":
+            for path in tmp_path.iterdir():
+                path.write_bytes(b"\xff" * (2 * path.stat().st_size + 4096))
+        got = artefacts.write()
+        moved = [
+            f"{name}: {want.get(name, 'absent')} -> {got.get(name, 'absent')}"
+            for name in sorted(want.keys() | got.keys())
+            if want.get(name) != got.get(name)
+        ]
+        assert not moved, (
+            f"written over {before}; manifest made with numpy {GOLDEN['numpy']}, run with numpy "
+            f"{np.__version__}; moved:\n" + "\n".join(moved)
+        )
