@@ -19,6 +19,12 @@ The closed forms are array-first: a delay, mass, signal level or noise
 variance may be a float or an ndarray, and positions x broadcast against
 the delays. An array call gives the same bits as float calls made point by
 point.
+
+density_at and wavefunction_at share one range rule (``_packet``). Where
+sigma_A and the dispersion lie in [2**-511, 2**505] they are evaluated as
+written; elsewhere on the packet scaled by an exact power of four, and
+scaled back. Both answer wherever Delta_t is a finite double, unless the
+phase of psi overflows.
 """
 
 from __future__ import annotations
@@ -94,13 +100,6 @@ def _check_time(t) -> None:
     _require((0.0 <= t) & (t < inf), t, "time delay must be >= 0, got {}; it must also be finite")
 
 
-def _position(x) -> np.ndarray:
-    """x as a float array, checked finite."""
-    x = np.asarray(x, dtype=float)
-    _require(np.isfinite(x), x, "position x must be finite, got {}")
-    return x
-
-
 def _check_signal(P) -> None:
     _require((P >= 0.0) & (P < inf), P, "signal constraint P must be >= 0, got {}; it must also be finite")
 
@@ -116,15 +115,17 @@ def _complex(re, im) -> np.ndarray:
 # The least normal double: a 2*m*sigma_A below it has lost bits to underflow.
 _MIN_NORMAL = 2.0**-1022
 
+# The band of sigma_A and the dispersion where the packet is not scaled: see _packet.
+_LOW, _HIGH = 2.0**-511, 2.0**505
+
 
 def _dispersion(sigma2_A, mass, t, hbar):
-    """The dispersion hbar*t / (2*m*sigma_A) for floats or broadcast arrays, under the module's one range rule.
+    """The dispersion hbar*t / (2*m*sigma_A) for floats or broadcast arrays.
 
-    Where 2*m*sigma_A is below _MIN_NORMAL (subnormal, or 0), it is taken
-    as (hbar*t / (2*m)) / sigma_A, on those elements only; everywhere else
-    it is noise_variance's float expression, bit for bit (math.sqrt and
-    np.sqrt are both correctly rounded). It is inf, without a warning, where
-    it overflows.
+    Where 2*m*sigma_A is below _MIN_NORMAL (subnormal, or 0), it is taken as
+    (hbar*t / (2*m)) / sigma_A on those elements only; elsewhere it is
+    noise_variance's float expression, bit for bit (math.sqrt and np.sqrt are
+    both correctly rounded). It is inf, without a warning, where it overflows.
     """
     sigma_A = np.sqrt(sigma2_A)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # replaced below, or left to the caller
@@ -144,44 +145,10 @@ def _noise(sigma2_A, mass, t, hbar):
     disp = _dispersion(sigma2_A, mass, t, hbar)
     with np.errstate(over="ignore"):  # rejected below
         var = sigma2_A + disp * disp
-    _require(var < inf, (sigma2_A, mass, t),
+    _require(var < inf, (sigma2_A, mass, t, hbar),
              "noise variance Delta_t^2 = sigma2_A + (hbar t / (2 m sigma_A))^2 leaves the double range "
-             "for sigma2_A={}, mass={} at delay t = {}")
+             "for sigma2_A={}, mass={} at delay t = {}, hbar = {}")
     return var
-
-
-# A noise variance at or below this is narrow enough that both closed forms
-# are 0 wherever (x - x0)^2 overflows; see _square.
-_NARROW = 2.0**1012
-
-# 2*pi*Delta_t^2 overflows only for a noise variance above this (from about 2.86e307).
-_WIDE = 2.0**1021
-
-# Where Delta_t^2 overflows (Delta_t >= 2**512), density_at scales Delta_t and x - x0
-# by this exact power of two: (s Delta_t)^2 lies in [2**-4, 2**1020), and the scaled
-# x - x0 of two finite positions below 2**511.
-_HUGE = 2.0**-514
-
-
-def _square(dx, prep: GaussianPrep, t, c: Constants):
-    """dx * dx, inf where it overflows, without a warning.
-
-    Where dx * dx overflows, dx^2 > 2**1023.99; with Delta_t^2 <= 2**1012
-    the exponent -dx^2 / (4 Delta_t^2) of the amplitude is below -1000, so
-    |psi| <= (2 pi 2**-1074)**(-1/4) e**-1000 < 2**-1170 (Delta_t^2 >=
-    sigma2_A >= 2**-1074): psi and the density round to 0, as the closed
-    forms give them from an inf. A wider packet at such an x raises
-    ValueError.
-    """
-    with np.errstate(over="ignore"):
-        sq = dx * dx
-    if sq.max(initial=0.0) == inf:
-        var = noise_variance(prep, t, c)
-        ok = (sq < inf) | (var <= _NARROW)
-        _require(ok, var,
-                 "noise variance {} is too wide to resolve a position x where (x - x0)^2 overflows; "
-                 "it must be at most 2**1012 there")
-    return sq
 
 
 def noise_variance(prep: GaussianPrep, t, c: Constants):
@@ -201,55 +168,55 @@ def noise_variance(prep: GaussianPrep, t, c: Constants):
     return _noise(prep.sigma2_A, prep.mass, t, c.hbar)
 
 
+def _packet(prep: GaussianPrep, x, t, c: Constants, geometric: bool = False):
+    """The packet at x after delays t, scaled by s: s (x - x0), s^2 sigma2_A, s * dispersion and s.
+
+    The module's range rule, per delay. It checks the delay, then x, and raises
+    ValueError where the dispersion overflows. s is 1 where sigma_A and the
+    dispersion lie in [2**-511, 2**505]: there sigma2_A is normal, Delta_t^2 <=
+    2**1011, and an (x - x0)^2 that overflows (x - x0 may too, without a warning)
+    puts either exponent below -2**11, so that its inf gives the exact 0. Elsewhere
+    s is the power of four, from frexp, that brings s w near 1 for w = max(sigma_A,
+    dispersion), or with geometric=True for sqrt(sigma_A w), the complex width's scale.
+    """
+    _check_time(t)
+    x = np.asarray(x, dtype=float)
+    _require(np.isfinite(x), x, "position x must be finite, got {}")
+    sigma_A = math.sqrt(prep.sigma2_A)
+    if type(t) is float and (den := 2.0 * prep.mass * sigma_A) >= _MIN_NORMAL:
+        disp = c.hbar * t / den  # _dispersion's float expression, in Python floats
+    else:
+        disp = _dispersion(prep.sigma2_A, prep.mass, t, c.hbar)
+    _require(disp < inf, (prep.sigma2_A, prep.mass, t, c.hbar),
+             "noise width Delta_t = sqrt(sigma2_A + (hbar t / (2 m sigma_A))^2) leaves the double range "
+             "for sigma2_A={}, mass={} at delay t = {}, hbar = {}")
+    inband = (_LOW <= sigma_A <= _HIGH) & (disp <= _HIGH)
+    with np.errstate(over="ignore"):  # an x - x0 that overflows: see above
+        if inband is True or np.all(inband):
+            return x - prep.x0, prep.sigma2_A, disp, 1.0
+        e = np.frexp(np.maximum(sigma_A, disp))[1]
+        if geometric:
+            e = (e + math.frexp(sigma_A)[1]) // 2
+        s = np.where(inband, 1.0, np.ldexp(1.0, -2 * ((e - 1) // 2)))
+        lo = np.minimum(s, 1.0)  # s x - s x0 where s < 1, as x - x0 may overflow; s (x - x0) where s > 1
+        dx = s / lo * (lo * x - lo * prep.x0)
+    return dx, s * (s * prep.sigma2_A), s * disp, s
+
+
 def density_at(prep: GaussianPrep, x, t, c: Constants):
     """Probability density of finding the particle at x after a delay t.
 
-    Gaussian with mean x0 and variance ``noise_variance(prep, t, c)``.
-    x and t are floats or arrays, broadcast against each other; a float
-    for both gives a float. A position that is NaN or infinite raises
-    ValueError, and so does a noise variance above 2**1012 at an x where
-    (x - x0)^2 overflows (see ``_square``). Where Delta_t^2 overflows but
-    Delta_t does not, see ``_huge_density``.
+    Gaussian with mean x0 and variance Delta_t^2, on the packet scaled by
+    ``_packet`` and scaled back by s. x and t are floats or arrays,
+    broadcast; a float for both gives a float. A delay or position that is
+    NaN or infinite raises ValueError, and so does a Delta_t that overflows.
     """
-    try:
-        var = noise_variance(prep, t, c)
-    except ValueError:  # an invalid delay, or a Delta_t^2 that overflows: _huge_density raises again for the first
-        return _huge_density(prep, x, t, c)
-    sq, s = _square(_position(x) - prep.x0, prep, t, c), 1.0
-    if (narrow := var < _WIDE) is not True and not np.all(narrow):
-        # 2*pi*Delta_t^2 may overflow: there x - x0 and Delta_t are scaled by s = 1/4, an exact
-        # power of two, which keeps the bits of every density that fits.
-        s = np.where(narrow, 1.0, 0.25)
-        sq, var = sq * (s * s), var * (s * s)
-    out = np.exp(-sq / (2.0 * var)) / (np.sqrt(2.0 * math.pi * var) / s)
-    return float(out) if out.ndim == 0 else out
-
-
-def _huge_density(prep: GaussianPrep, x, t, c: Constants):
-    """density_at where Delta_t^2 overflows at some delay.
-
-    There x - x0 and Delta_t are scaled by s = _HUGE, an exact power of two,
-    and the density is exp(-(s dx)^2 / (2 (s Delta_t)^2)) / sqrt(2 pi (s
-    Delta_t)^2) * s: it is at most 2**-512, subnormal from Delta_t of about
-    2**1021 on. Every other point is density_at's, bit for bit. An invalid
-    delay or position raises as in density_at, and so does a Delta_t that
-    overflows.
-    """
-    _check_time(t)
-    x = _position(x)
-    disp = _dispersion(prep.sigma2_A, prep.mass, t, c.hbar)
-    _require(disp < inf, t,
-             f"noise width Delta_t = sqrt(sigma2_A + (hbar t / (2 m sigma_A))^2) leaves the double range "
-             f"for sigma2_A={prep.sigma2_A}, mass={prep.mass} at delay t = {{}}")
-    with np.errstate(over="ignore"):  # split off below
-        var = prep.sigma2_A + disp * disp
-    x, t, disp, fits = np.broadcast_arrays(x, t, disp, var < inf)
-    out = np.empty(x.shape)
-    out[fits] = density_at(prep, x[fits], t[fits], c)
-    s, disp = _HUGE, disp[~fits]
-    dx = s * x[~fits] - s * prep.x0  # x - x0 itself may overflow
-    var = (s * s) * prep.sigma2_A + (s * disp) * (s * disp)
-    out[~fits] = np.exp(-(dx * dx) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var) * s
+    dx, sigma2, disp, s = _packet(prep, x, t, c)
+    var = sigma2 + disp * disp
+    with np.errstate(over="ignore"):  # an exponent that overflows gives the exact 0: see _packet
+        out = np.exp(-(dx * dx) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+    if isinstance(s, np.ndarray):  # scaled at some delay
+        out = out * s
     return float(out) if out.ndim == 0 else out
 
 
@@ -259,28 +226,40 @@ def wavefunction_at(prep: GaussianPrep, x, t, c: Constants):
     psi(x, t) = [sqrt(2*pi) * (sigma_A + i*hbar*t/(2*m*sigma_A))]^(-1/2)
                 * exp(-(x - x0)^2 / (4*(sigma_A^2 + i*hbar*t/(2m)))),
 
-    with the principal branch of the complex square root. Its squared
-    modulus equals ``density_at``. x and t are floats or arrays, broadcast
-    against each other; a float for both gives a complex. A position that
-    is NaN or infinite raises ValueError, and so does a b = hbar*t/(2m)
-    whose 4*b or sqrt(2*pi)*b/sigma_A overflows, or a wide packet as in
-    ``density_at``.
+    with the principal branch of the complex square root, on the packet
+    scaled by ``_packet(geometric=True)`` and scaled back by sqrt(s). Its
+    squared modulus equals ``density_at``. x and t broadcast as there; a
+    float for both gives a complex. It raises ValueError where density_at
+    does, and where the phase overflows but psi does not underflow to 0.
     """
-    _check_time(t)
-    # The complex width sigma2_A + i*b, scaled one part at a time as Python
-    # complex arithmetic scales it.
-    sigma_A = math.sqrt(prep.sigma2_A)
-    root = math.sqrt(2.0 * math.pi)
-    with np.errstate(over="ignore"):  # rejected below
+    dx, sigma2, disp, s = _packet(prep, x, t, c, geometric=True)
+    sigma_A = s * math.sqrt(prep.sigma2_A)
+    with np.errstate(over="ignore"):  # replaced below
         b = c.hbar * t / (2.0 * prep.mass)
-        width, root_width = 4.0 * b, root * (b / sigma_A)
-    _require((width < inf) & (root_width < inf), t,
-             f"the packet's width b = hbar t / (2 m) overflows for mass={prep.mass}, "
-             f"sigma2_A={prep.sigma2_A} at delay t = {{}}")
-    prefactor = 1.0 / np.sqrt(_complex(root * (prep.sigma2_A / sigma_A), root_width))
-    sq = _square(_position(x) - prep.x0, prep, t, c)
-    far = sq == inf  # psi is 0 there; kept out of the complex division, which would give NaN
-    gauss = np.where(far, 0.0, np.exp(-np.where(far, 0.0, sq) / _complex(4.0 * prep.sigma2_A, width)))
+    if isinstance(s, np.ndarray):  # s^2 b, or s sigma_A * s dispersion where b left the normal range
+        b = np.where((s == 1.0) | (_MIN_NORMAL <= b) & (b < inf), s * (s * b), sigma_A * disp)
+    root = math.sqrt(2.0 * math.pi)
+    prefactor = np.sqrt(s) / np.sqrt(_complex(root * (sigma2 / sigma_A), root * (b / sigma_A)))
+    # -(x - x0)^2 / (4 sigma2_A + 4ib) on real parts, in numpy's complex division steps (Smith's): rat, scl, products.
+    re, im = 4.0 * sigma2, 4.0 * b
+    lo, hi = np.minimum(re, im), np.maximum(re, im)
+    rat = lo / hi
+    scl = 1.0 / (hi + lo * rat)
+    a, bb = np.where(re >= im, 1.0, rat), np.where(re >= im, rat, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an exponent that is not finite is settled below
+        sq = dx * dx
+        zr, zi = (0.0 - sq * a) * scl, sq * bb * scl
+    if not np.all(ok := np.isfinite(zi)):
+        # (x - x0)^2 or the phase overflowed: the products again, in an order that overflows
+        # only with the phase or below -2**11; psi is 0 below -1000, its prefactor being below 2**272.
+        with np.errstate(over="ignore", invalid="ignore"):
+            zr = np.where(ok, zr, (0.0 - dx * a * scl) * dx)
+            zi = np.where(ok, zi, dx * bb * scl * dx)
+        lost = ~ok & (zr < -1000.0)
+        _require(np.isfinite(zi) | lost, (x, t), f"the phase of psi overflows for sigma2_A={prep.sigma2_A}, "
+                 f"mass={prep.mass} at position x = {{}}, delay t = {{}}")
+        zr, zi = np.where(lost, -inf, zr), np.where(lost, 0.0, zi)
+    gauss = np.exp(_complex(zr, zi))
     # The product one component at a time: numpy's array complex multiply
     # does not round as its scalar multiply does.
     pr, pi, gr, gi = prefactor.real, prefactor.imag, gauss.real, gauss.imag
@@ -324,11 +303,8 @@ def optimal_sigma2(t, mass, c: Constants):
     _require((0.0 < mass) & (mass < inf), mass, "mass must be positive, got {}; it must also be finite")
     with np.errstate(over="ignore"):  # an array v* that overflows is rejected, not warned about
         vstar = c.hbar * t / (2.0 * mass)
-    _require(
-        (0.0 < vstar) & (vstar < inf),
-        vstar,
-        "sigma2_A must be positive and finite, got {}; v* = hbar*t/(2m) left the floating-point range",
-    )
+    _require((0.0 < vstar) & (vstar < inf), (vstar, t, mass, c.hbar), "sigma2_A must be positive and finite, "
+             "got {}; v* = hbar*t/(2m) left the floating-point range for t = {}, mass = {}, hbar = {}")
     return vstar
 
 
@@ -370,27 +346,24 @@ def placement_power(b: PowerBudget) -> float:
     return power
 
 
-def capacity_vs_precision_curve(
-    t: float,
-    mass: float,
-    P: float,
-    sigma2_grid,
-    c: Constants,
-) -> np.ndarray:
+def capacity_vs_precision_curve(t: float, mass: float, P: float, sigma2_grid, c: Constants) -> np.ndarray:
     """Capacity as a function of preparation precision, for one signal level.
 
     Returns an (n, 2) array of (sigma2_A / v*, capacity in nats) pairs, one
-    per grid value. The curve peaks at sigma2_A = v*.
+    per grid value. The curve peaks at sigma2_A = v*. A ratio that
+    overflows raises ValueError naming its grid value.
     """
-    grid = np.asarray(sigma2_grid, dtype=float)
+    grid = np.asarray(sigma2_grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("sigma2_grid must not be empty")
-    if not np.all(grid > 0):
-        raise ValueError("sigma2_grid values must be positive")
+    _require(grid > 0, grid, "sigma2_grid values must be positive, got {}")
     vstar = optimal_sigma2(t, mass, c)
     out = np.empty((grid.size, 2))
-    for i, sigma2 in enumerate(grid.ravel()):
+    for i, sigma2 in enumerate(grid):
         prep = GaussianPrep(x0=0.0, sigma2_A=float(sigma2), mass=mass)
-        out[i, 0] = sigma2 / vstar
         out[i, 1] = capacity_nats(P, noise_variance(prep, t, c))
+    with np.errstate(over="ignore"):  # rejected below
+        out[:, 0] = grid / vstar
+    _require(out[:, 0] < inf, (grid, vstar, t, mass, c.hbar), "the ratio sigma2_A / v* overflows for "
+             "sigma2_grid value {} at v* = {} (t = {}, mass = {}, hbar = {})")
     return out

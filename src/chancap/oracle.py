@@ -68,7 +68,7 @@ class GridState:
             raise ValueError(f"expected {self.n} amplitudes, got shape {amps.shape}")
         norm = float((np.abs(amps) ** 2).sum() * self.dx)
         if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"grid norm deviates from 1 by {abs(norm - 1.0):.3e}")
+            raise ValueError(f"grid norm deviates from 1 by {abs(norm - 1.0):.3e} on [{self.x_min}, {self.x_max})")
         object.__setattr__(self, "amps", amps)
 
     @property
@@ -102,11 +102,15 @@ def discretize(prep: GaussianPrep, t_max: float, n: int, c: Constants) -> GridSt
     x_max = prep.x0 + half_width
     dx = (x_max - x_min) / n
     x = x_min + dx * np.arange(n)
-    amps = (2.0 * math.pi * prep.sigma2_A) ** -0.25 * np.exp(
-        -((x - prep.x0) ** 2) / (4.0 * prep.sigma2_A)
-    )
+    with np.errstate(over="ignore"):  # an exponent that overflows gives the exact 0
+        amps = (2.0 * math.pi * prep.sigma2_A) ** -0.25 * np.exp(
+            -((x - prep.x0) ** 2) / (4.0 * prep.sigma2_A)
+        )
     amps = amps.astype(complex)
-    amps /= math.sqrt(float((np.abs(amps) ** 2).sum() * dx))
+    norm = float((np.abs(amps) ** 2).sum() * dx)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"{prep} has grid norm {norm} on [{x_min}, {x_max}) for t_max = {t_max}, n = {n}")
+    amps /= math.sqrt(norm)
     return GridState(x_min=x_min, x_max=x_max, n=n, amps=amps)
 
 
@@ -121,7 +125,10 @@ def propagate_spectral(g: GridState, mass: float, t: float, c: Constants) -> Gri
     if not 0.0 < mass < math.inf:
         raise ValueError(f"mass must be positive and finite, got {mass}")
     k = 2.0 * math.pi * np.fft.fftfreq(g.n, d=g.dx)
-    phases = np.exp(-1j * c.hbar * k * k * t / (2.0 * mass))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        phases = np.exp(-1j * c.hbar * k * k * t / (2.0 * mass))
+    if not np.all(np.isfinite(phases)):
+        raise ValueError(f"the phase hbar k^2 t / (2m) overflows for mass={mass} at delay t = {t}, hbar = {c.hbar}")
     amps = np.fft.ifft(np.fft.fft(g.amps) * phases)
     return GridState(x_min=g.x_min, x_max=g.x_max, n=g.n, amps=amps)
 

@@ -141,10 +141,12 @@ def stochastic_rows(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     # Positive conditions, so that a NaN fails them; `initial` keeps an empty stack valid.
     if not (m.min(initial=0.0) >= -PROB_CLAMP and m.max(initial=1.0) <= 1.0 + PROB_CLAMP):
-        raise ValueError("transition probabilities stray from [0, 1] beyond cancellation noise")
+        _require((m >= -PROB_CLAMP) & (m <= 1.0 + PROB_CLAMP), m,
+                 "transition probabilities stray from [0, 1] beyond cancellation noise, got {}")
     rowsums = m.sum(axis=-1)
     if not abs(rowsums - 1.0).max(initial=0.0) <= PROB_CLAMP:
-        raise ValueError(f"rows must sum to 1, got {rowsums}")
+        k = np.argmin(abs(rowsums.ravel() - 1.0) <= PROB_CLAMP)
+        raise ValueError(f"rows must sum to 1, got {rowsums.flat[k]} for {m.reshape(-1, m.shape[-1])[k].tolist()}")
     return np.clip(m, 0.0, 1.0)
 
 

@@ -104,6 +104,22 @@ class TestWavefunction:
             worst = max(worst, abs(abs(psi) ** 2 - density_at(prep, x, t, NAT)))
         assert worst < 1e-12
 
+    def test_real_parts_give_numpys_complex_division(self):
+        # Inside the band, the exponent on real parts keeps the bits of numpy's complex division.
+        rng = np.random.default_rng(29)
+        root = math.sqrt(2.0 * math.pi)
+        for _ in range(200):
+            s2, m = 10.0 ** rng.uniform(-60, 60, 2)
+            prep, t = GaussianPrep(0.0, s2, m), float(10.0 ** rng.uniform(-40, 40)) * m * s2
+            x = rng.normal(size=64) * math.sqrt(noise_variance(prep, t, NAT)) * 10.0 ** rng.uniform(-1, 0.5)
+            b, sigma_A = t / (2.0 * m), math.sqrt(s2)
+            pref = 1.0 / np.sqrt(complex(root * (s2 / sigma_A), root * (b / sigma_A)))
+            gauss = np.exp(-(x * x) / np.full(x.shape, complex(4.0 * s2, 4.0 * b)))
+            want = np.empty(x.shape, complex)
+            want.real = pref.real * gauss.real - pref.imag * gauss.imag
+            want.imag = pref.real * gauss.imag + pref.imag * gauss.real
+            np.testing.assert_array_equal(bits(wavefunction_at(prep, x, t, NAT)), bits(want))
+
     def test_grid_norm_is_unitary(self):
         prep = GaussianPrep(x0=0.0, sigma2_A=1.0, mass=1.0)
         for t in (0.0, 1.0, 3.0):
@@ -466,14 +482,22 @@ class TestArraysMatchPointByPoint:
             np.testing.assert_array_equal(bits(noise_variance(prep, ts, NAT)), bits(want_var))
 
     def test_positions_broadcast_against_delays(self):
-        prep = GaussianPrep(x0=0.3, sigma2_A=0.8, mass=1.7)
         x = np.linspace(-6.0, 6.0, 31)
-        t = np.array([[0.0], [0.5], [2.0], [7.0]])
-        for f in (wavefunction_at, density_at):
-            got = f(prep, x, t, NAT)
-            assert got.shape == (4, 31)
-            want = np.array([[f(prep, float(a), float(b[0]), NAT) for a in x] for b in t])
-            np.testing.assert_array_equal(bits(got), bits(want))
+        cases = [
+            (GaussianPrep(x0=0.3, sigma2_A=0.8, mass=1.7), x, [0.0, 0.5, 2.0, 7.0]),
+            # Scaled delays beside unscaled ones: a subnormal sigma2_A, a Delta_t^2 that
+            # overflows, and an x - x0 that overflows.
+            (GaussianPrep(0.0, 5e-324, 1.0), x * 2e-162, [0.0, 5e-324, 1e-170, 1.0]),
+            (GaussianPrep(0.0, 1e-160, 1e-80), x * 5e159, [1e-200, 0.0, 1.0, 2.0]),
+            (GaussianPrep(-1e308, 1.0, 1e-300), x * 1.6e307, [0.0, 1.0, 2e8, 3.5e8]),
+        ]
+        for prep, x, t in cases:
+            t = np.array(t)[:, None]
+            for f in (wavefunction_at, density_at):
+                got = f(prep, x, t, NAT)
+                assert got.shape == (4, 31)
+                want = np.array([[f(prep, float(a), float(b[0]), NAT) for a in x] for b in t])
+                np.testing.assert_array_equal(bits(got), bits(want))
 
     def test_optimal_sigma2_and_capacity(self):
         rng = np.random.default_rng(5)
@@ -670,6 +694,9 @@ class TestOutOfRange:
             (GaussianPrep(0.0, 1.5e308, 1e-154), 1e154, 1.5e154),  # sigma2_A + disp^2 overflows, not disp^2
             (GaussianPrep(0.0, 1.0, 1e-300), 0.0, 3.5e8),  # Delta_t = 1.75e308: a subnormal density
             (GaussianPrep(-1e308, 1.0, 1e-300), 1e308, 2e8),  # x - x0 overflows
+            # a subnormal sigma2_A: 2 pi sigma2_A lost bits, and the density was 1.8367e161, 2.3% off
+            (GaussianPrep(0.0, 5e-324, 1.0), 0.0, 0.0),
+            (GaussianPrep(0.0, 5e-324, 1.0), 0.0, 5e-324),  # b = hbar t / (2m) underflows to 0
         ],
     )
     def test_overflowing_noise_variance_density_matches_decimal(self, prep, x, t):
@@ -680,11 +707,13 @@ class TestOutOfRange:
             var, dx = D(prep.sigma2_A) + disp * disp, D(x) - D(prep.x0)
             pi = D("3.14159265358979323846264338327950288419716939937511")
             want = float((-(dx * dx) / (2 * var)).exp() / (2 * pi * var).sqrt())
-        assert var > D(1.7976931348623157e308)  # Delta_t^2 overflows a double
+        # Delta_t^2 overflows a double, or sigma2_A is subnormal
+        assert var > D(1.7976931348623157e308) or prep.sigma2_A < 2.0**-1022
         got = density_at(prep, x, t, NAT)
         assert got == pytest.approx(want, rel=1e-14, abs=1e-322)
         assert got > 0.0
         assert density_at(prep, np.array([x]), np.array([[t]]), NAT)[0, 0] == got
+        assert abs(wavefunction_at(prep, x, t, NAT)) ** 2 == pytest.approx(want, rel=1e-14, abs=1e-322)
 
     def test_overflowing_noise_variance_density_is_the_squared_wavefunction(self):
         prep, x = GaussianPrep(0.0, 1e-160, 1e-80), np.array([0.5, -3.0, 1e154])
@@ -730,18 +759,31 @@ class TestOutOfRange:
         assert out[:, 0].tolist() == [fn(PREP, 0.5, t_k, NAT) for t_k in (1.0, 2.0)]
 
     @pytest.mark.parametrize("fn", [density_at, wavefunction_at])
-    def test_overflowing_square_of_a_wide_packet_rejected(self, fn):
-        # Delta_t^2 = 1e306 at x = 1.5e154: the true density is about 5e-203, not 0.
-        with pytest.raises(ValueError, match="noise variance 1e\\+306 is too wide"):
-            fn(GaussianPrep(0.0, 1e306, 1.0), 1.5e154, 0.0, NAT)
-        with pytest.raises(ValueError, match="noise variance 1e\\+306 is too wide"):
-            fn(GaussianPrep(0.0, 1e306, 1.0), np.array([0.0, 1.5e154]), 0.0, NAT)
+    def test_overflowing_square_of_a_wide_packet_answers(self, fn):
+        # Delta_t^2 = 1e306 at x = 1.5e154, where (x - x0)^2 overflows: it raised "noise variance
+        # 1e+306 is too wide". 50-digit decimal gives 5.530709549844319e-203; |psi| is checked
+        # against its root, since squaring doubles the relative error.
+        prep, want = GaussianPrep(0.0, 1e306, 1.0), 5.530709549844319e-203
+        got = fn(prep, 1.5e154, 0.0, NAT)
+        assert abs(got) == pytest.approx(want if fn is density_at else math.sqrt(want), rel=1e-14, abs=0.0)
+        assert fn(prep, np.array([0.0, 1.5e154]), 0.0, NAT)[1] == got
 
     def test_wavefunction_width_overflow_rejected(self):
-        # b = hbar t / (2 m) overflows: it gave nan+nanj with an "invalid value" warning.
+        # b = hbar t / (2 m) overflows: it gave nan+nanj with an "invalid value" warning. Delta_t
+        # overflows there too, and both forms name it as density_at does.
         prep = GaussianPrep(0.0, 1.0, 5e-324)
-        match = re.escape("b = hbar t / (2 m) overflows for mass=5e-324, sigma2_A=1.0 at delay t = 1.0")
-        with pytest.raises(ValueError, match=match):
-            wavefunction_at(prep, 0.5, 1.0, NAT)
-        with pytest.raises(ValueError, match=match):
-            wavefunction_at(prep, np.array([0.5, 1.0]), np.array([[0.0], [1.0]]), NAT)
+        match = re.escape("noise width Delta_t = sqrt(sigma2_A + (hbar t / (2 m sigma_A))^2) leaves the double range "
+                          "for sigma2_A=1.0, mass=5e-324 at delay t = 1.0")
+        for fn in (wavefunction_at, density_at):
+            with pytest.raises(ValueError, match=match):
+                fn(prep, 0.5, 1.0, NAT)
+            with pytest.raises(ValueError, match=match):
+                fn(prep, np.array([0.5, 1.0]), np.array([[0.0], [1.0]]), NAT)
+
+    def test_curve_ratio_overflow_names_the_grid_value(self):
+        # v* = 5e-321: 1e308 / v* gave inf in the ratio column, with an overflow warning.
+        vstar = optimal_sigma2(1e-160, 1e160, NAT)
+        with pytest.raises(ValueError, match=re.escape("sigma2_grid value 1e+308 at v* = 5e-321")):
+            capacity_vs_precision_curve(1e-160, 1e160, 1.0, [1e-30, 1e308], NAT)
+        got = capacity_vs_precision_curve(1e-160, 1e160, 1.0, [1e-30, 1e-20], NAT)
+        assert got[:, 0].tolist() == [1e-30 / vstar, 1e-20 / vstar]
