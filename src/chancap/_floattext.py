@@ -1,8 +1,8 @@
 """Decimal text of float64 columns, digit for digit as "%.16e" % x and float.__repr__ give it.
 
 The CLI table writer's cells. ``csv_cells(x, seps)`` and ``json_cells(x,
-seps)`` return one uint8 row per value of x, the value's text between its
-column's separators, with NUL in the bytes a row does not use; the writer
+seps)`` return one uint8 row per value of x, its column's separator and then
+the value's text, with NUL in the bytes a row does not use; the writer
 deletes them. The digits come from one vectorised kernel. The rare value it
 cannot certify is spelt by the standard library, so every cell is the
 standard library's text.
@@ -286,30 +286,35 @@ def _fallback(out: np.ndarray, x: np.ndarray, ok: np.ndarray, texts: list[bytes]
         out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
 
 
-Separators = tuple[tuple[bytes, bytes], ...]
+Separators = tuple[bytes, ...]
 
 
 def _framed(cells: np.ndarray, seps: Separators) -> tuple[np.ndarray, int]:
-    """Cell frames between each column's separators: one block of rows per column; the cell's offset.
+    """Cell frames after each separator: one block of rows per separator; the cell's offset.
 
-    Separators are NUL-padded to one width before the cell and one after it.
+    Separators are NUL-padded on the left to one width.
     """
-    pre, post = (max(len(sep[i]) for sep in seps) for i in (0, 1))
-    width = cells.shape[1]
-    out = np.zeros((len(seps), len(cells), pre + width + post), dtype=np.uint8)
-    for framed, (before, after) in zip(out, seps):
-        framed[:, pre - len(before) : pre] = np.frombuffer(before, dtype=np.uint8)
-        framed[:, pre : pre + width] = cells
-        framed[:, pre + width : pre + width + len(after)] = np.frombuffer(after, dtype=np.uint8)
+    pre = max(map(len, seps))
+    out = np.zeros((len(seps), len(cells), pre + cells.shape[1]), dtype=np.uint8)
+    for framed, sep in zip(out, seps):
+        framed[:, pre - len(sep) : pre] = np.frombuffer(sep, dtype=np.uint8)
+        framed[:, pre:] = cells
     return out.reshape(-1, out.shape[2]), pre
 
 
 @functools.cache
-def _csv_frames(seps: Separators, signed: int, width: int) -> tuple[np.ndarray, int]:
-    """Per column, sign and k, the bytes of a CSV unit that do not depend on D; the cell's offset.
+def _blocks(seps: Separators) -> tuple[Separators, np.ndarray]:
+    """The distinct separators of seps, sorted, and the first frame row of each column's block among theirs."""
+    distinct = tuple(sorted(set(seps)))
+    return distinct, np.array([distinct.index(sep) for sep in seps]) * (2 * _K_ROWS)
 
-    Row k - _K_MIN + _K_ROWS (sign + 2 column) holds the separators, the
-    sign, the point and the exponent, NUL where a digit goes. Without signed
+
+@functools.cache
+def _csv_frames(seps: Separators, signed: int, width: int) -> tuple[np.ndarray, int]:
+    """Per separator, sign and k, the bytes of a CSV unit that do not depend on D; the cell's offset.
+
+    Row k - _K_MIN + _K_ROWS (sign + 2 j) holds separator seps[j], the sign,
+    the point and the exponent, NUL where a digit goes. Without signed
     there is no sign byte; a width of 22 + signed leaves out the third
     exponent digit, and a wider one pads the cell with NUL.
     """
@@ -329,9 +334,9 @@ def _csv_frames(seps: Separators, signed: int, width: int) -> tuple[np.ndarray, 
 
 
 def csv_cells(x: np.ndarray, seps: Separators) -> np.ndarray:
-    """Each value of x as before + "%.16e" % v + after, one uint8 row each, NUL where unused.
+    """Each value of x as its column's separator + "%.16e" % v, one uint8 row each, NUL where unused.
 
-    x holds rows of len(seps) columns, row-major, and column j is framed by
+    x holds rows of len(seps) columns, row-major, and column j follows
     seps[j]. Rows hold a sign only where some value is negative, and a third
     exponent digit only where some exponent needs it.
     """
@@ -340,9 +345,10 @@ def csv_cells(x: np.ndarray, seps: Separators) -> np.ndarray:
     sign = np.signbit(x) & ok
     signed = int(sign.any())
     width = max([22 + signed + int((ok & (np.abs(k) >= 100)).any()), *map(len, texts)])
-    frames, pre = _csv_frames(seps, signed, width)
+    distinct, blocks = _blocks(seps)
+    frames, pre = _csv_frames(distinct, signed, width)
     rows = (k - _K_MIN) + sign * _K_ROWS
-    rows.reshape(-1, len(seps))[:] += np.arange(len(seps)) * (2 * _K_ROWS)
+    rows.reshape(-1, len(seps))[:] += blocks
     out = np.take(frames, rows, axis=0)
     digits = _digit_chars(D, strip=False)
     out[:, pre + signed] = digits[:, 3]
@@ -388,14 +394,14 @@ def _json_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 @functools.cache
 def _json_frames(seps: Separators) -> tuple[np.ndarray, int]:
-    """Per column, sign and k, the JSON cell frames between the column's separators; the cell's offset."""
+    """Per separator, sign and k, the JSON cell frames after the separator; the cell's offset."""
     return _framed(_json_tables()[0], seps)
 
 
 def json_cells(x: np.ndarray, seps: Separators) -> np.ndarray:
-    """Each value of x as before + json.dumps(v) + after, one uint8 row each, NUL where unused.
+    """Each value of x as its column's separator + json.dumps(v), one uint8 row each, NUL where unused.
 
-    x holds rows of len(seps) columns, row-major, and column j is framed by
+    x holds rows of len(seps) columns, row-major, and column j follows
     seps[j]. Cell layout: sign; the digits before the point, or "0.000" for
     -4 <= k < 0; the point and the "0" of a whole number; the digits after
     the point; "e-ddd" for k < -4 or k > 15. The digits on either side of
@@ -405,10 +411,11 @@ def json_cells(x: np.ndarray, seps: Separators) -> np.ndarray:
     texts = [json.dumps(v).encode() for v in x[~ok].tolist()]
     digits = _digit_chars(D, strip=True)
     _, fill, keep, after = _json_tables()
-    frames, pre = _json_frames(seps)
+    distinct, blocks = _blocks(seps)
+    frames, pre = _json_frames(distinct)
     row = k - _K_MIN
     rows = row + np.signbit(x) * _K_ROWS
-    rows.reshape(-1, len(seps))[:] += np.arange(len(seps)) * (2 * _K_ROWS)
+    rows.reshape(-1, len(seps))[:] += blocks
     out = np.take(frames, rows, axis=0)
     keep = np.take(keep, row, axis=0)
     _put(out, pre + 1, ((digits & keep) | np.take(fill, row, axis=0))[:, 3:])

@@ -55,16 +55,6 @@ def count(text: str) -> int:
 #: Values formatted per kernel call: bounds the bytes held at once, whatever the table size.
 _CHUNK_VALUES = 4096
 
-#: A table column: an array, or a level column (levels, index) that stands for levels[index].
-Column = np.ndarray | tuple[np.ndarray, np.ndarray]
-
-
-def _levels(levels, repeat: int = 1, tile: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """np.tile(np.repeat(levels, repeat), tile) as a level column, its index in the smallest integer type."""
-    index = np.arange(len(levels), dtype=np.min_scalar_type(len(levels)))
-    return np.asarray(levels, dtype=np.float64), np.tile(np.repeat(index, repeat), tile)
-
-
 def _packed(units: np.ndarray) -> np.ndarray:
     """The rows of a uint8 array with their NUL bytes deleted, each NUL-padded to the longest."""
     width = np.count_nonzero(units, axis=1)
@@ -104,50 +94,45 @@ def _write_json(path: str | Path, payload: dict) -> None:
         f.write((json.dumps(payload, indent=1, sort_keys=True) + "\n").encode())
 
 
-def _write_table(path: Path, table: dict[str, Column], fmt: str) -> int:
-    """Write equal-length columns as CSV, or as json.dumps({"columns", "rows"}, indent=1) does.
+def _write_table(path: Path, table: dict[str, np.ndarray], fmt: str) -> int:
+    """Write columns as CSV, or as json.dumps({"columns", "rows"}, indent=1) does; return the row count.
 
-    Returns the row count. Cells are "%.16e" for CSV and json's float
-    spelling for JSON, from _floattext; each comes as a unit, the cell
-    between its column's separators. The units of every level of every level
-    column come from one kernel call, before any row, and are kept
-    NUL-stripped. A chunk of rows takes _CHUNK_VALUES values of the other
-    columns row by row through one kernel call into one uint8 block of
-    equal-width units, and gathers each level column's units by its index
-    beside them. Bytes a unit does not use are NUL and are deleted before
-    the chunk is written.
+    The columns broadcast to one grid, whose rows are written in C order; a
+    ValueError names every column's shape where they do not. Cells are
+    "%.16e" for CSV and json's float spelling for JSON, from _floattext;
+    each comes as a unit, the cell after its column's separator. A column
+    that holds one value per row is plain; any other is a level column. The
+    units of every value of every level column come from one kernel call,
+    before any row, and are kept NUL-stripped. A chunk of rows takes
+    _CHUNK_VALUES values of the plain columns row by row through one kernel
+    call into one uint8 block of equal-width units, and gathers each level
+    column's units by its broadcast index beside them. Bytes a unit does not
+    use are NUL and are deleted before the chunk is written.
     """
     columns = list(table)
-    levels = {
-        k: (np.ascontiguousarray(col[0], dtype=np.float64).ravel(), np.asarray(col[1]).ravel())
-        for k, col in enumerate(table.values()) if isinstance(col, tuple)
-    }
-    plain = {
-        k: np.ascontiguousarray(col, dtype=np.float64).ravel()
-        for k, col in enumerate(table.values()) if k not in levels
-    }
-    lengths = [len(levels[k][1]) if k in levels else len(plain[k]) for k in range(len(columns))]
-    nrows = lengths[0] if columns else 0
-    if any(n != nrows for n in lengths):
-        named = ", ".join(f"{name}={n}" for name, n in zip(columns, lengths))
-        raise ValueError(f"table columns differ in length: {named}")
-    for k, (values, index) in levels.items():
-        if index.size and not (index.min() >= 0 and index.max() < len(values)):
-            raise ValueError(f"level index of column {columns[k]} lies outside [0, {len(values)})")
+    arrays = [np.asarray(col, dtype=np.float64) for col in table.values()]
+    try:
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    except ValueError:
+        named = ", ".join(f"{name}={a.shape}" for name, a in zip(columns, arrays))
+        raise ValueError(f"table columns do not broadcast to one grid: {named}") from None
+    nrows = math.prod(shape) if columns else 0
+    plain = {k: a.ravel() for k, a in enumerate(arrays) if a.size == nrows}
+    levels = {}
+    for k, a in enumerate(arrays):
+        if k not in plain:
+            # Its values, and per row the flat position of the row's value, in the smallest integer type.
+            position = np.arange(a.size, dtype=np.min_scalar_type(a.size)).reshape(a.shape)
+            levels[k] = a.ravel(), np.broadcast_to(position, shape).ravel()
     if fmt == "csv":
-        cells = _floattext.csv_cells
-        seps = [("," if k else "\n", "") for k in range(len(columns))]
+        cells, first, sep = _floattext.csv_cells, "\n", ","
         head, tail = ",".join(columns), "\n"
     else:
-        cells = _floattext.json_cells
-        last = len(columns) - 1
-        seps = [
-            (",\n   " if k else ",\n  [\n   ", "\n  ]" if k == last else "")
-            for k in range(len(columns))
-        ]
+        # Each row closes the one before it; the first drops that, and the tail closes the last.
+        cells, first, sep = _floattext.json_cells, "\n  ],\n  [\n   ", ",\n   "
         head = json.dumps({"columns": columns, "rows": []}, indent=1)[: -len("]\n}")]
-        tail = "\n ]\n}\n" if nrows else "]\n}\n"
-    seps = [(before.encode(), after.encode()) for before, after in seps]
+        tail = "\n  ]\n ]\n}\n" if nrows else "]\n}\n"
+    seps = [(sep if k else first).encode() for k in range(len(columns))]
     units = {}
     if levels and nrows:
         # Every level column side by side, the shorter ones padded with zeros.
@@ -169,17 +154,17 @@ def _write_table(path: Path, table: dict[str, Column], fmt: str) -> int:
                 for k, (_, index) in levels.items():
                     parts[k] = np.take(units[k], index[start:stop], axis=0)
                 block = np.concatenate([parts.pop(k) for k in range(len(columns))], axis=1)
-            if start == 0 and fmt == "json":
-                block[0, block[0].tobytes().index(b",")] = 0  # no comma before the first row
             data = block.tobytes()
             if b"\0" in data:
                 data = data.translate(None, b"\0")
+            if start == 0 and fmt == "json":
+                data = data[len("\n  ],") :]
             f.write(data)
         f.write(tail.encode())
     return nrows
 
 
-def _emit(args, table: dict[str, Column], unused: tuple[str, ...] = ()) -> int:
+def _emit(args, table: dict[str, np.ndarray], unused: tuple[str, ...] = ()) -> int:
     """Write the table and its sidecar, whose params are the options but run fields and `unused`."""
     out = Path(args.out or f"{args.subcommand}.{args.format}")
     options = vars(args)
@@ -213,15 +198,15 @@ def _cmd_fig_gaussian(args) -> int:
         math.log10(args.grid_min), math.log10(args.grid_max), args.grid_points
     )
     ratios = args.ratios = sorted(args.ratios)
-    curves = np.concatenate(
+    curves = np.stack(
         [gaussian.capacity_vs_precision_curve(args.t, args.mass, r * vstar, grid, c) for r in ratios]
     )
     return _emit(
         args,
         {
-            "sigma2_over_vstar": curves[:, 0],
-            "ratio": _levels(ratios, repeat=grid.size),
-            "capacity_nats": curves[:, 1],
+            "sigma2_over_vstar": curves[..., 0],
+            "ratio": np.array(ratios)[:, None],
+            "capacity_nats": curves[..., 1],
         },
     )
 
@@ -245,9 +230,9 @@ def _cmd_fig_two_level(args) -> int:
     return _emit(
         args,
         {
-            "gamma": _levels(gammas, repeat=args.time_points),
-            "t": np.concatenate(times),
-            "capacity_bits": np.concatenate(caps),
+            "gamma": np.array(gammas)[:, None],
+            "t": np.stack(times),
+            "capacity_bits": np.stack(caps),
         },
     )
 
@@ -262,8 +247,7 @@ def _cmd_contour(args) -> int:
     times = np.logspace(math.log10(args.t_min), math.log10(args.t_max), args.t_points)
     # Row order: mass outer, t inner.
     vstar, cap = gaussian.capacity_at_optimum(times, masses[:, None], args.p_constraint, c)
-    return _emit(args, {"mass": _levels(masses, repeat=times.size), "t": _levels(times, tile=masses.size),
-                        "vstar": vstar.ravel(), "capacity_nats": cap.ravel()})
+    return _emit(args, {"mass": masses[:, None], "t": times, "vstar": vstar, "capacity_nats": cap})
 
 
 def _cmd_evolve(args) -> int:

@@ -11,9 +11,10 @@ report of each suite. The ``--out`` paths are relative, since a sidecar
 records its ``out``. It prints the sha256 of each file, as
 ``tests/golden.json`` holds them. ``compare`` needs no chancap.
 
-``compare`` prints one line per file: identical or not. For a CSV table
-that differs, it prints each column's count of changed values, its largest
-absolute change and its largest change in ulps. For a verify report that
+``compare`` prints one line per file: identical or not. For a CSV or JSON
+table that differs, it prints each column's count of changed values, its
+largest absolute change and its largest change in ulps; where every value
+matches, the offset of the first byte that differs. For a verify report that
 differs, it prints each check's old and new ``max_deviation`` and
 ``passed``.
 """
@@ -65,11 +66,16 @@ def write() -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path().iterdir())}
 
 
-def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    header, *lines = path.read_text().splitlines()
-    columns = header.split(",")
-    rows = [[float(cell) for cell in line.split(",")] for line in lines]
-    return columns, np.array(rows, dtype=float).reshape(len(lines), len(columns))
+def _read_table(path: Path) -> tuple[list[str], np.ndarray]:
+    """A CSV or JSON table's column names and its values, one row each."""
+    if path.suffix == ".csv":
+        header, *lines = path.read_text().splitlines()
+        columns = header.split(",")
+        rows = [[float(cell) for cell in line.split(",")] for line in lines]
+    else:
+        payload = json.loads(path.read_text())
+        columns, rows = payload["columns"], payload["rows"]
+    return columns, np.array(rows, dtype=float).reshape(len(rows), len(columns))
 
 
 def _ordered(x: np.ndarray) -> np.ndarray:
@@ -79,7 +85,7 @@ def _ordered(x: np.ndarray) -> np.ndarray:
 
 
 def _table_lines(a: Path, b: Path) -> list[str]:
-    (cols_a, rows_a), (cols_b, rows_b) = _read_csv(a), _read_csv(b)
+    (cols_a, rows_a), (cols_b, rows_b) = _read_table(a), _read_table(b)
     if cols_a != cols_b or rows_a.shape != rows_b.shape:
         return [f"  shape {cols_a} x {len(rows_a)} -> {cols_b} x {len(rows_b)}"]
     lines = []
@@ -92,6 +98,10 @@ def _table_lines(a: Path, b: Path) -> list[str]:
         ulps = max(abs(int(p) - int(q)) for p, q in zip(_ordered(x[changed]), _ordered(y[changed])))
         lines.append(f"  {name}: {int(changed.sum())} of {changed.size} changed, "
                      f"max |change| {largest:.3e}, max {ulps} ulp")
+    if not lines:
+        old, new = a.read_bytes(), b.read_bytes()
+        at = next((i for i, (p, q) in enumerate(zip(old, new)) if p != q), min(len(old), len(new)))
+        lines.append(f"  every value equal; the bytes first differ at offset {at}")
     return lines
 
 
@@ -124,10 +134,10 @@ def compare(a: Path, b: Path) -> int:
         else:
             print(f"{name}: differs")
             differing += 1
-            if name.endswith(".csv"):
-                print("\n".join(_table_lines(old, new)))
-            elif name.startswith("verify-"):
+            if name.startswith("verify-"):
                 print("\n".join(_report_lines(old, new)))
+            elif name.endswith((".csv", ".json")) and not name.endswith(".meta.json"):
+                print("\n".join(_table_lines(old, new)))
     print(f"{differing} files differ")
     return differing
 

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import re
 import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import artefacts
 from chancap import _floattext, cli, gaussian, infotheory
 from chancap.cli import main
 from chancap.twolevel import PrepBias, TwoLevelHamiltonian, period, transition_probs
@@ -372,7 +374,7 @@ class TestOutputs:
 
     @pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
     def test_wrote_line_counts_rows(self, tmp_path, case, capsys):
-        # The count a benchmark reads from stdout; a level column is a pair, not a row.
+        # The count a benchmark reads from stdout: rows of the grid, not values of a level column.
         out = tmp_path / "t.csv"
         assert main([*SIDECAR_CASES[case][0], "--out", str(out)]) == 0
         _, rows = read_csv(out)
@@ -502,8 +504,9 @@ class TestParser:
 
 
 def expanded(table):
-    """The table with each level column (levels, index) written out as levels[index]."""
-    return {name: col[0][col[1]] if isinstance(col, tuple) else col for name, col in table.items()}
+    """The table's columns broadcast to one grid, each flattened in C order."""
+    shape = np.broadcast_shapes(*(np.shape(col) for col in table.values()))
+    return {name: np.broadcast_to(col, shape).ravel() for name, col in table.items()}
 
 
 def row_table_bytes(columns, rows, fmt):
@@ -541,25 +544,27 @@ WRITER_TABLES = {
         "x": np.array([math.nan, -math.inf, 5e-324, 2.2250738585072014e-308, 1e23]),
         "y": np.array([1e23, math.inf, -5e-324, math.nan, -2.2250738585072014e-308]),
     },
-    # Level columns (levels, index): levels that need a sign, the fallback or
-    # nothing at all, unused levels, level columns first (the JSON first-row
-    # comma) and last (the closing bracket), and tables of level columns only.
+    # Level columns, which broadcast to the table's grid with fewer values
+    # than rows: levels that need a sign, the fallback or nothing at all,
+    # level columns first (the JSON first row opens the list) and last (the
+    # tail closes the row), and tables of level columns only.
     "levels-first": {
-        "a": (np.array(LEVELS), np.array([1, 0, 2, 3, 4, 5, 6, 7, 0, 1, 5])),
-        "b": np.arange(11) / 3.0,
-        "c": (np.array([4.0, -0.5, 1e-7]), np.array([1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1])),
+        "a": np.array(LEVELS)[:, None],
+        "b": np.arange(30.0).reshape(10, 3) / 3.0,
+        "c": np.array([4.0, -0.5, 1e-7]),
     },
     "levels-middle": {
-        "x": np.linspace(-1.0, 1.0, 6),
-        "level": (np.array(LEVELS[::-1]), np.array([4, 4, 9, 2, 3, 4])),
-        "y": np.array([2.0**-25, 1e23, 5e-324, 0.0, -0.0, math.nan]),
+        "x": np.linspace(-1.0, 1.0, 20).reshape(10, 2),
+        "level": np.array(LEVELS[::-1])[:, None],
+        "y": np.resize([2.0**-25, 1e23, 5e-324, 0.0, -0.0, math.nan], (10, 2)),
     },
-    "levels-only": {
-        "t": (np.array([0.0, -0.0, 5e-324]), np.repeat([0, 1, 2], 4)),
-        "x": (np.array(LEVELS), np.tile([9, 3, 0, 2], 3)),
-    },
-    "levels-one-row": {"x": (np.array([-math.inf, 1e23]), np.array([1])), "y": np.array([-0.0])},
-    "levels-empty": {"x": (np.array(LEVELS), np.array([], dtype=int)), "y": np.array([])},
+    "levels-only": {"t": np.array([[0.0], [-0.0], [5e-324]]), "x": np.array(LEVELS)[[9, 3, 0, 2]]},
+    # (3, 1) against (2,): a grid of 3 x 2 rows.
+    "levels-outer-inner": {"x": np.array([[1e23], [-math.inf], [2.0**-25]]), "y": np.array([-0.0, 5e-324])},
+    # One level of the outer axis.
+    "levels-one-row": {"x": np.array([[1e23]]), "y": np.array([[-0.0, -math.inf]])},
+    # A (10, 1) column against a (0,) one: a (10, 0) grid, no row.
+    "levels-empty": {"x": np.array(LEVELS)[:, None], "y": np.array([])},
     # JSON switches between fixed and exponent notation at 1e-4 and 1e16.
     "notation-switch": {
         "x": np.array([
@@ -579,11 +584,15 @@ CHUNK = cli._CHUNK_VALUES // len(EDGE)
 def chunked_table(nrows):
     """Every EDGE value in the last row of a chunk and in the first row of the next, in some column.
 
-    Column s<j> holds EDGE rotated by j in the rows edge-4 .. edge+3 around
-    the table's start, end and every chunk boundary, and random normals
-    elsewhere. Two level columns follow: "same" repeats one value, with two
-    unused levels, and "distinct" never repeats, its levels shuffled.
+    The table is a grid of nrows / width by width rows, width the largest
+    divisor of nrows up to CHUNK. Column s<j> holds EDGE rotated by j in the
+    rows edge-4 .. edge+3 around the table's start, end and every chunk
+    boundary, and random normals elsewhere. Three level columns follow:
+    "same" repeats one value, "outer" takes a new level every width rows and
+    "inner" (EDGE repeated) a new one every row, so both change across
+    chunk boundaries.
     """
+    width = max(d for d in range(1, CHUNK + 1) if nrows % d == 0)
     rng = np.random.default_rng(nrows)
     table = {}
     for j in range(len(EDGE)):
@@ -592,12 +601,10 @@ def chunked_table(nrows):
             for k, i in enumerate(range(edge - 4, edge + 4)):
                 if 0 <= i < nrows:
                     col[i] = EDGE[(k + j) % len(EDGE)]
-        table[f"s{j}"] = col
-    table["same"] = (np.array([math.nan, 0.1, -0.0]), np.ones(nrows, dtype=int))
-    order = rng.permutation(nrows)
-    levels = np.empty(nrows)
-    levels[order] = np.arange(nrows) / 7.0
-    table["distinct"] = (levels, order)
+        table[f"s{j}"] = col.reshape(-1, width)
+    table["same"] = np.array([[0.1]])
+    table["outer"] = np.arange(nrows // width)[:, None] / 7.0
+    table["inner"] = np.resize(EDGE, width)
     return table
 
 
@@ -637,20 +644,25 @@ class TestColumnWriter:
         cli._write_table(out, table, fmt)
         assert out.read_bytes() == row_table_bytes(list(table), list(zip(*table.values())), fmt)
 
+    def test_default_set_caches_at_most_seven_frame_tables(self, tmp_path, monkeypatch):
+        # One frame table per distinct separators of a kernel call; one per separator tuple made 12.
+        monkeypatch.chdir(tmp_path)
+        frames = (_floattext._csv_frames, _floattext._json_frames)
+        for cache in frames:
+            cache.cache_clear()
+        for k, cmd in enumerate(artefacts.TABLES):
+            for fmt in ("csv", "json"):
+                assert main([*cmd, "--format", fmt, "--out", f"{k}.{fmt}"]) == 0
+        assert sum(cache.cache_info().currsize for cache in frames) <= 7
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    # An int n is a column of n zeros; (n, index) a level column of n zero levels.
-    @pytest.mark.parametrize(
-        "lengths",
-        [(3, 2), (2, 3), (3, 3, 0), (3, (2, [0, 1])), (3, (2, [0, 2, 1])), ((2, [0, -1, 1]), 3)],
-    )
+    # Each entry is the shape of a column of zeros.
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 0), ((3, 1), (2, 1))])
     def test_unequal_columns_rejected(self, tmp_path, lengths, fmt):
-        table = {
-            f"c{k}": (np.zeros(n[0]), np.array(n[1])) if isinstance(n, tuple) else np.zeros(n)
-            for k, n in enumerate(lengths)
-        }
-        rows = {len(n[1]) if isinstance(n, tuple) else n for n in lengths}
+        table = {f"c{k}": np.zeros(n) for k, n in enumerate(lengths)}
         out = tmp_path / f"t.{fmt}"
-        with pytest.raises(ValueError, match="differ in length" if len(rows) > 1 else r"outside \[0, 2\)"):
+        named = ", ".join(f"{name}={col.shape}" for name, col in table.items())
+        with pytest.raises(ValueError, match=f"do not broadcast to one grid: {re.escape(named)}$"):
             cli._write_table(out, table, fmt)
         assert not out.exists()
 

@@ -16,7 +16,7 @@ CELLS = {"csv": _floattext.csv_cells, "json": _floattext.json_cells}
 
 def texts(x, fmt):
     """The cells of x in a format, as str, NUL padding removed."""
-    cells = CELLS[fmt](np.asarray(x, dtype=np.float64), ((b"", b""),))
+    cells = CELLS[fmt](np.asarray(x, dtype=np.float64), (b"",))
     return [row.tobytes().replace(b"\0", b"").decode() for row in cells]
 
 
