@@ -20,11 +20,12 @@ variance may be a float or an ndarray, and positions x broadcast against
 the delays. An array call gives the same bits as float calls made point by
 point.
 
-density_at and wavefunction_at share one range rule (``_packet``). Where
-sigma_A and the dispersion lie in [2**-511, 2**505] they are evaluated as
-written; elsewhere on the packet scaled by an exact power of four, and
-scaled back. Both answer wherever Delta_t is a finite double, unless the
-phase of psi overflows.
+Every form takes the spreading hbar*t/(2*m*sigma_A), v* its sigma_A = 1
+case, from ``_spread``. density_at and wavefunction_at share one range rule
+(``_packet``). Where sigma_A and the dispersion lie in [2**-511, 2**505]
+they are evaluated as written; elsewhere on the packet scaled by an exact
+power of four, and scaled back. Both answer wherever Delta_t is a finite
+double, unless the phase of psi overflows.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from math import inf
 
 import numpy as np
 
-from .units import Constants, _elementwise, _require
+from .units import Constants, _delay, _elementwise, _require
 
 __all__ = [
     "GaussianPrep",
@@ -96,10 +97,6 @@ class PowerBudget:
             raise ValueError(f"mean_square_X must be finite and >= 0, got {self.mean_square_X}")
 
 
-def _check_time(t) -> None:
-    _require((0.0 <= t) & (t < inf), t, "time delay must be >= 0, got {}; it must also be finite")
-
-
 def _check_signal(P) -> None:
     _require((P >= 0.0) & (P < inf), P, "signal constraint P must be >= 0, got {}; it must also be finite")
 
@@ -112,37 +109,39 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
-# The least normal double: a 2*m*sigma_A below it has lost bits to underflow.
+# The least normal double: a product below it may have lost bits to underflow.
 _MIN_NORMAL = 2.0**-1022
 
 # The band of sigma_A and the dispersion where the packet is not scaled: see _packet.
 _LOW, _HIGH = 2.0**-511, 2.0**505
 
 
-def _dispersion(sigma2_A, mass, t, hbar):
-    """The dispersion hbar*t / (2*m*sigma_A) for floats or broadcast arrays.
+def _spread(hbar, t, mass, sigma_A=1.0):
+    """hbar*t / (2*m*sigma_A), the spreading of a delay t >= 0, for floats or broadcast arrays.
 
-    Where 2*m*sigma_A is below _MIN_NORMAL (subnormal, or 0), it is taken as
-    (hbar*t / (2*m)) / sigma_A on those elements only; elsewhere it is
-    noise_variance's float expression, bit for bit (math.sqrt and np.sqrt are
-    both correctly rounded). It is inf, without a warning, where it overflows.
+    As written wherever hbar*t and 2*m*sigma_A, each tested on its own shape, lie in
+    [2**-1022, inf), or t = 0; the float shortcuts of noise_variance and _packet test the
+    same. Elsewhere a product lost bits or overflowed, so the four factors are split by
+    frexp: the mantissas' products and quotient stay in range, and ldexp applies the
+    exponents. It is inf, without a warning, where the spreading overflows.
     """
-    sigma_A = np.sqrt(sigma2_A)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # replaced below, or left to the caller
-        den = 2.0 * mass * sigma_A
-        disp = hbar * t / den
-        if not np.all(normal := den >= _MIN_NORMAL):  # the fallback costs ops on every element
-            disp = np.where(normal, disp, hbar * t / (2.0 * mass) / sigma_A)
-    return disp
+    with np.errstate(all="ignore"):  # a lost product is replaced below, an overflow left to the caller
+        num, den = hbar * t, 2.0 * mass * sigma_A
+        num_ok, den_ok = ((_MIN_NORMAL <= num) | (t == 0.0)) & (num < inf), (_MIN_NORMAL <= den) & (den < inf)
+        if (num_ok is True or np.all(num_ok)) and (den_ok is True or np.all(den_ok)):
+            return num / den
+        (fh, eh), (ft, et), (fm, em), (fs, es) = map(np.frexp, (hbar, t, mass, sigma_A))
+        out = np.where(num_ok & den_ok, np.divide(num, den), np.ldexp(fh * ft / (fm * fs), eh + et - em - es - 1))
+    return float(out) if out.ndim == 0 else out
 
 
 def _noise(sigma2_A, mass, t, hbar):
-    """Delta_t^2 = sigma2_A + _dispersion^2 for floats or broadcast arrays.
+    """Delta_t^2 = sigma2_A + _spread^2 for floats or broadcast arrays.
 
     A Delta_t^2 that overflows raises ValueError naming sigma2_A, mass and t
     at the first such point.
     """
-    disp = _dispersion(sigma2_A, mass, t, hbar)
+    disp = _spread(hbar, t, mass, np.sqrt(sigma2_A))
     with np.errstate(over="ignore"):  # rejected below
         var = sigma2_A + disp * disp
     _require(var < inf, (sigma2_A, mass, t, hbar),
@@ -159,12 +158,14 @@ def noise_variance(prep: GaussianPrep, t, c: Constants):
     that is NaN, negative or infinite raises ValueError, and so does a
     Delta_t^2 that overflows (see ``_noise``).
     """
-    # A valid float delay with a normal 2*m*sigma_A: Python floats, which never warn.
-    if ((0.0 <= t) & (t < inf)) is True and (den := 2.0 * prep.mass * math.sqrt(prep.sigma2_A)) >= _MIN_NORMAL:
-        disp = c.hbar * t / den
+    # A valid float delay where _spread is as written: Python floats, which never warn. A normal
+    # hbar*t needs t > 0, and an inf one (t = inf, say) gives an inf var, which goes on below.
+    if (type(t) is float and (_MIN_NORMAL <= (num := c.hbar * t) or t == 0.0)
+            and _MIN_NORMAL <= (den := 2.0 * prep.mass * math.sqrt(prep.sigma2_A)) < inf):
+        disp = num / den
         if (var := prep.sigma2_A + disp * disp) < inf:
             return var
-    _check_time(t)
+    _delay(t)
     return _noise(prep.sigma2_A, prep.mass, t, c.hbar)
 
 
@@ -179,14 +180,15 @@ def _packet(prep: GaussianPrep, x, t, c: Constants, geometric: bool = False):
     s is the power of four, from frexp, that brings s w near 1 for w = max(sigma_A,
     dispersion), or with geometric=True for sqrt(sigma_A w), the complex width's scale.
     """
-    _check_time(t)
+    _delay(t)
     x = np.asarray(x, dtype=float)
     _require(np.isfinite(x), x, "position x must be finite, got {}")
     sigma_A = math.sqrt(prep.sigma2_A)
-    if type(t) is float and (den := 2.0 * prep.mass * sigma_A) >= _MIN_NORMAL:
-        disp = c.hbar * t / den  # _dispersion's float expression, in Python floats
+    if (type(t) is float and (_MIN_NORMAL <= (num := c.hbar * t) < inf or t == 0.0)
+            and _MIN_NORMAL <= (den := 2.0 * prep.mass * sigma_A) < inf):
+        disp = num / den  # _spread as written, in Python floats
     else:
-        disp = _dispersion(prep.sigma2_A, prep.mass, t, c.hbar)
+        disp = _spread(c.hbar, t, prep.mass, sigma_A)
     _require(disp < inf, (prep.sigma2_A, prep.mass, t, c.hbar),
              "noise width Delta_t = sqrt(sigma2_A + (hbar t / (2 m sigma_A))^2) leaves the double range "
              "for sigma2_A={}, mass={} at delay t = {}, hbar = {}")
@@ -234,8 +236,7 @@ def wavefunction_at(prep: GaussianPrep, x, t, c: Constants):
     """
     dx, sigma2, disp, s = _packet(prep, x, t, c, geometric=True)
     sigma_A = s * math.sqrt(prep.sigma2_A)
-    with np.errstate(over="ignore"):  # replaced below
-        b = c.hbar * t / (2.0 * prep.mass)
+    b = _spread(c.hbar, t, prep.mass)  # inf where it overflows: replaced below
     if isinstance(s, np.ndarray):  # s^2 b, or s sigma_A * s dispersion where b left the normal range
         b = np.where((s == 1.0) | (_MIN_NORMAL <= b) & (b < inf), s * (s * b), sigma_A * disp)
     root = math.sqrt(2.0 * math.pi)
@@ -301,8 +302,7 @@ def optimal_sigma2(t, mass, c: Constants):
     """
     _require((0.0 < t) & (t < inf), t, "measurement delay must be positive, got {}; it must also be finite")
     _require((0.0 < mass) & (mass < inf), mass, "mass must be positive, got {}; it must also be finite")
-    with np.errstate(over="ignore"):  # an array v* that overflows is rejected, not warned about
-        vstar = c.hbar * t / (2.0 * mass)
+    vstar = _spread(c.hbar, t, mass)
     _require((0.0 < vstar) & (vstar < inf), (vstar, t, mass, c.hbar), "sigma2_A must be positive and finite, "
              "got {}; v* = hbar*t/(2m) left the floating-point range for t = {}, mass = {}, hbar = {}")
     return vstar

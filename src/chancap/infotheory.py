@@ -204,7 +204,7 @@ def capacity_binary(ch: BinaryChannel, base: Base = "nats") -> CapacityResult:
 
 
 def capacity_grid(ch: BinaryChannel, step: float = 1e-6, base: Base = "nats") -> CapacityResult:
-    """Brute-force capacity of a binary channel: exhaustive scan of the prior."""
+    """Brute-force capacity of a binary channel: a scan of the prior; iterations counts the points it evaluated."""
     factor = _base_factor(base)
     cap, q, evals = kernels.capacity_grid(float(ch.matrix[0, 0]), float(ch.matrix[1, 0]), step)
     return CapacityResult(

@@ -351,7 +351,7 @@ def _evaluate(idx, n, p00, p10, h0, h1, clamp):
 
 
 def _edge_range(n, p00, p10, h0, h1, clamp, reach):
-    """The indices lo..hi between the stopping edges around the best of _GRID_EDGES edges."""
+    """The indices lo..hi between the stopping edges around the best of about _GRID_EDGES edges, and their count."""
     width = -(-n // _GRID_EDGES)  # edges at 0, width, 2 width, ..., and n
     edges = np.arange(-(-n // width) + 1, dtype=float) * width
     np.minimum(edges, n, out=edges)
@@ -362,7 +362,7 @@ def _edge_range(n, p00, p10, h0, h1, clamp, reach):
     left = int(above[k::-1].argmax())
     lo = (k - left) * width if left else 0
     hi = min((k + right) * width, n) if right else n
-    return lo, hi
+    return lo, hi, edges.size
 
 
 def _y0_slack(p00: float, p10: float) -> float:
@@ -439,12 +439,14 @@ def capacity_grid(p00: float, p10: float, step: float) -> tuple[float, float, in
     """Brute-force capacity: the best input prior on a uniform grid.
 
     Finds the maximum of the mutual information over q = i/n, i = 0..n,
-    for n = round(1/step), and returns (capacity_nats, q_argmax, n + 1).
+    for n = round(1/step), and returns (capacity_nats, q_argmax, evaluations).
     Ties keep the lowest q. The result is exactly the full scan's over all
     n + 1 points. Only a window around the stationary prior is evaluated
     when its ends prove that no point outside it can tie its best, and
     otherwise, or where I is too flat for the window to prove that, only
     the points between the stopping edges (see the module docstring).
+    evaluations counts the points of the window, the edges and the blocks,
+    looked up or not, at which s was formed.
     step must lie in [2**-52, 1], so that n + 1 <= 2**53 and every index
     is exact in a double.
     """
@@ -461,23 +463,26 @@ def capacity_grid(p00: float, p10: float, step: float) -> tuple[float, float, in
     q = i / n
     y0 = q * p00 + (1.0 - q) * p10
     d = (p00 - p10) * _WINDOW / n
-    found = None
+    found, evals = None, 0
     # A window short of the grid is skipped where f rises by less than E
     # over it: d**2 / (2 y0 y1) < reach / 2 (see the window in the module docstring).
     if n <= 2 * _WINDOW or d * d >= reach * y0 * (1.0 - y0):
         lo = min(max(i - _WINDOW, 0), max(n - 2 * _WINDOW, 0))
         hi = min(lo + 2 * _WINDOW, n)
         window = _evaluate(np.arange(lo, hi + 1, dtype=float), n, p00, p10, h0, h1, clamp)
+        evals = window.size
         k = int(window.argmin())
         rise = window[k] + reach
         if (lo == 0 or window[0] > rise) and (hi == n or window[-1] > rise):
             found = float(window[k]), lo + k
         del window  # its buffers are not needed in the block scan
-    best_s, best_i = found or _block_scan(
-        *_edge_range(n, p00, p10, h0, h1, clamp, reach), n, p00, p10, h0, h1, clamp
-    )
+    if found is None:
+        lo, hi, edges = _edge_range(n, p00, p10, h0, h1, clamp, reach)
+        found = _block_scan(lo, hi, n, p00, p10, h0, h1, clamp)
+        evals += edges + hi + 1 - lo
+    best_s, best_i = found
     best = -best_s  # -0.0 when s cancels exactly; report +0.0 then
-    return (best if best > 0.0 else 0.0), best_i / n, n + 1
+    return (best if best > 0.0 else 0.0), best_i / n, evals
 
 
 @_checked

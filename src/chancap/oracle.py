@@ -23,7 +23,7 @@ import numpy as np
 
 from .gaussian import GaussianPrep, noise_variance
 from .twolevel import TwoLevelHamiltonian, TwoLevelState, _phase
-from .units import Constants
+from .units import Constants, _delay
 
 __all__ = [
     "GridState",
@@ -119,10 +119,8 @@ def propagate_spectral(g: GridState, mass: float, t: float, c: Constants) -> Gri
 
     Mode k picks up the dispersion phase exp(-i*hbar*k^2*t/(2m)).
     """
-    # Positive conditions, so that a NaN fails them.
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    if not 0.0 < mass < math.inf:
+    _delay(t)
+    if not 0.0 < mass < math.inf:  # a positive condition, so that a NaN fails it
         raise ValueError(f"mass must be positive and finite, got {mass}")
     k = 2.0 * math.pi * np.fft.fftfreq(g.n, d=g.dx)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import Constants, _elementwise, _require
+from .units import Constants, _delay, _elementwise, _require
 
 __all__ = [
     "TwoLevelHamiltonian",
@@ -197,15 +197,11 @@ def eigensystem(h: TwoLevelHamiltonian) -> EigenSystem:
 def _phase(rate, t, c: Constants):
     """The phase rate*t/hbar of a delay t, a float or an array of t's shape.
 
-    The one guard on a delay: a delay that is NaN, negative or infinite, or
-    one whose phase or twice it overflows, raises ValueError naming it. A
-    float delay costs no numpy call, and an array one raises no warning.
+    A delay that units._delay rejects, or one whose phase or twice it
+    overflows, raises ValueError naming it, with no warning.
     """
-    _require((0.0 <= t) & (t < math.inf), t, "delay t must be finite and >= 0, got t = {}")
-    if isinstance(t, np.ndarray):
-        with np.errstate(over="ignore"):  # an overflowed phase is rejected below, not warned about
-            phase = rate * t / c.hbar
-    else:
+    _delay(t)
+    with np.errstate(over="ignore"):  # an overflowed phase is rejected below, not warned about
         phase = rate * t / c.hbar
     if (ok := abs(phase) < 2.0**1023) is not True:
         _require(ok, t, f"delay t = {{}} gives a phase {rate} * t / hbar (hbar = {c.hbar}) of 2**1023 or more")

@@ -4,7 +4,8 @@ Only two conventions are supported: SI (CODATA hbar in joule-seconds) and
 natural units (hbar = 1). Every physics routine takes an explicit
 :class:`Constants` argument, so a single computation is always tagged with
 exactly one convention. Both channel models share `_elementwise`, scalar math
-per element, and `_require`, the one guard that names the first bad value.
+per element, `_require`, the one guard that names the first bad value, and
+`_delay`, the one guard on a delay.
 """
 
 from __future__ import annotations
@@ -77,3 +78,8 @@ def _require(ok, x, message: str) -> None:
         k, shape = np.argmin(np.ravel(ok)), np.shape(ok)
         bad = (np.broadcast_to(v, shape).flat[k].item() for v in (x if isinstance(x, tuple) else (x,)))
         raise ValueError(message.format(*bad))
+
+
+def _delay(t) -> None:
+    """Raise ValueError naming the first delay of t, a float or an array, that is NaN, negative or infinite."""
+    _require((0.0 <= t) & (t < math.inf), t, "delay t must be finite and >= 0, got t = {}")

@@ -9,13 +9,15 @@ from perfbench's SolverAgreement.make_input in this checkout (read only),
 and each input is labelled uniform or by its corner class. Each channel's
 capacity_grid(p00, p10, 1e-6) is timed once in each tree; each op is one
 pair. Within each class the tree that runs first alternates as in
-bench_pairs, so neither tree always runs on a warm cache. The two results
-must agree as int64 bits, or the script stops.
+bench_pairs, so neither tree always runs on a warm cache. The two
+capacities and the two q must agree as int64 bits, or the script stops;
+the evaluation counts may differ between the trees.
 
 Prints bench_pairs.table of the per-class times in microseconds (metric
-`us`): each tree's median [q1, q3] and mean, the ratio change / parent
-(below 1: the change is faster), the ops the change won and the gap
-against the parent's IQR.
+`us`) and evaluation counts (metric `evals`): each tree's median [q1, q3]
+and mean, the ratio change / parent (below 1: the change is faster or
+evaluates fewer points), the ops the change won and the gap against the
+parent's IQR.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ def load_kernels(checkout: Path, name: str):
 
 
 def _bits(result) -> tuple:
-    cap, q, evals = result
-    return int(np.float64(cap).view(np.int64)), int(np.float64(q).view(np.int64)), evals
+    """The int64 bits of the capacity and q."""
+    return tuple(int(np.float64(v).view(np.int64)) for v in result[:2])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -67,16 +69,17 @@ def main(argv: list[str] | None = None) -> int:
         m = workload.make_input(i)
         p00, p10 = float(m[0, 0]), float(m[1, 0])
         cls = "uniform" if i % every != every - 1 else corners[(i // every) % len(corners)]
-        by_side = times.setdefault(cls, {"us": {side: [] for side in SIDES}})["us"]
+        by_metric = times.setdefault(cls, {metric: {side: [] for side in SIDES} for metric in ("us", "evals")})
         results = {}
-        for side in order(len(by_side["parent"])):
+        for side in order(len(by_metric["us"]["parent"])):
             start = time.perf_counter()
             results[side] = kernels[side].capacity_grid(p00, p10, STEP)
-            by_side[side].append((time.perf_counter() - start) * 1e6)
+            by_metric["us"][side].append((time.perf_counter() - start) * 1e6)
+            by_metric["evals"][side].append(results[side][2])
         if _bits(results["parent"]) != _bits(results["change"]):
             raise SystemExit(f"op {i}, channel ({p00!r}, {p10!r}): parent {results['parent']} "
                              f"but change {results['change']}")
-    print(table(summarize_pairs(times, {"us": "lower"}), "class"))
+    print(table(summarize_pairs(times, {"us": "lower", "evals": "lower"}), "class"))
     return 0
 
 

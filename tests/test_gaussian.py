@@ -337,13 +337,13 @@ NAN = math.nan
         (lambda: capacity_nats(1.0, NAN), "noise variance must be positive, got nan"),
         (lambda: optimal_sigma2(NAN, 1.0, NAT), "measurement delay must be positive, got nan"),
         (lambda: optimal_sigma2(1.0, NAN, NAT), "mass must be positive, got nan"),
-        (lambda: noise_variance(PREP, NAN, NAT), "time delay must be >= 0, got nan"),
-        (lambda: density_at(PREP, 0.0, NAN, NAT), "time delay must be >= 0, got nan"),
+        (lambda: noise_variance(PREP, NAN, NAT), "delay t must be finite and >= 0, got t = nan"),
+        (lambda: density_at(PREP, 0.0, NAN, NAT), "delay t must be finite and >= 0, got t = nan"),
         (
             lambda: noise_variance(PREP, np.array([1.0, NAN]), NAT),
-            "time delay must be >= 0, got nan",
+            "delay t must be finite and >= 0, got t = nan",
         ),
-        (lambda: wavefunction_at(PREP, 0.0, NAN, NAT), "time delay must be >= 0, got nan"),
+        (lambda: wavefunction_at(PREP, 0.0, NAN, NAT), "delay t must be finite and >= 0, got t = nan"),
         (
             lambda: capacity_vs_precision_curve(NAN, 1.0, 1.0, GRID, NAT),
             "measurement delay must be positive, got nan",
@@ -393,9 +393,9 @@ INF = math.inf
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: noise_variance(PREP, INF, NAT), "time delay must be >= 0, got inf"),
-        (lambda: density_at(PREP, 0.0, INF, NAT), "time delay must be >= 0, got inf"),
-        (lambda: wavefunction_at(PREP, 0.0, INF, NAT), "time delay must be >= 0, got inf"),
+        (lambda: noise_variance(PREP, INF, NAT), "delay t must be finite and >= 0, got t = inf"),
+        (lambda: density_at(PREP, 0.0, INF, NAT), "delay t must be finite and >= 0, got t = inf"),
+        (lambda: wavefunction_at(PREP, 0.0, INF, NAT), "delay t must be finite and >= 0, got t = inf"),
         (lambda: optimal_sigma2(INF, 1.0, NAT), "measurement delay must be positive, got inf"),
         (lambda: density_at(PREP, INF, 1.0, NAT), "position x must be finite, got inf"),
         (lambda: wavefunction_at(PREP, -INF, 1.0, NAT), "position x must be finite, got -inf"),
@@ -440,9 +440,9 @@ def test_optimal_sigma2_out_of_range_rejected(t, mass, message):
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda t: noise_variance(PREP, t, NAT), "time delay must be >= 0, got -2.0"),
-        (lambda t: density_at(PREP, 0.0, t, NAT), "time delay must be >= 0, got -2.0"),
-        (lambda t: wavefunction_at(PREP, 0.0, t, NAT), "time delay must be >= 0, got -2.0"),
+        (lambda t: noise_variance(PREP, t, NAT), "delay t must be finite and >= 0, got t = -2.0"),
+        (lambda t: density_at(PREP, 0.0, t, NAT), "delay t must be finite and >= 0, got t = -2.0"),
+        (lambda t: wavefunction_at(PREP, 0.0, t, NAT), "delay t must be finite and >= 0, got t = -2.0"),
         (lambda t: optimal_sigma2(t, 1.0, NAT), "measurement delay must be positive, got 0.0"),
         (lambda t: optimal_sigma2(1.0, t, NAT), "mass must be positive, got 0.0"),
         (lambda t: capacity_nats(t, 1.0), "signal constraint P must be >= 0, got -2.0"),
@@ -578,6 +578,24 @@ class TestCapacityAtOptimum:
         assert vstar.shape == cap.shape == (0,)
 
 
+def exact_variance(prep, t, c):
+    """Delta_t^2 in 50-digit decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        disp = D(c.hbar) * D(t) / (2 * D(prep.mass) * D(prep.sigma2_A).sqrt())
+        return D(prep.sigma2_A) + disp * disp
+
+
+#: Where 2 m overflowed, or hbar t lost bits, and the dispersion came out 0 or far off.
+SPREAD_EDGES = [
+    (GaussianPrep(0.0, 1.0, 1e308), 1e308, NAT),  # Delta_t^2 = 1.25: it gave 1.0
+    (GaussianPrep(0.0, 5e-324, 1.7e308), 1e300, NAT),  # 1.7509e306: it gave 5e-324
+    (GaussianPrep(0.0, 1e-100, 1e-250), 1e-290, SI),  # 2.7803e-49: it gave 1e-100
+    (GaussianPrep(0.0, 8.39e-142, 2.5e-323), 3.88e-304, SI),  # 8.1749e110: it gave 8.39e-142
+]
+
+
 @pytest.mark.filterwarnings("error")
 class TestOutOfRange:
     """Inputs whose closed forms leave the double range: a ValueError naming them, or an exact 0."""
@@ -614,14 +632,20 @@ class TestOutOfRange:
         underflowed = {True: 0, False: 0}  # by whether Delta_t^2 is finite
         for s2_i, m_i, t_i in zip(*np.hstack((wide, tiny)).tolist()):
             den = 2.0 * m_i * math.sqrt(s2_i)
-            disp = t_i / den if den >= 2.0**-1022 else t_i / (2.0 * m_i) / math.sqrt(s2_i)
-            ref = s2_i + disp * disp
             prep = GaussianPrep(0.0, s2_i, m_i)
+            # As written where hbar t = t and 2 m sigma_A are normal; elsewhere against 50-digit decimal.
+            written = 2.0**-1022 <= den < INF and (2.0**-1022 <= t_i or t_i == 0.0)
+            if written:
+                disp = t_i / den
+                ref = s2_i + disp * disp
+            else:
+                ref = float(exact_variance(prep, t_i, NAT))
             if den == 0.0:
                 underflowed[ref < INF] += 1
             if ref < INF:
-                assert noise_variance(prep, t_i, NAT) == ref
-                assert bits(noise_variance(prep, np.array([t_i]), NAT)) == bits(ref)
+                got = noise_variance(prep, t_i, NAT)
+                assert got == ref if written else got == pytest.approx(ref, rel=1e-15, abs=0.0)
+                assert bits(noise_variance(prep, np.array([t_i]), NAT)) == bits(got)
             else:
                 with pytest.raises(ValueError, match="leaves the double range"):
                     noise_variance(prep, t_i, NAT)
@@ -656,6 +680,30 @@ class TestOutOfRange:
         got = noise_variance(prep, t, NAT)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
         assert bits(noise_variance(prep, np.array([t, 0.0]), NAT)[0]) == bits(got)
+
+    @pytest.mark.parametrize("prep,t,c", SPREAD_EDGES)
+    def test_spread_edges_match_decimal(self, prep, t, c):
+        var = exact_variance(prep, t, c)
+        got = noise_variance(prep, t, c)
+        assert got == pytest.approx(float(var), rel=1e-15, abs=0.0)
+        assert bits(noise_variance(prep, np.array([t]), c)) == bits(got)
+        pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937511")
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            peak = float(1 / (2 * pi * var).sqrt())
+        assert density_at(prep, prep.x0, t, c) == pytest.approx(peak, rel=1e-15, abs=0.0)
+        assert abs(wavefunction_at(prep, prep.x0, t, c)) ** 2 == pytest.approx(peak, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("t,mass,c,want", [(1e308, 1e308, NAT, 0.5), (1e-300, 1e-300, SI, 5.272859085e-35)])
+    def test_optimal_sigma2_at_the_spread_edges(self, t, mass, c, want):
+        # 2 m overflowed, or hbar t underflowed to 0: v* came out 0 and it raised "sigma2_A must be positive".
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = decimal.Decimal(c.hbar) * decimal.Decimal(t) / (2 * decimal.Decimal(mass))
+        assert float(exact) == pytest.approx(want, rel=1e-15, abs=0.0)
+        got = optimal_sigma2(t, mass, c)
+        assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert bits(optimal_sigma2(np.array([1.0, t]), np.array([1.0, mass]), c)[1]) == bits(got)
 
     def test_underflowed_denominator_density(self):
         # It raised "leaves the double range"; the density is 1 / sqrt(2 pi 1e-200).

@@ -309,8 +309,9 @@ class TestCapacityGrid:
         assert res.q == pytest.approx(0.5, abs=1e-6)
 
     def test_evaluation_count(self):
+        # The points evaluated: the window around q = 1/2 settles it, of the 1,001 on the grid.
         res = capacity_grid(IDENTITY, step=1e-3)
-        assert res.iterations == 1001
+        assert res.iterations == 65
 
 
 class TestTwoLevelCapacity:

@@ -42,7 +42,7 @@ class TestKernels:
         cap, q, evals = kernels.capacity_grid(1.0, 0.0, 1e-4)
         assert cap == pytest.approx(math.log(2), abs=1e-8)
         assert q == pytest.approx(0.5, abs=1e-4)
-        assert evals == 10001
+        assert evals == 2 * kernels._WINDOW + 1  # the window settles it
 
     def test_grid_step_validation(self):
         # Steps below 2**-52 would give more than 2**53 grid points; they
@@ -120,7 +120,7 @@ class TestChannelValidation:
 
 
 def reference_grid(p00, p10, step):
-    """The grid scan as one unblocked numpy expression over all n + 1 points."""
+    """(capacity, q) of the grid scan as one unblocked numpy expression over all n + 1 points."""
     n = int(1.0 / step + 0.5)
     h0, h1 = kernels._h2(p00), kernels._h2(p10)
     q = np.arange(n + 1) / n
@@ -130,7 +130,7 @@ def reference_grid(p00, p10, step):
     np.clip(y1, kernels._TINY, None, out=y1)
     mi = -y0 * np.log(y0) - y1 * np.log(y1) - q * h0 - (1.0 - q) * h1
     j = int(np.argmax(mi))
-    return max(float(mi[j]), 0.0), j / n, n + 1
+    return max(float(mi[j]), 0.0), j / n
 
 
 def corner_channels(rng):
@@ -149,24 +149,18 @@ def corner_channels(rng):
 class TestGridBitIdentity:
     """The blocked scan returns exactly what the unblocked expression does."""
 
-    def assert_identical(self, p00, p10, step):
-        got = kernels.capacity_grid(p00, p10, step)
-        want = reference_grid(p00, p10, step)
-        assert got == want, (p00, p10, step)
-        assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
-
     def test_random_and_corner_channels(self):
         rng = np.random.default_rng(5)
         chans = random_channels(60, seed=5)
         for _ in range(4):
             chans += corner_channels(rng)
         for p00, p10 in chans:
-            self.assert_identical(p00, p10, 1e-4)
+            assert_full_scan_bits(p00, p10, 1e-4)
 
     def test_fine_grid(self):
         rng = np.random.default_rng(6)
         for p00, p10 in random_channels(2, seed=6) + corner_channels(rng):
-            self.assert_identical(p00, p10, 1e-6)
+            assert_full_scan_bits(p00, p10, 1e-6)
 
     def test_block_boundaries(self):
         block = kernels._GRID_BLOCK
@@ -174,7 +168,7 @@ class TestGridBitIdentity:
         # Rows of all 0 or all 1 tie at every point, across blocks too.
         for n in (1, block - 2, block - 1, block, 3 * block + 5):
             for p00, p10 in random_channels(3, seed=n) + [(0.0, 0.0), (1.0, 1.0)]:
-                self.assert_identical(p00, p10, 1.0 / n)
+                assert_full_scan_bits(p00, p10, 1.0 / n)
 
     def test_buffers_start_on_a_cache_line(self):
         # Whatever malloc returns, each scan buffer starts on a 64-byte boundary.
@@ -193,15 +187,24 @@ class TestGridBitIdentity:
             cap, q, evals = kernels.capacity_grid(p, p, 1.0)
             assert (cap, q, evals) == (0.0, 0.0, 2)
             assert math.copysign(1.0, cap) == 1.0
-            self.assert_identical(p, p, 1.0)
+            assert_full_scan_bits(p, p, 1.0)
+
+
+def counted_grid(p00, p10, step):
+    """capacity_grid's tuple, and the points its passes hand to _y0, which every evaluation goes through."""
+    sizes, y0 = [], kernels._y0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_y0", lambda idx, *args: sizes.append(idx.size) or y0(idx, *args))
+        return kernels.capacity_grid(p00, p10, step), sum(sizes)
 
 
 def assert_full_scan_bits(p00, p10, step):
-    """capacity_grid returns reference_grid's tuple, sign of zero included."""
-    got = kernels.capacity_grid(p00, p10, step)
+    """capacity_grid returns reference_grid's capacity and q, sign of zero included, and counts its evaluations."""
+    got, evaluated = counted_grid(p00, p10, step)
     want = reference_grid(p00, p10, step)
-    assert got == want, (p00, p10, step)
+    assert got[:2] == want, (p00, p10, step)
     assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
+    assert got[2] == evaluated, (p00, p10, step)
 
 
 _NEAR_0 = st.floats(0.0, 1e-9)
@@ -257,6 +260,21 @@ class TestPrunedScan:
             assert (first, last) == (0, 10**6) and size > 2 * kernels._WINDOW + 1, chan
             if chan[1] - chan[0] < 1e-12:
                 assert sum(e[0] for e in evaluated) > 10**6
+
+    def test_counts_the_points_it_evaluates(self, monkeypatch):
+        # The count is what the window, the edges and the block scan were asked for.
+        seen = []
+        evaluate, scan = kernels._evaluate, kernels._block_scan
+        monkeypatch.setattr(kernels, "_evaluate", lambda idx, *a: seen.append(idx.size) or evaluate(idx, *a))
+        monkeypatch.setattr(kernels, "_block_scan", lambda lo, hi, *a: seen.append(hi + 1 - lo) or scan(lo, hi, *a))
+        chans = random_channels(8, seed=31) + corner_channels(np.random.default_rng(31)) + [(0.0, 1.0), (1.0, 1.0)]
+        for chan in chans:
+            for step in (1e-6, 1e-3, 1 / 7, 1.0):
+                seen.clear()
+                assert kernels.capacity_grid(*chan, step)[2] == sum(seen), (chan, step)
+        # The window alone; every point of rows within 1e-12, plus the 1,025 edges.
+        assert kernels.capacity_grid(0.7, 0.3, 1e-6)[2] == 2 * kernels._WINDOW + 1
+        assert kernels.capacity_grid(0.3, 0.3, 1e-6)[2] == 10**6 + 1 + 1025
 
     def test_flat_channel_footprint(self):
         kernels.capacity_grid(0.3, 0.3, 1e-6)  # one-time allocations are not the scan's

@@ -1,8 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from chancap.gaussian import GaussianPrep, density_at, noise_variance
+from chancap.oracle import discretize, propagate_spectral, unitary_evolve_2x2
+from chancap.twolevel import PrepBias, TwoLevelHamiltonian, TwoLevelState, channel_at, evolve, transition_probs
 from chancap.units import HBAR_SI, Constants, UnitMode, _require, constants_for
 
 
@@ -70,3 +74,25 @@ def test_require_formats_a_single_value_as_before():
     with pytest.raises(ValueError, match=r"^got nan$"):
         _require(math.nan > 0.0, math.nan, "got {}")
     _require(True, 3, "got {}")
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+def test_every_delay_has_one_guard(bad, as_array):
+    # noise_variance, density_at and propagate_spectral had spellings of their own.
+    nat = constants_for(UnitMode.NATURAL)
+    prep, h, r0 = GaussianPrep(0.0, 1.0, 1.0), TwoLevelHamiltonian(0.0, 1.0, 0.5), PrepBias(0.2)
+    grid = discretize(prep, 1.0, 16, nat)
+    t = np.array([1.0, bad]) if as_array else bad
+    calls = [
+        lambda: noise_variance(prep, t, nat),
+        lambda: density_at(prep, 0.0, t, nat),
+        lambda: transition_probs(h, r0, t, nat),
+        lambda: channel_at(h, r0, t, nat),
+        lambda: evolve(h, r0, t, nat),
+        lambda: propagate_spectral(grid, 1.0, t, nat),
+        lambda: unitary_evolve_2x2(h, TwoLevelState(1.0 + 0.0j, 0.0j), t, nat),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'delay t must be finite and >= 0, got t = {bad}')}$"):
+            call()
