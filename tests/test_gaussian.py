@@ -393,9 +393,22 @@ INF = math.inf
 @pytest.mark.parametrize(
     "call,message",
     [
-        (lambda: noise_variance(PREP, INF, NAT), "delay t must be finite and >= 0, got t = inf"),
-        (lambda: density_at(PREP, 0.0, INF, NAT), "delay t must be finite and >= 0, got t = inf"),
-        (lambda: wavefunction_at(PREP, 0.0, INF, NAT), "delay t must be finite and >= 0, got t = inf"),
+        # These three keep the ids they had under the earlier delay message.
+        pytest.param(
+            lambda: noise_variance(PREP, INF, NAT),
+            "delay t must be finite and >= 0, got t = inf",
+            id="<lambda>-time delay must be >= 0, got inf0",
+        ),
+        pytest.param(
+            lambda: density_at(PREP, 0.0, INF, NAT),
+            "delay t must be finite and >= 0, got t = inf",
+            id="<lambda>-time delay must be >= 0, got inf1",
+        ),
+        pytest.param(
+            lambda: wavefunction_at(PREP, 0.0, INF, NAT),
+            "delay t must be finite and >= 0, got t = inf",
+            id="<lambda>-time delay must be >= 0, got inf2",
+        ),
         (lambda: optimal_sigma2(INF, 1.0, NAT), "measurement delay must be positive, got inf"),
         (lambda: density_at(PREP, INF, 1.0, NAT), "position x must be finite, got inf"),
         (lambda: wavefunction_at(PREP, -INF, 1.0, NAT), "position x must be finite, got -inf"),

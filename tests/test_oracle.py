@@ -115,8 +115,17 @@ STATE = evolve(H, PrepBias(0.3), 0.0, NAT)
     [
         (lambda: propagate_spectral(GRID, math.nan, 1.0, NAT), "mass must be positive and finite, got nan"),
         (lambda: propagate_spectral(GRID, math.inf, 1.0, NAT), "mass must be positive and finite, got inf"),
-        (lambda: propagate_spectral(GRID, 1.0, math.nan, NAT), "delay t must be finite and >= 0, got t = nan"),
-        (lambda: propagate_spectral(GRID, 1.0, math.inf, NAT), "delay t must be finite and >= 0, got t = inf"),
+        # These two keep the ids they had under the earlier delay message.
+        pytest.param(
+            lambda: propagate_spectral(GRID, 1.0, math.nan, NAT),
+            "delay t must be finite and >= 0, got t = nan",
+            id="<lambda>-time must be finite and >= 0, got nan",
+        ),
+        pytest.param(
+            lambda: propagate_spectral(GRID, 1.0, math.inf, NAT),
+            "delay t must be finite and >= 0, got t = inf",
+            id="<lambda>-time must be finite and >= 0, got inf",
+        ),
         (
             lambda: GridState(x_min=GRID.x_min, x_max=GRID.x_max, n=GRID.n, amps=GRID.amps * math.nan),
             "grid norm deviates from 1 by nan",
