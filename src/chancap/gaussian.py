@@ -120,8 +120,8 @@ def _spread(hbar, t, mass, sigma_A=1.0):
     """hbar*t / (2*m*sigma_A), the spreading of a delay t >= 0, for floats or broadcast arrays.
 
     As written wherever hbar*t and 2*m*sigma_A, each tested on its own shape, lie in
-    [2**-1022, inf), or t = 0; the float shortcuts of noise_variance and _packet test the
-    same. Elsewhere a product lost bits or overflowed, so the four factors are split by
+    [2**-1022, inf), or t = 0; the float shortcut of noise_variance tests the same.
+    Elsewhere a product lost bits or overflowed, so the four factors are split by
     frexp: the mantissas' products and quotient stay in range, and ldexp applies the
     exponents. It is inf, without a warning, where the spreading overflows.
     """
@@ -170,7 +170,7 @@ def noise_variance(prep: GaussianPrep, t, c: Constants):
 
 
 def _packet(prep: GaussianPrep, x, t, c: Constants, geometric: bool = False):
-    """The packet at x after delays t, scaled by s: s (x - x0), s^2 sigma2_A, s * dispersion and s.
+    """The packet at x after delays t, scaled by s: s (x - x0), s^2 sigma2_A, s * dispersion (_spread) and s.
 
     The module's range rule, per delay. It checks the delay, then x, and raises
     ValueError where the dispersion overflows. s is 1 where sigma_A and the
@@ -184,11 +184,7 @@ def _packet(prep: GaussianPrep, x, t, c: Constants, geometric: bool = False):
     x = np.asarray(x, dtype=float)
     _require(np.isfinite(x), x, "position x must be finite, got {}")
     sigma_A = math.sqrt(prep.sigma2_A)
-    if (type(t) is float and (_MIN_NORMAL <= (num := c.hbar * t) < inf or t == 0.0)
-            and _MIN_NORMAL <= (den := 2.0 * prep.mass * sigma_A) < inf):
-        disp = num / den  # _spread as written, in Python floats
-    else:
-        disp = _spread(c.hbar, t, prep.mass, sigma_A)
+    disp = _spread(c.hbar, t, prep.mass, sigma_A)
     _require(disp < inf, (prep.sigma2_A, prep.mass, t, c.hbar),
              "noise width Delta_t = sqrt(sigma2_A + (hbar t / (2 m sigma_A))^2) leaves the double range "
              "for sigma2_A={}, mass={} at delay t = {}, hbar = {}")

@@ -38,11 +38,11 @@ full scan's, bits included. The scan uses this with two choices of k:
    the whole grid is skipped where r < E: as the rounding errors are far
    below E, it settles only where r exceeds about 2E (none of 9,072
    sampled channels with r < E, 19,306 of 19,317 with r > 2E).
-2. The edges, if either end falls short or the window is skipped. s is
-   evaluated at about _GRID_EDGES evenly spaced edges and k is the first
-   edge with the least s. Walking out from k, the scan stops on each side
-   at the first edge that clears s(k) + 2E, and scans only the range
-   between the two stopping edges, in blocks.
+2. The edges, above _GRID_EDGES steps, if either end falls short or the
+   window is skipped (a smaller grid is scanned whole). s is evaluated at
+   about _GRID_EDGES evenly spaced edges, k is the first with the least s,
+   and walking out from k the scan stops on each side at the first edge
+   that clears s(k) + 2E; it scans the range between the two, in blocks.
 
 Window, edges and blocks go through one ufunc sequence (_neg_mi), so a
 point gets the same double in any of them. It has three steps: _y0 forms
@@ -104,12 +104,10 @@ its bits minus base. The bits of positive doubles ascend with their values.
 A block uses a table only where it is proven to hold every y0 the block
 computes, decided from the input alone. Let y_a and y_b be the computed
 y0 at the block's first and last index, evaluated in Python floats with
-the same correctly rounded operations, and
-
-    d = 1.01 u (3 hi + p10) + 2**-1070,
-
-the bound of step 1 above without the clamp, plus an underflow term: each
-of the two products is off by at most 2**-1075 beyond its relative bound,
+the same correctly rounded operations, and d = _y0_error + 2**-1070
+= 1.01 u (3 hi + p10) + 2**-1070, the bound of step 1 above without the
+clamp, plus an underflow term: each of the two products is off by at
+most 2**-1075 beyond its relative bound,
 and d by as much again where it is evaluated. The sum is exact unless d is
 above about 2**-1019, where its 0.01 alone exceeds both. The exact y0 is
 affine in the index, so it lies between its values at the two ends, each
@@ -259,10 +257,15 @@ def _aligned_empty(rows: int, size: int) -> np.ndarray:
     return raw[start : start + rows * size].reshape(rows, size)
 
 
+def _y0_error(p00: float, p10: float) -> float:
+    """d = 1.01 u (3 max(p00, p10) + p10): a bound on the error of a computed y0 (error analysis, step 1)."""
+    return 1.01 * _U * (3.0 * max(p00, p10) + p10)
+
+
 def _grid_error_bound(p00: float, p10: float) -> float:
     """E: a bound on |s(i) - f(i/n)| over the whole grid, derived in the module docstring."""
     lo, hi = min(p00, p10), max(p00, p10)
-    d0 = 1.01 * _U * (3.0 * hi + p10) + 2.0 * _TINY
+    d0 = _y0_error(p00, p10) + 2.0 * _TINY
     d1 = 1.01 * (d0 + _U * (1.0 - lo))
     spread = d0 * (abs(math.log(max(lo - d0, d0))) + 2.0)
     spread += d1 * (abs(math.log(max(1.0 - hi - d1, d1))) + 2.0)
@@ -352,6 +355,8 @@ def _evaluate(idx, n, p00, p10, h0, h1, clamp):
 
 def _edge_range(n, p00, p10, h0, h1, clamp, reach):
     """The indices lo..hi between the stopping edges around the best of about _GRID_EDGES edges, and their count."""
+    if n <= _GRID_EDGES:  # an edge at every point: the whole grid, with no edges evaluated
+        return 0, n, 0
     width = -(-n // _GRID_EDGES)  # edges at 0, width, 2 width, ..., and n
     edges = np.arange(-(-n // width) + 1, dtype=float) * width
     np.minimum(edges, n, out=edges)
@@ -363,11 +368,6 @@ def _edge_range(n, p00, p10, h0, h1, clamp, reach):
     lo = (k - left) * width if left else 0
     hi = min((k + right) * width, n) if right else n
     return lo, hi, edges.size
-
-
-def _y0_slack(p00: float, p10: float) -> float:
-    """2 d: twice a bound on the error of a computed y0, underflow included (module docstring)."""
-    return 2.0 * (1.01 * _U * (3.0 * max(p00, p10) + p10) + 2.0**-1070)
 
 
 def _y0_bits(first, last, n, p00, p10, slack):
@@ -401,7 +401,7 @@ def _block_scan(lo, hi, n, p00, p10, h0, h1, clamp):
     idx = np.arange(lo, lo + size, dtype=float)
     a, b, s = _aligned_empty(3, size)
     ta, tb = a, b  # the table's scratch, whole rows even in a short last block
-    slack = _y0_slack(p00, p10)
+    slack = 2.0 * (_y0_error(p00, p10) + 2.0**-1070)  # 2 d, underflow included (module docstring)
     # A block's y0 spans about |p00 - p10| (size - 1) / n, and _TABLE
     # doubles below hi span at most 2 u hi _TABLE.
     flat = size >= _TABLE and abs(p00 - p10) * (size - 1) < 2.0 * _U * _TABLE * max(p00, p10) * n

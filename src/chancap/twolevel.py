@@ -146,7 +146,7 @@ def stochastic_rows(m) -> np.ndarray:
     rowsums = m.sum(axis=-1)
     if not abs(rowsums - 1.0).max(initial=0.0) <= PROB_CLAMP:
         k = np.argmin(abs(rowsums.ravel() - 1.0) <= PROB_CLAMP)
-        raise ValueError(f"rows must sum to 1, got {rowsums.flat[k]} for {m.reshape(-1, m.shape[-1])[k].tolist()}")
+        raise ValueError(f"rows must sum to 1, got {rowsums.flat[k]} for {m.reshape(rowsums.size, -1)[k].tolist()}")
     return np.clip(m, 0.0, 1.0)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -399,6 +400,10 @@ class TestValidation:
                 shannon_entropy(p)
         with pytest.raises(ValueError, match="expected a probability vector"):
             shannon_entropy(np.eye(2))
+
+    def test_empty_distribution_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("rows must sum to 1, got 0.0 for []")):
+            shannon_entropy([])
 
     def test_dmc_row_sums(self):
         with pytest.raises(ValueError, match="rows must sum to 1"):

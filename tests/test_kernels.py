@@ -163,11 +163,13 @@ class TestGridBitIdentity:
             assert_full_scan_bits(p00, p10, 1e-6)
 
     def test_block_boundaries(self):
-        block = kernels._GRID_BLOCK
-        # n + 1 points: two, one short of a block, one block, one past it.
+        block, edges = kernels._GRID_BLOCK, kernels._GRID_EDGES
+        # n around the window's 2 _WINDOW steps and the _GRID_EDGES steps up to which a
+        # grid is scanned whole; n + 1 points one short of a block, one block, one past it.
         # Rows of all 0 or all 1 tie at every point, across blocks too.
-        for n in (1, block - 2, block - 1, block, 3 * block + 5):
-            for p00, p10 in random_channels(3, seed=n) + [(0.0, 0.0), (1.0, 1.0)]:
+        for n in (1, 2, 64, 65, edges - 1, edges, edges + 1, block - 2, block - 1, block, 3 * block + 5):
+            chans = random_channels(3, seed=n) + corner_channels(np.random.default_rng(n))
+            for p00, p10 in chans + [(0.0, 0.0), (1.0, 1.0)]:
                 assert_full_scan_bits(p00, p10, 1.0 / n)
 
     def test_buffers_start_on_a_cache_line(self):
@@ -275,6 +277,11 @@ class TestPrunedScan:
         # The window alone; every point of rows within 1e-12, plus the 1,025 edges.
         assert kernels.capacity_grid(0.7, 0.3, 1e-6)[2] == 2 * kernels._WINDOW + 1
         assert kernels.capacity_grid(0.3, 0.3, 1e-6)[2] == 10**6 + 1 + 1025
+
+    def test_scans_a_small_grid_once(self):
+        # Up to _GRID_EDGES steps every point would be an edge: the blocks form each point once.
+        assert kernels.capacity_grid(0.3, 0.3, 1e-3)[2] == 1001
+        assert kernels.capacity_grid(1e-12, 2e-12, 1 / 1024)[2] == 1025
 
     def test_flat_channel_footprint(self):
         kernels.capacity_grid(0.3, 0.3, 1e-6)  # one-time allocations are not the scan's
@@ -422,7 +429,7 @@ class TestEntropyTable:
             patch.setattr(kernels, "_TABLE", 40)
             patch.setattr(kernels, "_y0", recording)
             assert_full_scan_bits(p00, p10, 1.0 / n)
-        slack = kernels._y0_slack(p00, p10)
+        slack = 2 * (kernels._y0_error(p00, p10) + 2**-1070)
         for first, last, bits in passes:  # window, edges and blocks
             span = kernels._y0_bits(first, last, n, p00, p10, slack)
             if span:

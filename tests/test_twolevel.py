@@ -312,6 +312,12 @@ class TestClampProb:
         assert stochastic_rows([0.5, 0.5 + 5e-13]).tolist() == [0.5, 0.5 + 5e-13]
         assert stochastic_rows(np.zeros((0, 2, 2))).shape == (0, 2, 2)
 
+    def test_an_empty_row_is_named(self):
+        # A row of no entries sums to 0, and the message shows it as such.
+        for m in ([], np.empty((3, 0))):
+            with pytest.raises(ValueError, match=re.escape("rows must sum to 1, got 0.0 for []")):
+                stochastic_rows(m)
+
     def test_transition_probs_snaps_rounding_above_one(self):
         # p = 1, Delta = 0, t = 0: prob1 = (a^2/2 + a^2 - a^2/2) / a^2, and for eps = 0.3 the
         # rounded sums leave 1 + 2**-52 before the snap.
