@@ -111,6 +111,7 @@ def _complex(re, im) -> np.ndarray:
 
 # The least normal double: a product below it may have lost bits to underflow.
 _MIN_NORMAL = 2.0**-1022
+_LN_MIN_NORMAL = math.log(_MIN_NORMAL)
 
 # The band of sigma_A and the dispersion where the packet is not scaled: see _packet.
 _LOW, _HIGH = 2.0**-511, 2.0**505
@@ -205,16 +206,22 @@ def density_at(prep: GaussianPrep, x, t, c: Constants):
     """Probability density of finding the particle at x after a delay t.
 
     Gaussian with mean x0 and variance Delta_t^2, on the packet scaled by
-    ``_packet`` and scaled back by s. x and t are floats or arrays,
-    broadcast; a float for both gives a float. A delay or position that is
-    NaN or infinite raises ValueError, and so does a Delta_t that overflows.
+    ``_packet`` and scaled back by s; where a prefactor s / sqrt(2 pi var)
+    above 1 meets an exp(z) below 2**-1022, exp(z + ln prefactor), so the
+    tail it lifts keeps its digits. x and t are floats or arrays, broadcast;
+    a float for both gives a float. A delay or position that is NaN or
+    infinite raises ValueError, and so does a Delta_t that overflows.
     """
     dx, sigma2, disp, s = _packet(prep, x, t, c)
     var = sigma2 + disp * disp
+    root = np.sqrt(2.0 * math.pi * var)
     with np.errstate(over="ignore"):  # an exponent that overflows gives the exact 0: see _packet
-        out = np.exp(-(dx * dx) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+        z = -(dx * dx) / (2.0 * var)
+    out = np.exp(z) / root
     if isinstance(s, np.ndarray):  # scaled at some delay
         out = out * s
+    if (lift := s > root).any():
+        out = np.where(lift & (z < _LN_MIN_NORMAL), np.exp(z + np.log(s / root)), out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -233,8 +240,8 @@ def wavefunction_at(prep: GaussianPrep, x, t, c: Constants):
     dx, sigma2, disp, s = _packet(prep, x, t, c, geometric=True)
     sigma_A = s * math.sqrt(prep.sigma2_A)
     b = _spread(c.hbar, t, prep.mass)  # inf where it overflows: replaced below
-    if isinstance(s, np.ndarray):  # s^2 b, or s sigma_A * s dispersion where b left the normal range
-        b = np.where((s == 1.0) | (_MIN_NORMAL <= b) & (b < inf), s * (s * b), sigma_A * disp)
+    # s^2 b, or s sigma_A * s dispersion where b left the normal range
+    b = np.where((s == 1.0) | (_MIN_NORMAL <= b) & (b < inf), s * (s * b), sigma_A * disp)
     root = math.sqrt(2.0 * math.pi)
     prefactor = np.sqrt(s) / np.sqrt(_complex(root * (sigma2 / sigma_A), root * (b / sigma_A)))
     # -(x - x0)^2 / (4 sigma2_A + 4ib) on real parts, in numpy's complex division steps (Smith's): rat, scl, products.

@@ -307,21 +307,16 @@ def channel_matrices(h: TwoLevelHamiltonian, r0: PrepBias, t, c: Constants) -> n
     Both rows come from one evaluation, and the whole stack is validated and
     clipped as BinaryChannel does, in one pass.
     """
-    return stochastic_rows(_unchecked_matrices(h, r0, t, c))
-
-
-def _unchecked_matrices(h: TwoLevelHamiltonian, r0: PrepBias, t, c: Constants) -> np.ndarray:
-    """channel_matrices before stochastic_rows validates and clips them."""
     if r0.p > 0.5:
         raise ValueError(f"r0 must lie in [0, 1/2], got {r0.p}")
     rows = np.array(_probs(h, (r0, PrepBias(1.0 - r0.p)), t, c))
     # (row, output, *t.shape) -> (*t.shape, row, output)
-    return np.moveaxis(rows, (0, 1), (-2, -1))
+    return stochastic_rows(np.moveaxis(rows, (0, 1), (-2, -1)))
 
 
 def channel_at(h: TwoLevelHamiltonian, r0: PrepBias, t: float, c: Constants) -> BinaryChannel:
     """Binary channel induced by the preparations p = r0 (input 0) and p = 1 - r0 (input 1).
 
-    The single-delay case of channel_matrices, validated once, by BinaryChannel.
+    channel_matrices at one delay, as a BinaryChannel.
     """
-    return BinaryChannel(matrix=_unchecked_matrices(h, r0, t, c))
+    return BinaryChannel(matrix=channel_matrices(h, r0, t, c))

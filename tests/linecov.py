@@ -77,12 +77,17 @@ class LineCollector:
         return [(i, text[i - 1]) for i in sorted(missed) if not _DEFINITION.match(text[i - 1])]
 
 
-def main(argv: list[str] | None = None) -> int:
-    with LineCollector(PACKAGE) as collector:
-        status = pytest.main(sys.argv[1:] if argv is None else argv)
+def print_unrun(collector: LineCollector) -> None:
+    """Print path:line: text for each line of src/chancap that never ran under the collector."""
     for path in sorted(PACKAGE.glob("*.py")):
         for number, text in collector.unrun(path):
             print(f"{path.relative_to(ROOT)}:{number}: {text.strip()}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    with LineCollector(PACKAGE) as collector:
+        status = pytest.main(sys.argv[1:] if argv is None else argv)
+    print_unrun(collector)
     return int(status)
 
 

@@ -22,6 +22,7 @@ from chancap.units import Constants, UnitMode, constants_for
 
 NAT = constants_for(UnitMode.NATURAL)
 SI = constants_for(UnitMode.SI)
+PI_60 = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 
 class TestNoiseVariance:
@@ -80,6 +81,27 @@ class TestDensity:
         prep = GaussianPrep(x0=0.4, sigma2_A=1.0, mass=1.0)
         expected = 1 / math.sqrt(2 * math.pi * 1.25) * math.exp(-1 / 2.5)
         assert density_at(prep, prep.x0 + 1.0, 1.0, NAT) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "s2,x",
+        [
+            (1e-300, 3.86e-149),  # gave 1.971e-174
+            (1e-300, 3.9e-149),  # gave 0.0
+            (1e-310, 3.86e-154),  # scaled packets: both gave 0.0
+            (1e-310, 3.9e-154),
+        ],
+    )
+    def test_far_tail_of_a_narrow_packet_matches_decimal(self, s2, x):
+        # exp of the exponent is subnormal or 0, but the prefactor lifts the density to a normal double.
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            var, dx = decimal.Decimal(s2), decimal.Decimal(x)
+            want = float((-(dx * dx) / (2 * var)).exp() / (2 * PI_60 * var).sqrt())
+        assert want >= 2.0**-1022
+        prep = GaussianPrep(0.0, s2, 1.0)
+        got = density_at(prep, x, 0.0, NAT)
+        assert got == pytest.approx(want, rel=3e-13, abs=0.0)
+        assert bits(density_at(prep, np.array([x, 0.0]), 0.0, NAT)[0]) == bits(got)
 
 
 class TestWavefunction:

@@ -405,22 +405,6 @@ class TestChannelAt:
         with pytest.raises(ValueError):
             channel_at(h, PrepBias(0.6), 1.0, NAT)
 
-    def test_validates_once(self, monkeypatch):
-        # BinaryChannel validates the matrix; channel_at does not check it before.
-        calls = []
-        check = twolevel.stochastic_rows
-
-        def counting(m):
-            calls.append(np.shape(m))
-            return check(m)
-
-        monkeypatch.setattr(twolevel, "stochastic_rows", counting)
-        h = TwoLevelHamiltonian(E=0.3, Delta=1.7, epsilon=0.4)
-        for r0, t in ((0.0, 0.0), (0.2, 0.7), (0.5, 3.1)):
-            calls.clear()
-            channel_at(h, PrepBias(r0), t, NAT)
-            assert calls == [(2, 2)]
-
 
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
