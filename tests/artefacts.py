@@ -7,8 +7,11 @@
 writes the five default table commands, each in CSV and JSON under its own
 stem ``<k>-<cmd>-<fmt>.<fmt>``, so that each format keeps its own
 ``.meta.json`` sidecar. It also writes the ``verify --trials 10 --seed 42``
-report of each suite. The ``--out`` paths are relative, since a sidecar
-records its ``out``. It prints the sha256 of each file, as
+report of each suite, and the ``verify --suite all --trials 20 --seed 42``
+report. At 10 trials ``noise-unimodal`` and ``capacity-time-monotone`` draw
+one row each; at 20 every block of draws has at least two rows, so a draw
+or a reduction along the wrong axis shows. The ``--out`` paths are
+relative, since a sidecar records its ``out``. It prints the sha256 of each file, as
 ``tests/golden.json`` holds them. ``compare`` needs no chancap.
 
 ``compare`` prints one line per file: identical or not. For a CSV or JSON
@@ -51,6 +54,7 @@ def commands() -> list[list[str]]:
     for suite in verify.SUITES:
         argvs.append(["verify", "--suite", suite, "--trials", "10", "--seed", "42",
                       "--out", f"verify-{suite}.json"])
+    argvs.append(["verify", "--suite", "all", "--trials", "20", "--seed", "42", "--out", "verify-all-20.json"])
     return argvs
 
 
