@@ -2,11 +2,14 @@
 
 `CHECKS` is the one list of checks: for each suite, in report order, every
 check name with its default tolerance and kind. A suite body is a generator
-that yields ``(name, deviation)`` pairs, and `run_suite` folds them into each
-check's worst deviation and compares that with the check's tolerance. The
-fold keeps a NaN once it has seen one, so a NaN deviation fails its check.
-Tolerances can be overridden per check name, which the test harness uses to
-prove that a corrupted tolerance actually trips the suite.
+that draws each block of inputs in one `rng.uniform` call (`_uniform`),
+evaluates a check on arrays where its closed form takes them, and yields
+``(name, deviations)`` pairs, where deviations is a float or an array of any
+shape. `run_suite` joins each check's deviations into one vector and reduces
+it once: the check's worst deviation is the largest of 0 and the vector.
+numpy's max keeps a NaN, so a NaN deviation fails its check. Tolerances can
+be overridden per check name, which the test harness uses to prove that a
+corrupted tolerance actually trips the suite.
 
 A check that reports one signed value rather than a worst case yields
 ``(name, value, note)`` once instead: the value is reported as it is, and
@@ -169,17 +172,20 @@ class MonotonicityCell:
     max_violation: float
 
 
-def _fold(worst: float, deviation: float) -> float:
-    """max(worst, deviation), except that a NaN on either side wins."""
-    return worst if worst >= deviation or worst != worst else deviation
+#: (low, high) of the uniform draws of a GaussianPrep's x0, sigma2_A and mass.
+_PREP = ((-1.0, 1.0), (0.5, 2.0), (0.5, 2.0))
+#: (low, high) of the uniform draws of a general TwoLevelHamiltonian's E, Delta and epsilon.
+_HAMILTONIAN = ((-2.0, 2.0), (0.0, 3.0), (0.0, 3.0))
 
 
-def _random_prep(rng: np.random.Generator) -> gaussian.GaussianPrep:
-    return gaussian.GaussianPrep(
-        x0=float(rng.uniform(-1.0, 1.0)),
-        sigma2_A=float(rng.uniform(0.5, 2.0)),
-        mass=float(rng.uniform(0.5, 2.0)),
-    )
+def _uniform(rng: np.random.Generator, n: int, *bounds: tuple[float, float]) -> np.ndarray:
+    """n rows of draws, one column per (low, high) bound.
+
+    Equal bit for bit to drawing the rows in order, one scalar at a time,
+    and leaves the stream at the same place.
+    """
+    low, high = np.transpose(bounds)
+    return rng.uniform(low, high, (n, len(bounds)))
 
 
 def _random_hamiltonian(rng: np.random.Generator, i: int) -> TwoLevelHamiltonian:
@@ -190,11 +196,7 @@ def _random_hamiltonian(rng: np.random.Generator, i: int) -> TwoLevelHamiltonian
         return TwoLevelHamiltonian(E=float(rng.uniform(-2, 2)), Delta=float(rng.uniform(0, 3)), epsilon=0.0)
     if i == 2:
         return TwoLevelHamiltonian(E=float(rng.uniform(-2, 2)), Delta=0.0, epsilon=float(rng.uniform(0.1, 3)))
-    return TwoLevelHamiltonian(
-        E=float(rng.uniform(-2, 2)),
-        Delta=float(rng.uniform(0, 3)),
-        epsilon=float(rng.uniform(0, 3)),
-    )
+    return TwoLevelHamiltonian(*[float(rng.uniform(low, high)) for low, high in _HAMILTONIAN])
 
 
 # ---------------------------------------------------------------------------
@@ -203,66 +205,54 @@ def _random_hamiltonian(rng: np.random.Generator, i: int) -> TwoLevelHamiltonian
 
 
 def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[tuple]:
+    tenth = max(trials // 10, 1)
     # noise floor: Delta_t^2 >= hbar t / m with equality exactly at v*
-    for _ in range(trials):
-        mass = float(rng.uniform(0.5, 2.0))
-        t = float(rng.uniform(0.1, 3.0))
-        floor = c.hbar * t / mass
-        vstar = gaussian.optimal_sigma2(t, mass, c)
-        sigma2 = vstar * float(rng.uniform(0.05, 20.0))
-        # at sigma2, at v*, then 10% and 50% above and below v*
-        noise, at_opt, *off = gaussian._noise(
-            np.array([sigma2, vstar, vstar * 1.1, vstar * 0.9, vstar * 1.5, vstar * 0.5]), mass, t, c.hbar
-        ).tolist()
-        yield "noise-floor", (floor - noise) / floor
-        yield "noise-floor", abs(at_opt - floor) / floor
-        for v in off:
-            yield "noise-floor", (at_opt - v) / floor
+    mass, t, ratio = _uniform(rng, trials, (0.5, 2.0), (0.1, 3.0), (0.05, 20.0)).T
+    floor = c.hbar * t / mass
+    vstar = gaussian.optimal_sigma2(t, mass, c)
+    # at sigma2, at v*, then 10% and 50% above and below v*
+    noise = gaussian._noise(
+        np.array([vstar * ratio, vstar, vstar * 1.1, vstar * 0.9, vstar * 1.5, vstar * 0.5]), mass, t, c.hbar
+    )
+    yield "noise-floor", (floor - noise[0]) / floor
+    yield "noise-floor", abs(noise[1] - floor) / floor
+    yield "noise-floor", (noise[1] - noise[2:]) / floor
 
     # unimodality: strictly decreasing below v*, strictly increasing above
-    for _ in range(max(trials // 10, 1)):
-        mass = float(rng.uniform(0.5, 2.0))
-        t = float(rng.uniform(0.1, 3.0))
-        vstar = gaussian.optimal_sigma2(t, mass, c)
-        grid = vstar * np.logspace(-1.5, 1.5, 41)
-        noise = gaussian._noise(grid, mass, t, c.hbar)
-        steps, mid = np.diff(noise), len(grid) // 2
-        yield "noise-unimodal", np.concatenate((steps[:mid], -steps[mid:])).max()
+    mass, t = _uniform(rng, tenth, (0.5, 2.0), (0.1, 3.0)).T[:, :, None]  # (n, 1): a grid row per draw
+    grid = gaussian.optimal_sigma2(t, mass, c) * np.logspace(-1.5, 1.5, 41)
+    steps, mid = np.diff(gaussian._noise(grid, mass, t, c.hbar)), grid.shape[1] // 2
+    yield "noise-unimodal", steps[:, :mid]
+    yield "noise-unimodal", -steps[:, mid:]
 
-    # capacity monotone in P (up) and in noise (down)
-    for _ in range(trials):
-        p_lo, p_hi = sorted(rng.uniform(0.01, 10.0, size=2))
-        d_lo, d_hi = sorted(rng.uniform(0.01, 10.0, size=2))
-        if p_lo < p_hi:
-            yield "capacity-monotone", gaussian.capacity_nats(p_lo, d_lo) - gaussian.capacity_nats(p_hi, d_lo)
-        if d_lo < d_hi:
-            yield "capacity-monotone", gaussian.capacity_nats(p_hi, d_hi) - gaussian.capacity_nats(p_hi, d_lo)
+    # capacity monotone in P (up) and in noise (down), over a sorted pair of each per draw
+    (p_lo, d_lo), (p_hi, d_hi) = np.sort(_uniform(rng, trials, *[(0.01, 10.0)] * 4).reshape(trials, 2, 2)).T
+    at_lo = gaussian.capacity_nats(p_hi, d_lo)
+    yield "capacity-monotone", (gaussian.capacity_nats(p_lo, d_lo) - at_lo)[p_lo < p_hi]
+    yield "capacity-monotone", (gaussian.capacity_nats(p_hi, d_hi) - at_lo)[d_lo < d_hi]
 
     # capacity non-increasing in the measurement delay for fixed preparation
-    for _ in range(max(trials // 10, 1)):
-        prep = _random_prep(rng)
-        P = float(rng.uniform(0.1, 10.0))
-        times = np.sort(rng.uniform(0.0, 5.0, size=8))
-        caps = gaussian.capacity_nats(P, gaussian.noise_variance(prep, times, c))
-        yield "capacity-time-monotone", np.diff(caps).max()
+    for x0, sigma2_A, mass, P, *times in _uniform(rng, tenth, *_PREP, (0.1, 10.0), *[(0.0, 5.0)] * 8).tolist():
+        prep = gaussian.GaussianPrep(x0, sigma2_A, mass)
+        caps = gaussian.capacity_nats(P, gaussian.noise_variance(prep, np.sort(times), c))
+        yield "capacity-time-monotone", np.diff(caps)
 
     # |psi(x,t)|^2 equals the closed-form density
     n_points = trials * 100
-    preps = [_random_prep(rng) for _ in range(16)]
-    for prep in preps:
+    for row in _uniform(rng, 16, *_PREP).tolist():
+        prep = gaussian.GaussianPrep(*row)
         ts = rng.uniform(0.0, 3.0, size=n_points // 16)
         spread = np.sqrt(gaussian.noise_variance(prep, 3.0, c))
         xs = prep.x0 + rng.uniform(-4, 4, size=ts.size) * spread
         psi = gaussian.wavefunction_at(prep, xs, ts, c)
         rho = gaussian.density_at(prep, xs, ts, c)
         # Python abs() per element: np.abs and np.hypot do not round as it does.
-        for p, r in zip(psi.tolist(), rho.tolist()):
-            yield "wavefunction-density-match", abs(abs(p) ** 2 - r)
+        match = [abs(abs(p) ** 2 - r) for p, r in zip(psi.tolist(), rho.tolist())]
+        yield "wavefunction-density-match", np.array(match)
 
     # density integrates to 1 over +-10 dispersed sigmas
-    for _ in range(min(trials, 20)):
-        prep = _random_prep(rng)
-        t = float(rng.uniform(0.0, 3.0))
+    for x0, sigma2_A, mass, t in _uniform(rng, min(trials, 20), *_PREP, (0.0, 3.0)).tolist():
+        prep = gaussian.GaussianPrep(x0, sigma2_A, mass)
         width = 10.0 * math.sqrt(gaussian.noise_variance(prep, t, c))
         x = np.linspace(prep.x0 - width, prep.x0 + width, 4096, endpoint=False)
         total = gaussian.density_at(prep, x, t, c).sum() * (2 * width / 4096)
@@ -271,21 +261,14 @@ def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[t
     # v* is proportional to hbar: scaling hbar by 10^-k scales v* by 10^-k
     for k in (1, 3, 9, 17):
         scaled = Constants(hbar=c.hbar * 10.0**-k, mode=c.mode)
-        for _ in range(10):
-            mass = float(rng.uniform(0.5, 2.0))
-            t = float(rng.uniform(0.1, 3.0))
-            ref = gaussian.optimal_sigma2(t, mass, c) * 10.0**-k
-            got = gaussian.optimal_sigma2(t, mass, scaled)
-            yield "vstar-hbar-scaling", abs(got - ref) / ref
+        mass, t = _uniform(rng, 10, (0.5, 2.0), (0.1, 3.0)).T
+        ref = gaussian.optimal_sigma2(t, mass, c) * 10.0**-k
+        got = gaussian.optimal_sigma2(t, mass, scaled)
+        yield "vstar-hbar-scaling", abs(got - ref) / ref
 
     # power = kinetic energy of the drag at constant speed sqrt(E[X^2]) / T, per cycle T + t
-    for _ in range(trials):
-        budget = gaussian.PowerBudget(
-            prep_time_T=float(rng.uniform(0.1, 5.0)),
-            measure_delay_t=float(rng.uniform(0.0, 5.0)),
-            mass=float(rng.uniform(0.1, 5.0)),
-            mean_square_X=float(rng.uniform(0.0, 5.0)),
-        )
+    for row in _uniform(rng, trials, (0.1, 5.0), (0.0, 5.0), (0.1, 5.0), (0.0, 5.0)).tolist():
+        budget = gaussian.PowerBudget(*row)
         v = math.sqrt(budget.mean_square_X) / budget.prep_time_T
         ref = 0.5 * budget.mass * v * v / (budget.prep_time_T + budget.measure_delay_t)
         got = gaussian.placement_power(budget)
@@ -302,11 +285,9 @@ def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[t
         yield "spectral-variance", abs(oracle.grid_variance(gt) - ref) / ref
 
     # unitarity and composition
-    for _ in range(min(trials, 100)):
-        p = _random_prep(rng)
+    for x0, sigma2_A, mass, t1, t2 in _uniform(rng, min(trials, 100), *_PREP, (0.0, 1.0), (0.0, 1.0)).tolist():
+        p = gaussian.GaussianPrep(x0, sigma2_A, mass)
         g = oracle.discretize(p, t_max=2.0, n=2048, c=c)
-        t1 = float(rng.uniform(0.0, 1.0))
-        t2 = float(rng.uniform(0.0, 1.0))
         g1 = oracle.propagate_spectral(g, p.mass, t1, c)
         yield "spectral-unitarity", abs(g1.norm() - 1.0)
         g12 = oracle.propagate_spectral(g1, p.mass, t2, c)
@@ -326,9 +307,8 @@ def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[t
     yield "spectral-convergence", errs[8192] - errs[4096], lambda tol: note
 
     # randomized closed-form vs oracle sweep
-    for _ in range(trials):
-        p = _random_prep(rng)
-        t = float(rng.uniform(0.0, 2.0))
+    for x0, sigma2_A, mass, t in _uniform(rng, trials, *_PREP, (0.0, 2.0)).tolist():
+        p = gaussian.GaussianPrep(x0, sigma2_A, mass)
         g = oracle.discretize(p, t_max=2.0, n=4096, c=c)
         gt = oracle.propagate_spectral(g, p.mass, t, c)
         rho = gaussian.density_at(prep=p, x=gt.x, t=t, c=c)
@@ -377,23 +357,18 @@ def _two_level(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[
         yield "channel-rows", float(np.max(np.abs(ch.matrix.sum(axis=1) - 1.0)))
 
     # periodicity of the induced channel
-    for i in range(min(trials, 200)):
-        h = _random_hamiltonian(rng, i + 3)  # skip the a=0 case, it has no period
-        r0 = PrepBias(float(rng.uniform(0.0, 0.5)))
-        t = float(rng.uniform(0.0, 10.0))
+    for E, Delta, eps, r0, t in _uniform(rng, min(trials, 200), *_HAMILTONIAN, (0.0, 0.5), (0.0, 10.0)).tolist():
+        h, r0 = TwoLevelHamiltonian(E, Delta, eps), PrepBias(r0)  # general: the a=0 case has no period
         t0 = period(h, c)
         m1 = channel_at(h, r0, t, c).matrix
         m2 = channel_at(h, r0, t + t0, c).matrix
         yield "channel-periodicity", float(np.max(np.abs(m1 - m2)))
 
     # epsilon = 0 freezes the channel
-    for _ in range(min(trials, 100)):
-        h = TwoLevelHamiltonian(
-            E=float(rng.uniform(-2, 2)), Delta=float(rng.uniform(0, 3)), epsilon=0.0
-        )
-        r0 = PrepBias(float(rng.uniform(0.0, 0.5)))
+    for E, Delta, r0, t in _uniform(rng, min(trials, 100), *_HAMILTONIAN[:2], (0.0, 0.5), (0.0, 20.0)).tolist():
+        h, r0 = TwoLevelHamiltonian(E, Delta, 0.0), PrepBias(r0)
         m0 = channel_at(h, r0, 0.0, c).matrix
-        mt = channel_at(h, r0, float(rng.uniform(0.0, 20.0)), c).matrix
+        mt = channel_at(h, r0, t, c).matrix
         yield "epsilon-zero-static", float(np.max(np.abs(m0 - mt)))
 
     # shifting E only changes the global phase, never the probabilities
@@ -420,10 +395,10 @@ def _two_level(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[
 # ---------------------------------------------------------------------------
 
 
-def _random_channel(rng: np.random.Generator) -> BinaryChannel:
-    m = rng.uniform(0.0, 1.0, size=(2, 2))
-    m /= m.sum(axis=1, keepdims=True)
-    return BinaryChannel(matrix=m)
+def _stochastic(draws: np.ndarray) -> np.ndarray:
+    """Rows of four uniform draws as 2x2 matrices, each row divided by its sum."""
+    m = draws.reshape(-1, 2, 2)
+    return m / m.sum(axis=2, keepdims=True)
 
 
 def _four_capacities(ch: BinaryChannel) -> tuple[float, float, float, float]:
@@ -445,24 +420,18 @@ def _infotheory(rng: np.random.Generator, trials: int, c: Constants) -> Iterator
     # concavity of I(q) in the input distribution: its maximum is the one
     # stationary point the closed form solves for, and the ternary search
     # and the grid scan find it
-    for _ in range(trials):
-        ch = _random_channel(rng)
-        q1, q2 = rng.uniform(0.0, 1.0, size=2)
+    draws = _uniform(rng, trials, *[(0.0, 1.0)] * 6)
+    for (p00, p10), (q1, q2) in zip(_stochastic(draws[:, :4])[:, :, 0].tolist(), draws[:, 4:].tolist()):
         mid = 0.5 * (q1 + q2)
-        i1 = kernels.mi_binary(ch.matrix[0, 0], ch.matrix[1, 0], q1)
-        i2 = kernels.mi_binary(ch.matrix[0, 0], ch.matrix[1, 0], q2)
-        im = kernels.mi_binary(ch.matrix[0, 0], ch.matrix[1, 0], mid)
+        i1, i2, im = (kernels.mi_binary(p00, p10, q) for q in (q1, q2, mid))
         yield "mi-concavity", 0.5 * (i1 + i2) - im
 
     # four solvers agree pairwise: the closed form, the ternary search,
     # Blahut-Arimoto and the 1e-6 grid, on random and adversarial channels
-    channels = [_random_channel(rng) for _ in range(trials)]
-    channels += [
-        BinaryChannel(matrix=np.array([[p00, 1.0 - p00], [p10, 1.0 - p10]]))
-        for p00, p10 in ADVERSARIAL_CHANNELS
-    ]
-    caps = np.array([_four_capacities(ch) for ch in channels])
-    yield "solver-agreement", np.max(caps.max(axis=1) - caps.min(axis=1))
+    adversarial = [[[p00, 1.0 - p00], [p10, 1.0 - p10]] for p00, p10 in ADVERSARIAL_CHANNELS]
+    matrices = np.concatenate((_stochastic(_uniform(rng, trials, *[(0.0, 1.0)] * 4)), adversarial))
+    caps = np.array([_four_capacities(BinaryChannel(matrix=m)) for m in matrices])
+    yield "solver-agreement", caps.max(axis=1) - caps.min(axis=1)
 
     # the flip-0.11 binary symmetric channel against its hand value
     bsc = BinaryChannel(matrix=np.array([[0.89, 0.11], [0.11, 0.89]]))
@@ -479,10 +448,8 @@ def _infotheory(rng: np.random.Generator, trials: int, c: Constants) -> Iterator
         yield "capacity-bounds", cap - 1.0
 
     # capacity is periodic in the delay
-    for i in range(min(trials, 100)):
-        h = _random_hamiltonian(rng, i + 3)
-        r0 = PrepBias(float(rng.uniform(0.0, 0.5)))
-        t = float(rng.uniform(0.0, 10.0))
+    for E, Delta, eps, r0, t in _uniform(rng, min(trials, 100), *_HAMILTONIAN, (0.0, 0.5), (0.0, 10.0)).tolist():
+        h, r0 = TwoLevelHamiltonian(E, Delta, eps), PrepBias(r0)
         t0 = period(h, c)
         c1 = infotheory.two_level_capacity(h, r0, t, c).capacity
         c2 = infotheory.two_level_capacity(h, r0, t + t0, c).capacity
@@ -541,19 +508,24 @@ def run_suite(
         raise ValueError(f"unknown check {', '.join(unknown)} in tolerances; expected one of: {known}")
     reports = []
     for name in SUITES if suite == "all" else (suite,):
-        worst = dict.fromkeys(CHECKS[name], 0.0)
+        deviations = {check: [[]] for check in CHECKS[name]}  # the floats, then each array
         notes = {}
         body = _BODIES[name](np.random.default_rng(seed), trials, constants_for(UnitMode.NATURAL))
         for check, deviation, *note in body:
-            if note:
-                worst[check], notes[check] = deviation, note[0]
+            if isinstance(deviation, float):  # into one list: np.concatenate converts each item on its own
+                deviations[check][0].append(deviation)
             else:
-                worst[check] = _fold(worst[check], deviation)
+                deviations[check].append(deviation)
+            if note:
+                notes[check] = note[0]
         report = SuiteReport(suite=name, seed=seed, trials=trials)
         for check, (default, kind) in CHECKS[name].items():
             tol = tolerances.get(check, default)
-            dev = float(worst[check])
-            details = notes[check](tol) if check in notes else ""
+            vector = np.concatenate(deviations[check], axis=None)
+            if check in notes:  # one value, reported as it is
+                dev, details = float(vector[0]), notes[check](tol)
+            else:  # the worst deviation, or 0; np.max keeps a NaN
+                dev, details = float(np.max(vector, initial=0.0)), ""
             report.checks.append(CheckResult(check, bool(dev <= tol), tol, dev, kind, details))
         reports.append(report)
     return reports

@@ -41,6 +41,15 @@ class TestSuites:
         fed = {name for name, *_ in body}
         assert fed == set(verify.CHECKS[suite])
 
+    def test_a_block_of_draws_equals_the_scalar_draws(self):
+        # One rng.uniform call per block gives the bits of the scalar draws, row by row,
+        # and leaves the stream where they leave it.
+        bounds = ((0.5, 2.0), (0.1, 3.0), (0.05, 20.0))
+        block, scalar = np.random.default_rng(42), np.random.default_rng(42)
+        rows = verify._uniform(block, 1000, *bounds).tolist()
+        assert rows == [[float(scalar.uniform(low, high)) for low, high in bounds] for _ in range(1000)]
+        assert block.uniform() == scalar.uniform()
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             verify.run_suite("bogus")
@@ -49,21 +58,42 @@ class TestSuites:
         with pytest.raises(ValueError):
             verify.run_suite("gaussian", trials=0)
 
-    def test_nan_deviation_fails_its_check(self, monkeypatch):
-        # Python's max(0.0, nan) is 0.0; the suite fold must keep the NaN.
+    @staticmethod
+    def every_fifth_nan(real):
         calls = itertools.count()
-        real = verify.transition_probs
 
-        def every_fifth_nan(*args):
+        def patched(*args):
             probs = real(*args)
             return (math.nan, math.nan) if next(calls) % 5 == 4 else probs
 
-        monkeypatch.setattr(verify, "transition_probs", every_fifth_nan)
-        [report] = verify.run_suite("two_level", seed=7, trials=50)
+        return patched
+
+    @staticmethod
+    def one_nan_in_each_array(real):
+        def patched(*args):
+            out = np.array(real(*args))
+            out.flat[out.size // 2] = math.nan  # not first, where Python's max would keep it
+            return out
+
+        return patched
+
+    @pytest.mark.parametrize(
+        "suite, module, name, poison, check",
+        [
+            ("two_level", verify, "transition_probs", every_fifth_nan, "closed-vs-unitary-probs"),
+            ("gaussian", gaussian, "capacity_nats", one_nan_in_each_array, "capacity-monotone"),
+        ],
+        ids=["closed-vs-unitary-probs", "capacity-monotone"],
+    )
+    def test_nan_deviation_fails_its_check(self, monkeypatch, suite, module, name, poison, check):
+        # Python's max(0.0, nan) is 0.0 and np.nanmax drops a NaN; the reduction must keep it.
+        # transition_probs feeds scalar deviations, capacity_nats array-evaluated ones.
+        monkeypatch.setattr(module, name, poison(getattr(module, name)))
+        [report] = verify.run_suite(suite, seed=7, trials=50)
         assert not report.passed
-        probs = next(c for c in report.checks if c.name == "closed-vs-unitary-probs")
-        assert not probs.passed
-        assert math.isnan(probs.max_deviation)
+        failed = next(c for c in report.checks if c.name == check)
+        assert not failed.passed
+        assert math.isnan(failed.max_deviation)
 
     def test_power_identity_catches_a_wrong_beta(self, monkeypatch):
         # The check used to compare placement_power with its own body,
