@@ -198,9 +198,7 @@ def _cmd_fig_gaussian(args) -> int:
         math.log10(args.grid_min), math.log10(args.grid_max), args.grid_points
     )
     ratios = args.ratios = sorted(args.ratios)
-    curves = np.stack(
-        [gaussian.capacity_vs_precision_curve(args.t, args.mass, r * vstar, grid, c) for r in ratios]
-    )
+    curves = gaussian.capacity_vs_precision_curve(args.t, args.mass, np.array(ratios) * vstar, grid, c)
     return _emit(
         args,
         {

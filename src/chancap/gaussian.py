@@ -275,15 +275,10 @@ def capacity_nats(P, delta2):
     """AWGN capacity (1/2) ln(1 + P / delta2) in nats per use, for finite P >= 0 and delta2 > 0.
 
     P and delta2 are floats or arrays, broadcast; math.log1p of every
-    element, so that both give the same bits. Where P / delta2 overflows,
-    ln(1 + P / delta2) is ln P - ln delta2 to double precision, and that is
-    taken instead, with math.log on both paths.
+    element, so that both give the same bits, and a float for both gives a
+    float. Where P / delta2 overflows, ln(1 + P / delta2) is ln P - ln delta2
+    to double precision, and that is taken instead, with math.log.
     """
-    if (P >= 0.0) is True and (delta2 > 0.0) is True and delta2 < inf:  # two valid floats: no numpy call
-        if (ratio := P / delta2) < inf:
-            return 0.5 * math.log1p(ratio)
-        if P < inf:
-            return 0.5 * (math.log(P) - math.log(delta2))
     _check_signal(P)
     _require((delta2 > 0.0) & (delta2 < inf), delta2,
              "noise variance must be positive, got {}; it must also be finite")
@@ -293,7 +288,8 @@ def capacity_nats(P, delta2):
     if np.any(over := ratio == inf):
         P, delta2 = np.broadcast_arrays(P, delta2)
         log[over] = _elementwise(math.log, P[over]) - _elementwise(math.log, delta2[over])
-    return 0.5 * log
+    out = 0.5 * log
+    return float(out) if out.ndim == 0 else out
 
 
 def optimal_sigma2(t, mass, c: Constants):
@@ -349,24 +345,26 @@ def placement_power(b: PowerBudget) -> float:
     return power
 
 
-def capacity_vs_precision_curve(t: float, mass: float, P: float, sigma2_grid, c: Constants) -> np.ndarray:
-    """Capacity as a function of preparation precision, for one signal level.
+def capacity_vs_precision_curve(t: float, mass: float, P, sigma2_grid, c: Constants) -> np.ndarray:
+    """Capacity as a function of preparation precision, at one signal level or an array of them.
 
-    Returns an (n, 2) array of (sigma2_A / v*, capacity in nats) pairs, one
-    per grid value. The curve peaks at sigma2_A = v*. A ratio that
-    overflows raises ValueError naming its grid value.
+    Returns an array of shape np.shape(P) + (n, 2) of (sigma2_A / v*, capacity
+    in nats) pairs, one per grid value, from one Delta_t^2 per grid value. The
+    curve peaks at sigma2_A = v*. Checks every grid value, then P. A ratio
+    that overflows raises ValueError naming its grid value.
     """
     grid = np.asarray(sigma2_grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("sigma2_grid must not be empty")
     _require(grid > 0, grid, "sigma2_grid values must be positive, got {}")
     vstar = optimal_sigma2(t, mass, c)
-    out = np.empty((grid.size, 2))
-    for i, sigma2 in enumerate(grid):
-        prep = GaussianPrep(x0=0.0, sigma2_A=float(sigma2), mass=mass)
-        out[i, 1] = capacity_nats(P, noise_variance(prep, t, c))
+    noise = np.array([noise_variance(GaussianPrep(0.0, sigma2, mass), t, c) for sigma2 in grid.tolist()])
+    levels = np.asarray(P, dtype=float)[..., None]
+    out = np.empty(levels.shape[:-1] + (grid.size, 2))
+    out[..., 1] = capacity_nats(levels, noise)
     with np.errstate(over="ignore"):  # rejected below
-        out[:, 0] = grid / vstar
-    _require(out[:, 0] < inf, (grid, vstar, t, mass, c.hbar), "the ratio sigma2_A / v* overflows for "
+        ratio = grid / vstar
+    _require(ratio < inf, (grid, vstar, t, mass, c.hbar), "the ratio sigma2_A / v* overflows for "
              "sigma2_grid value {} at v* = {} (t = {}, mass = {}, hbar = {})")
+    out[..., 0] = ratio
     return out

@@ -34,7 +34,7 @@ from .twolevel import (
     BinaryChannel,
     PrepBias,
     TwoLevelHamiltonian,
-    channel_at,
+    channel_matrices,
     eigensystem,
     eps_for_gamma,
     evolve,
@@ -231,11 +231,11 @@ def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[t
     yield "capacity-monotone", (gaussian.capacity_nats(p_lo, d_lo) - at_lo)[p_lo < p_hi]
     yield "capacity-monotone", (gaussian.capacity_nats(p_hi, d_hi) - at_lo)[d_lo < d_hi]
 
-    # capacity non-increasing in the measurement delay for fixed preparation
-    for x0, sigma2_A, mass, P, *times in _uniform(rng, tenth, *_PREP, (0.1, 10.0), *[(0.0, 5.0)] * 8).tolist():
-        prep = gaussian.GaussianPrep(x0, sigma2_A, mass)
-        caps = gaussian.capacity_nats(P, gaussian.noise_variance(prep, np.sort(times), c))
-        yield "capacity-time-monotone", np.diff(caps)
+    # capacity non-increasing in the measurement delay for fixed preparation (x0 is drawn, not used)
+    draws = _uniform(rng, tenth, *_PREP, (0.1, 10.0), *[(0.0, 5.0)] * 8)
+    sigma2_A, mass, P = draws[:, 1:4].T[:, :, None]  # (n, 1): a row of sorted delays per draw
+    caps = gaussian.capacity_nats(P, gaussian._noise(sigma2_A, mass, np.sort(draws[:, 4:]), c.hbar))
+    yield "capacity-time-monotone", np.diff(caps)
 
     # |psi(x,t)|^2 equals the closed-form density
     n_points = trials * 100
@@ -353,23 +353,19 @@ def _two_level(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[
             yield "probs-vs-evolve", abs(prob - pop)
 
         r0 = PrepBias(float(rng.uniform(0.0, 0.5)))
-        ch = channel_at(h, r0, t, c)
-        yield "channel-rows", float(np.max(np.abs(ch.matrix.sum(axis=1) - 1.0)))
+        yield "channel-rows", float(np.max(np.abs(channel_matrices(h, r0, t, c).sum(axis=1) - 1.0)))
 
     # periodicity of the induced channel
     for E, Delta, eps, r0, t in _uniform(rng, min(trials, 200), *_HAMILTONIAN, (0.0, 0.5), (0.0, 10.0)).tolist():
         h, r0 = TwoLevelHamiltonian(E, Delta, eps), PrepBias(r0)  # general: the a=0 case has no period
-        t0 = period(h, c)
-        m1 = channel_at(h, r0, t, c).matrix
-        m2 = channel_at(h, r0, t + t0, c).matrix
-        yield "channel-periodicity", float(np.max(np.abs(m1 - m2)))
+        m = channel_matrices(h, r0, np.array([t, t + period(h, c)]), c)
+        yield "channel-periodicity", float(np.max(np.abs(m[0] - m[1])))
 
     # epsilon = 0 freezes the channel
     for E, Delta, r0, t in _uniform(rng, min(trials, 100), *_HAMILTONIAN[:2], (0.0, 0.5), (0.0, 20.0)).tolist():
         h, r0 = TwoLevelHamiltonian(E, Delta, 0.0), PrepBias(r0)
-        m0 = channel_at(h, r0, 0.0, c).matrix
-        mt = channel_at(h, r0, t, c).matrix
-        yield "epsilon-zero-static", float(np.max(np.abs(m0 - mt)))
+        m = channel_matrices(h, r0, np.array([0.0, t]), c)
+        yield "epsilon-zero-static", float(np.max(np.abs(m[0] - m[1])))
 
     # shifting E only changes the global phase, never the probabilities
     for i in range(min(trials, 200)):
@@ -450,9 +446,7 @@ def _infotheory(rng: np.random.Generator, trials: int, c: Constants) -> Iterator
     # capacity is periodic in the delay
     for E, Delta, eps, r0, t in _uniform(rng, min(trials, 100), *_HAMILTONIAN, (0.0, 0.5), (0.0, 10.0)).tolist():
         h, r0 = TwoLevelHamiltonian(E, Delta, eps), PrepBias(r0)
-        t0 = period(h, c)
-        c1 = infotheory.two_level_capacity(h, r0, t, c).capacity
-        c2 = infotheory.two_level_capacity(h, r0, t + t0, c).capacity
+        c1, c2 = infotheory.two_level_capacities(h, r0, np.array([t, t + period(h, c)]), c).tolist()
         yield "capacity-periodicity", abs(c1 - c2)
 
     # the claimed monotonic decrease of capacity in r0(1-r0): findings only

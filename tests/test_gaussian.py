@@ -178,7 +178,7 @@ class TestCapacity:
             want = float((1 + decimal.Decimal(P) / decimal.Decimal(delta2)).ln() / 2)
         got = capacity_nats(P, delta2)
         assert got == pytest.approx(want, rel=1e-15)
-        # The array path gives the float path's bits, next to a finite ratio, with no warning.
+        # An array call gives the float calls' bits, next to a finite ratio, with no warning.
         array = capacity_nats(np.array([P, 3.0]), np.array([delta2, 0.5]))
         assert array.tobytes() == np.array([got, capacity_nats(3.0, 0.5)]).tobytes()
 
@@ -321,6 +321,34 @@ class TestPrecisionCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             capacity_vs_precision_curve(1.0, 1.0, 1.0, [], NAT)
+
+    @pytest.mark.parametrize(
+        "c,t,mass,levels",
+        [
+            (NAT, 1.0, 1.0, [0.0, 0.5, 5.0, 50.0]),
+            # v* = 5.3e-16 m^2, so P / Delta_t^2 overflows at P = 1e300: ln P - ln Delta_t^2
+            (SI, 1e-6, 1e-25, [0.0, 1e-20, 1e300]),
+        ],
+    )
+    def test_levels_stack_the_float_curves_bit_for_bit(self, c, t, mass, levels):
+        vstar = optimal_sigma2(t, mass, c)
+        grid = vstar * np.logspace(-2, 2, 41)
+        floats = [capacity_vs_precision_curve(t, mass, P, grid, c) for P in levels]
+        assert all(curve.shape == (41, 2) for curve in floats)
+        got = capacity_vs_precision_curve(t, mass, np.array(levels), grid, c)
+        assert got.shape == (len(levels), 41, 2)
+        np.testing.assert_array_equal(got.view(np.int64), np.stack(floats).view(np.int64))
+        square = capacity_vs_precision_curve(t, mass, np.array([levels, levels]), grid, c)
+        assert square.shape == (2, len(levels), 41, 2) and square.tobytes() == (2 * got.tobytes())
+        if levels[-1] / (2.0 * vstar) == math.inf:  # at the peak, Delta_t^2 = 2 v*
+            assert got[-1, 20, 1] == 0.5 * (math.log(levels[-1]) - math.log(noise_variance(
+                GaussianPrep(0.0, float(grid[20]), mass), t, c)))
+        else:
+            assert c is NAT
+
+    def test_negative_level_named(self):
+        with pytest.raises(ValueError, match=r"signal constraint P must be >= 0, got -2\.0"):
+            capacity_vs_precision_curve(1.0, 1.0, np.array([1.0, -2.0, 3.0]), GRID, NAT)
 
     def test_capacity_nonincreasing_in_delay(self):
         prep = GaussianPrep(x0=0.0, sigma2_A=0.8, mass=1.2)
@@ -559,20 +587,28 @@ class _NoNumpy:
 
 
 def test_float_paths_make_no_numpy_call(monkeypatch):
-    # capacity_vs_precision_curve makes 401 calls of each per placement-oracle op.
+    # capacity_vs_precision_curve makes 401 noise_variance calls per placement-oracle op.
     import chancap.gaussian
 
     monkeypatch.setattr(chancap.gaussian, "np", _NoNumpy())
     prep = GaussianPrep(0.0, 0.5, 2.0)
-    for got in (
-        noise_variance(prep, 0.0, NAT),
-        noise_variance(prep, 1.5, NAT),
-        noise_variance(prep, 1.5, SI),
-        capacity_nats(1.0, 2.0),
-        capacity_nats(0.0, 2.0),
-        capacity_nats(1e300, 1e-300),  # P / delta2 overflows: ln P - ln delta2
-    ):
+    for got in (noise_variance(prep, 0.0, NAT), noise_variance(prep, 1.5, NAT), noise_variance(prep, 1.5, SI)):
         assert type(got) is float
+
+
+def test_float_capacity_is_a_float():
+    for P, delta2 in ((1.0, 2.0), (0.0, 2.0), (1e300, 1e-300)):  # the last P / delta2 overflows
+        assert type(capacity_nats(P, delta2)) is float
+
+
+def test_float_capacity_keeps_the_scalar_bits():
+    # math.log1p of the ratio, or ln P - ln delta2 where the ratio overflows, as scalar math gives them.
+    rng = np.random.default_rng(11)
+    P, delta2 = (10.0 ** rng.uniform(-300, 300, (2, 20_000))).tolist()
+    want = [0.5 * math.log1p(p / d) if p / d < math.inf else 0.5 * (math.log(p) - math.log(d))
+            for p, d in zip(P, delta2)]
+    assert sum(p / d == math.inf for p, d in zip(P, delta2)) > 1000
+    np.testing.assert_array_equal(bits([capacity_nats(p, d) for p, d in zip(P, delta2)]), bits(want))
 
 
 class TestCapacityAtOptimum:
