@@ -2,7 +2,9 @@
 
 `CHECKS` is the one list of checks: for each suite, in report order, every
 check name with its default tolerance and kind. A suite body is a generator
-that draws each block of inputs in one `rng.uniform` call (`_uniform`),
+that draws each block of inputs in one `rng.uniform` call (`_uniform`); the
+three edge-case Hamiltonians that open a sweep of Hamiltonians
+(`_hamiltonian_draws`) are the only scalar draws left. A body
 evaluates a check on arrays where its closed form takes them, and yields
 ``(name, deviations)`` pairs, where deviations is a float or an array of any
 shape. `run_suite` joins each check's deviations into one vector and reduces
@@ -176,6 +178,8 @@ class MonotonicityCell:
 _PREP = ((-1.0, 1.0), (0.5, 2.0), (0.5, 2.0))
 #: (low, high) of the uniform draws of a general TwoLevelHamiltonian's E, Delta and epsilon.
 _HAMILTONIAN = ((-2.0, 2.0), (0.0, 3.0), (0.0, 3.0))
+#: The edge cases that open every sweep of Hamiltonians: the (low, high) of E, Delta and epsilon, or None for 0.
+_EDGE_CASES = ((None, None, None), ((-2.0, 2.0), (0.0, 3.0), None), ((-2.0, 2.0), None, (0.1, 3.0)))
 
 
 def _uniform(rng: np.random.Generator, n: int, *bounds: tuple[float, float]) -> np.ndarray:
@@ -188,15 +192,23 @@ def _uniform(rng: np.random.Generator, n: int, *bounds: tuple[float, float]) -> 
     return rng.uniform(low, high, (n, len(bounds)))
 
 
-def _random_hamiltonian(rng: np.random.Generator, i: int) -> TwoLevelHamiltonian:
-    # Force the structural edge cases into every sweep.
-    if i == 0:
-        return TwoLevelHamiltonian(E=0.0, Delta=0.0, epsilon=0.0)
-    if i == 1:
-        return TwoLevelHamiltonian(E=float(rng.uniform(-2, 2)), Delta=float(rng.uniform(0, 3)), epsilon=0.0)
-    if i == 2:
-        return TwoLevelHamiltonian(E=float(rng.uniform(-2, 2)), Delta=0.0, epsilon=float(rng.uniform(0.1, 3)))
-    return TwoLevelHamiltonian(*[float(rng.uniform(low, high)) for low, high in _HAMILTONIAN])
+def _hamiltonian_draws(rng: np.random.Generator, n: int, *bounds: tuple[float, float]) -> Iterator[tuple]:
+    """n trials of (h, *values): a TwoLevelHamiltonian, then one draw per (low, high) bound.
+
+    The edge cases come first, drawn one value at a time; each general trial is one row of a
+    single `_uniform` block. The stream is the one that per-trial scalar draws give.
+    """
+    edges = [[float(rng.uniform(*b)) if b else 0.0 for b in (*case, *bounds)] for case in _EDGE_CASES[:n]]
+    for E, Delta, eps, *values in edges + _uniform(rng, n - len(edges), *_HAMILTONIAN, *bounds).tolist():
+        yield TwoLevelHamiltonian(E, Delta, eps), *values
+
+
+def _oracle_gap(
+    g: oracle.GridState, prep: gaussian.GaussianPrep, t: float, c: Constants
+) -> tuple[oracle.GridState, float]:
+    """g propagated to t, and its sup-norm gap to the closed-form density at t."""
+    gt = oracle.propagate_spectral(g, prep.mass, t, c)
+    return gt, float(np.max(np.abs(gt.density() - gaussian.density_at(prep, gt.x, t, c))))
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +290,8 @@ def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[t
     prep = gaussian.GaussianPrep(x0=0.0, sigma2_A=1.0, mass=1.0)
     g0 = oracle.discretize(prep, t_max=2.0, n=4096, c=c)
     for t in (0.5, 1.0, 2.0):
-        gt = oracle.propagate_spectral(g0, prep.mass, t, c)
-        rho = gaussian.density_at(prep, gt.x, t, c)
-        yield "spectral-supnorm", float(np.max(np.abs(gt.density() - rho)))
+        gt, gap = _oracle_gap(g0, prep, t, c)
+        yield "spectral-supnorm", gap
         ref = gaussian.noise_variance(prep, t, c)
         yield "spectral-variance", abs(oracle.grid_variance(gt) - ref) / ref
 
@@ -297,22 +308,14 @@ def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[t
     # refining the grid must reduce the sup-norm error (narrow packet so the
     # 2^12 grid undersamples the momentum tail)
     narrow = gaussian.GaussianPrep(x0=0.0, sigma2_A=0.003, mass=1.0)
-    errs = {}
-    for n in (4096, 8192):
-        g = oracle.discretize(narrow, t_max=1.0, n=n, c=c)
-        gt = oracle.propagate_spectral(g, narrow.mass, 1.0, c)
-        rho = gaussian.density_at(narrow, gt.x, 1.0, c)
-        errs[n] = float(np.max(np.abs(gt.density() - rho)))
+    errs = {n: _oracle_gap(oracle.discretize(narrow, t_max=1.0, n=n, c=c), narrow, 1.0, c)[1] for n in (4096, 8192)}
     note = f"sup error {errs[4096]:.3e} at n=4096, {errs[8192]:.3e} at n=8192"
     yield "spectral-convergence", errs[8192] - errs[4096], lambda tol: note
 
     # randomized closed-form vs oracle sweep
     for x0, sigma2_A, mass, t in _uniform(rng, trials, *_PREP, (0.0, 2.0)).tolist():
         p = gaussian.GaussianPrep(x0, sigma2_A, mass)
-        g = oracle.discretize(p, t_max=2.0, n=4096, c=c)
-        gt = oracle.propagate_spectral(g, p.mass, t, c)
-        rho = gaussian.density_at(prep=p, x=gt.x, t=t, c=c)
-        yield "spectral-random-draws", float(np.max(np.abs(gt.density() - rho)))
+        yield "spectral-random-draws", _oracle_gap(oracle.discretize(p, t_max=2.0, n=4096, c=c), p, t, c)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +324,8 @@ def _gaussian(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[t
 
 
 def _two_level(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[tuple]:
-    for i in range(trials):
-        h = _random_hamiltonian(rng, i)
-        p = PrepBias(float(rng.uniform(0.0, 1.0)))
-        t = float(rng.uniform(0.0, 10.0))
-
+    for h, p, t, r0 in _hamiltonian_draws(rng, trials, (0.0, 1.0), (0.0, 10.0), (0.0, 0.5)):
+        p, r0 = PrepBias(p), PrepBias(r0)
         eig = eigensystem(h)
         m = h.matrix()
         for e, v in ((eig.E_plus, eig.v_plus), (eig.E_minus, eig.v_minus)):
@@ -352,7 +352,6 @@ def _two_level(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[
         for prob, pop in zip(probs, pops):
             yield "probs-vs-evolve", abs(prob - pop)
 
-        r0 = PrepBias(float(rng.uniform(0.0, 0.5)))
         yield "channel-rows", float(np.max(np.abs(channel_matrices(h, r0, t, c).sum(axis=1) - 1.0)))
 
     # periodicity of the induced channel
@@ -368,12 +367,8 @@ def _two_level(rng: np.random.Generator, trials: int, c: Constants) -> Iterator[
         yield "epsilon-zero-static", float(np.max(np.abs(m[0] - m[1])))
 
     # shifting E only changes the global phase, never the probabilities
-    for i in range(min(trials, 200)):
-        h = _random_hamiltonian(rng, i)
-        shift = float(rng.uniform(-10, 10))
-        h2 = TwoLevelHamiltonian(E=h.E + shift, Delta=h.Delta, epsilon=h.epsilon)
-        p = PrepBias(float(rng.uniform(0.0, 1.0)))
-        t = float(rng.uniform(0.0, 10.0))
+    for h, shift, p, t in _hamiltonian_draws(rng, min(trials, 200), (-10.0, 10.0), (0.0, 1.0), (0.0, 10.0)):
+        h2, p = TwoLevelHamiltonian(E=h.E + shift, Delta=h.Delta, epsilon=h.epsilon), PrepBias(p)
         a = transition_probs(h, p, t, c)
         b = transition_probs(h2, p, t, c)
         for x, y in zip(a, b):
@@ -435,11 +430,8 @@ def _infotheory(rng: np.random.Generator, trials: int, c: Constants) -> Iterator
         yield "bsc-known-capacity", abs(solve(bsc, base="bits").capacity - BSC_011_CAPACITY_BITS)
 
     # 0 <= C <= 1 bit over two-level channel samples
-    for i in range(min(trials, 500)):
-        h = _random_hamiltonian(rng, i)
-        r0 = PrepBias(float(rng.uniform(0.0, 0.5)))
-        t = float(rng.uniform(0.0, 10.0))
-        cap = infotheory.two_level_capacity(h, r0, t, c, base="bits").capacity
+    for h, r0, t in _hamiltonian_draws(rng, min(trials, 500), (0.0, 0.5), (0.0, 10.0)):
+        cap = infotheory.two_level_capacity(h, PrepBias(r0), t, c, base="bits").capacity
         yield "capacity-bounds", -cap
         yield "capacity-bounds", cap - 1.0
 

@@ -71,8 +71,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 
     def traced(*args):
         tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]  # the table's arrays and all else held before the call
         nrows = write(*args)
-        peaks.append(tracemalloc.get_traced_memory()[1])
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
         return nrows
 
     cli._write_table = traced

@@ -50,6 +50,30 @@ class TestSuites:
         assert rows == [[float(scalar.uniform(low, high)) for low, high in bounds] for _ in range(1000)]
         assert block.uniform() == scalar.uniform()
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1000])
+    def test_hamiltonian_draws_equal_the_per_trial_scalar_draws(self, n):
+        # The edge cases one value at a time, then one block for the general trials: the same
+        # (h, *values) as drawing each trial's Hamiltonian and then its values, and the same stream.
+        bounds = ((-10.0, 10.0), (0.0, 1.0), (0.0, 10.0))
+        block, scalar = np.random.default_rng(42), np.random.default_rng(42)
+
+        def draw(low, high):
+            return float(scalar.uniform(low, high))
+
+        def trial(i):
+            if i == 0:
+                h = TwoLevelHamiltonian(E=0.0, Delta=0.0, epsilon=0.0)
+            elif i == 1:
+                h = TwoLevelHamiltonian(E=draw(-2, 2), Delta=draw(0, 3), epsilon=0.0)
+            elif i == 2:
+                h = TwoLevelHamiltonian(E=draw(-2, 2), Delta=0.0, epsilon=draw(0.1, 3))
+            else:
+                h = TwoLevelHamiltonian(E=draw(-2, 2), Delta=draw(0, 3), epsilon=draw(0, 3))
+            return (h, *[draw(low, high) for low, high in bounds])
+
+        assert list(verify._hamiltonian_draws(block, n, *bounds)) == [trial(i) for i in range(n)]
+        assert block.uniform() == scalar.uniform()
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             verify.run_suite("bogus")
