@@ -1,9 +1,11 @@
-import decimal
 import math
 import re
 
+import exact
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chancap.gaussian import (
     GaussianPrep,
@@ -22,7 +24,41 @@ from chancap.units import Constants, UnitMode, constants_for
 
 NAT = constants_for(UnitMode.NATURAL)
 SI = constants_for(UnitMode.SI)
-PI_60 = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+# The inputs of the tests that compare against tests/exact.py; tests/test_exact.py checks its precision on them.
+FAR_TAILS = [  # (sigma2_A, x)
+    (1e-300, 3.86e-149),  # gave 1.971e-174
+    (1e-300, 3.9e-149),  # gave 0.0
+    (1e-310, 3.86e-154),  # scaled packets: both gave 0.0
+    (1e-310, 3.9e-154),
+]
+OVERFLOWED_RATIOS = [(1e308, 1e-34), (1.7e308, 5e-324), (2.0, 1e-308)]  # (P, Delta^2)
+SUBNORMAL_DENOMINATORS = [  # (sigma2_A, mass, t)
+    (1e-200, 3.5e-224, 1e-300),  # 2 m sigma_A = 7e-324 rounded to 5e-324: 4.097e46, not 2.041e46
+    (1e-200, 1e-215, 1e-290),  # 2 m sigma_A = 2e-315
+    (4e-300, 1e-160, 1e-250),  # 2 m sigma_A = 4e-310
+    (1e-200, 1.1e-208, 1e-250),  # 2 m sigma_A = 2.2e-308, just below the least normal double
+]
+#: Where 2 m overflowed, or hbar t lost bits, and the dispersion came out 0 or far off.
+SPREAD_EDGES = [
+    (GaussianPrep(0.0, 1.0, 1e308), 1e308, NAT),  # Delta_t^2 = 1.25: it gave 1.0
+    (GaussianPrep(0.0, 5e-324, 1.7e308), 1e300, NAT),  # 1.7509e306: it gave 5e-324
+    (GaussianPrep(0.0, 1e-100, 1e-250), 1e-290, SI),  # 2.7803e-49: it gave 1e-100
+    (GaussianPrep(0.0, 8.39e-142, 2.5e-323), 3.88e-304, SI),  # 8.1749e110: it gave 8.39e-142
+]
+VSTAR_EDGES = [(1e308, 1e308, NAT, 0.5), (1e-300, 1e-300, SI, 5.272859085e-35)]  # (t, mass, c, v*)
+OVERFLOWING_DENSITIES = [  # (prep, x, t)
+    # it raised "leaves the double range"; wavefunction_at gives 6.3e-81 - 6.3e-81j
+    (GaussianPrep(0.0, 1e-160, 1e-80), 0.5, 1.0),
+    (GaussianPrep(0.0, 1e-160, 1e-80), 1e160, 1.0),  # (x - x0)^2 overflows too
+    (GaussianPrep(0.0, 1.5e308, 1e-154), 1e154, 1.5e154),  # sigma2_A + disp^2 overflows, not disp^2
+    (GaussianPrep(0.0, 1.0, 1e-300), 0.0, 3.5e8),  # Delta_t = 1.75e308: a subnormal density
+    (GaussianPrep(-1e308, 1.0, 1e-300), 1e308, 2e8),  # x - x0 overflows
+    # a subnormal sigma2_A: 2 pi sigma2_A lost bits, and the density was 1.8367e161, 2.3% off
+    (GaussianPrep(0.0, 5e-324, 1.0), 0.0, 0.0),
+    (GaussianPrep(0.0, 5e-324, 1.0), 0.0, 5e-324),  # b = hbar t / (2m) underflows to 0
+]
+WIDE_PACKET = (GaussianPrep(0.0, 1e306, 1.0), 1.5e154)  # (prep, x) at t = 0, where (x - x0)^2 overflows
 
 
 class TestNoiseVariance:
@@ -82,23 +118,12 @@ class TestDensity:
         expected = 1 / math.sqrt(2 * math.pi * 1.25) * math.exp(-1 / 2.5)
         assert density_at(prep, prep.x0 + 1.0, 1.0, NAT) == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.parametrize(
-        "s2,x",
-        [
-            (1e-300, 3.86e-149),  # gave 1.971e-174
-            (1e-300, 3.9e-149),  # gave 0.0
-            (1e-310, 3.86e-154),  # scaled packets: both gave 0.0
-            (1e-310, 3.9e-154),
-        ],
-    )
+    @pytest.mark.parametrize("s2,x", FAR_TAILS)
     def test_far_tail_of_a_narrow_packet_matches_decimal(self, s2, x):
         # exp of the exponent is subnormal or 0, but the prefactor lifts the density to a normal double.
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            var, dx = decimal.Decimal(s2), decimal.Decimal(x)
-            want = float((-(dx * dx) / (2 * var)).exp() / (2 * PI_60 * var).sqrt())
-        assert want >= 2.0**-1022
         prep = GaussianPrep(0.0, s2, 1.0)
+        want = float(exact.density(prep, x, 0.0, NAT))
+        assert want >= 2.0**-1022
         got = density_at(prep, x, 0.0, NAT)
         assert got == pytest.approx(want, rel=3e-13, abs=0.0)
         assert bits(density_at(prep, np.array([x, 0.0]), 0.0, NAT)[0]) == bits(got)
@@ -170,12 +195,10 @@ class TestCapacity:
         assert capacity_nats(2.0, 1.0) > capacity_nats(1.0, 1.0)
         assert capacity_nats(1.0, 2.0) < capacity_nats(1.0, 1.0)
 
-    @pytest.mark.parametrize("P,delta2", [(1e308, 1e-34), (1.7e308, 5e-324), (2.0, 1e-308)])
+    @pytest.mark.parametrize("P,delta2", OVERFLOWED_RATIOS)
     def test_overflowed_ratio_stays_finite(self, P, delta2):
         # P / delta2 overflows a double, but (1/2) ln(1 + P / delta2) is below 400.
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            want = float((1 + decimal.Decimal(P) / decimal.Decimal(delta2)).ln() / 2)
+        want = float(exact.capacity_nats(P, delta2))
         got = capacity_nats(P, delta2)
         assert got == pytest.approx(want, rel=1e-15)
         # An array call gives the float calls' bits, next to a finite ratio, with no warning.
@@ -522,6 +545,37 @@ def bits(a):
     return np.asarray(a).view(np.int64)
 
 
+#: Log-uniform on [1e-30, 1e30]: with these, no scaled operand of a law leaves the normal range.
+SIZES = st.floats(-30.0, 30.0).map(lambda e: 10.0**e)
+UNITS = st.sampled_from([NAT, SI])
+
+
+class TestScalingLaws:
+    """Scaled by powers of two, the Gaussian closed forms scale exactly, so each law holds to the bit."""
+
+    @settings(deadline=None)
+    @given(s2=SIZES, m=SIZES, t=SIZES, c=UNITS)
+    def test_noise_variance(self, s2, m, t, c):
+        v = noise_variance(GaussianPrep(0.0, s2, m), t, c)
+        assert noise_variance(GaussianPrep(0.0, 4.0 * s2, m), 4.0 * t, c) == 4.0 * v
+        assert noise_variance(GaussianPrep(0.0, s2, 2.0 * m), 2.0 * t, c) == v
+
+    @settings(deadline=None)
+    @given(P=SIZES, delta2=SIZES)
+    def test_capacity_nats(self, P, delta2):
+        assert capacity_nats(4.0 * P, 4.0 * delta2) == capacity_nats(P, delta2)
+
+    @settings(deadline=None)
+    @given(s2=SIZES, m=SIZES, t=SIZES, k=st.floats(-37.0, 37.0), c=UNITS)
+    def test_density(self, s2, m, t, k, c):
+        # x is k widths from x0 = 0, so exp of the exponent, at least e**-685, stays normal.
+        prep = GaussianPrep(0.0, s2, m)
+        x = k * math.sqrt(noise_variance(prep, t, c))
+        half = density_at(prep, x, t, c) / 2.0
+        assume(half >= 2.0**-1022)
+        assert density_at(GaussianPrep(0.0, 4.0 * s2, m), 2.0 * x, 4.0 * t, c) == half
+
+
 class TestArraysMatchPointByPoint:
     """An array call gives the bits of the float calls made point by point."""
 
@@ -649,24 +703,6 @@ class TestCapacityAtOptimum:
         assert vstar.shape == cap.shape == (0,)
 
 
-def exact_variance(prep, t, c):
-    """Delta_t^2 in 50-digit decimal."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        D = decimal.Decimal
-        disp = D(c.hbar) * D(t) / (2 * D(prep.mass) * D(prep.sigma2_A).sqrt())
-        return D(prep.sigma2_A) + disp * disp
-
-
-#: Where 2 m overflowed, or hbar t lost bits, and the dispersion came out 0 or far off.
-SPREAD_EDGES = [
-    (GaussianPrep(0.0, 1.0, 1e308), 1e308, NAT),  # Delta_t^2 = 1.25: it gave 1.0
-    (GaussianPrep(0.0, 5e-324, 1.7e308), 1e300, NAT),  # 1.7509e306: it gave 5e-324
-    (GaussianPrep(0.0, 1e-100, 1e-250), 1e-290, SI),  # 2.7803e-49: it gave 1e-100
-    (GaussianPrep(0.0, 8.39e-142, 2.5e-323), 3.88e-304, SI),  # 8.1749e110: it gave 8.39e-142
-]
-
-
 @pytest.mark.filterwarnings("error")
 class TestOutOfRange:
     """Inputs whose closed forms leave the double range: a ValueError naming them, or an exact 0."""
@@ -704,13 +740,13 @@ class TestOutOfRange:
         for s2_i, m_i, t_i in zip(*np.hstack((wide, tiny)).tolist()):
             den = 2.0 * m_i * math.sqrt(s2_i)
             prep = GaussianPrep(0.0, s2_i, m_i)
-            # As written where hbar t = t and 2 m sigma_A are normal; elsewhere against 50-digit decimal.
+            # As written where hbar t = t and 2 m sigma_A are normal; elsewhere against exact.variance.
             written = 2.0**-1022 <= den < INF and (2.0**-1022 <= t_i or t_i == 0.0)
             if written:
                 disp = t_i / den
                 ref = s2_i + disp * disp
             else:
-                ref = float(exact_variance(prep, t_i, NAT))
+                ref = float(exact.variance(prep, t_i, NAT))
             if den == 0.0:
                 underflowed[ref < INF] += 1
             if ref < INF:
@@ -732,21 +768,10 @@ class TestOutOfRange:
         assert bits(arr[1]) == bits(got)
         assert arr.tolist() == [noise_variance(prep, 1.0e-320, NAT), got]
 
-    @pytest.mark.parametrize(
-        "s2,m,t",
-        [
-            (1e-200, 3.5e-224, 1e-300),  # 2 m sigma_A = 7e-324 rounded to 5e-324: 4.097e46, not 2.041e46
-            (1e-200, 1e-215, 1e-290),  # 2 m sigma_A = 2e-315
-            (4e-300, 1e-160, 1e-250),  # 2 m sigma_A = 4e-310
-            (1e-200, 1.1e-208, 1e-250),  # 2 m sigma_A = 2.2e-308, just below the least normal double
-        ],
-    )
+    @pytest.mark.parametrize("s2,m,t", SUBNORMAL_DENOMINATORS)
     def test_subnormal_denominator_matches_decimal(self, s2, m, t):
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            disp = decimal.Decimal(t) / (2 * decimal.Decimal(m) * decimal.Decimal(s2).sqrt())
-            want = float(decimal.Decimal(s2) + disp * disp)
         prep = GaussianPrep(0.0, s2, m)
+        want = float(exact.variance(prep, t, NAT))
         assert 0.0 < 2.0 * m * math.sqrt(s2) < 2.0**-1022
         got = noise_variance(prep, t, NAT)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
@@ -754,26 +779,20 @@ class TestOutOfRange:
 
     @pytest.mark.parametrize("prep,t,c", SPREAD_EDGES)
     def test_spread_edges_match_decimal(self, prep, t, c):
-        var = exact_variance(prep, t, c)
         got = noise_variance(prep, t, c)
-        assert got == pytest.approx(float(var), rel=1e-15, abs=0.0)
+        assert got == pytest.approx(float(exact.variance(prep, t, c)), rel=1e-15, abs=0.0)
         assert bits(noise_variance(prep, np.array([t]), c)) == bits(got)
-        pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937511")
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            peak = float(1 / (2 * pi * var).sqrt())
+        peak = float(exact.density(prep, prep.x0, t, c))
         assert density_at(prep, prep.x0, t, c) == pytest.approx(peak, rel=1e-15, abs=0.0)
         assert abs(wavefunction_at(prep, prep.x0, t, c)) ** 2 == pytest.approx(peak, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("t,mass,c,want", [(1e308, 1e308, NAT, 0.5), (1e-300, 1e-300, SI, 5.272859085e-35)])
+    @pytest.mark.parametrize("t,mass,c,want", VSTAR_EDGES)
     def test_optimal_sigma2_at_the_spread_edges(self, t, mass, c, want):
         # 2 m overflowed, or hbar t underflowed to 0: v* came out 0 and it raised "sigma2_A must be positive".
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            exact = decimal.Decimal(c.hbar) * decimal.Decimal(t) / (2 * decimal.Decimal(mass))
-        assert float(exact) == pytest.approx(want, rel=1e-15, abs=0.0)
+        ref = float(exact.vstar(t, mass, c))
+        assert ref == pytest.approx(want, rel=1e-15, abs=0.0)
         got = optimal_sigma2(t, mass, c)
-        assert got == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+        assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
         assert bits(optimal_sigma2(np.array([1.0, t]), np.array([1.0, mass]), c)[1]) == bits(got)
 
     def test_underflowed_denominator_density(self):
@@ -804,30 +823,11 @@ class TestOutOfRange:
         want = 1.0 / math.sqrt(2.0 * math.pi) / math.sqrt(3.25e307)
         assert got[1, 0] == pytest.approx(want, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "prep,x,t",
-        [
-            # it raised "leaves the double range"; wavefunction_at gives 6.3e-81 - 6.3e-81j
-            (GaussianPrep(0.0, 1e-160, 1e-80), 0.5, 1.0),
-            (GaussianPrep(0.0, 1e-160, 1e-80), 1e160, 1.0),  # (x - x0)^2 overflows too
-            (GaussianPrep(0.0, 1.5e308, 1e-154), 1e154, 1.5e154),  # sigma2_A + disp^2 overflows, not disp^2
-            (GaussianPrep(0.0, 1.0, 1e-300), 0.0, 3.5e8),  # Delta_t = 1.75e308: a subnormal density
-            (GaussianPrep(-1e308, 1.0, 1e-300), 1e308, 2e8),  # x - x0 overflows
-            # a subnormal sigma2_A: 2 pi sigma2_A lost bits, and the density was 1.8367e161, 2.3% off
-            (GaussianPrep(0.0, 5e-324, 1.0), 0.0, 0.0),
-            (GaussianPrep(0.0, 5e-324, 1.0), 0.0, 5e-324),  # b = hbar t / (2m) underflows to 0
-        ],
-    )
+    @pytest.mark.parametrize("prep,x,t", OVERFLOWING_DENSITIES)
     def test_overflowing_noise_variance_density_matches_decimal(self, prep, x, t):
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            D = decimal.Decimal
-            disp = D(t) / (2 * D(prep.mass) * D(prep.sigma2_A).sqrt())
-            var, dx = D(prep.sigma2_A) + disp * disp, D(x) - D(prep.x0)
-            pi = D("3.14159265358979323846264338327950288419716939937511")
-            want = float((-(dx * dx) / (2 * var)).exp() / (2 * pi * var).sqrt())
+        want = float(exact.density(prep, x, t, NAT))
         # Delta_t^2 overflows a double, or sigma2_A is subnormal
-        assert var > D(1.7976931348623157e308) or prep.sigma2_A < 2.0**-1022
+        assert exact.variance(prep, t, NAT) > 1.7976931348623157e308 or prep.sigma2_A < 2.0**-1022
         got = density_at(prep, x, t, NAT)
         assert got == pytest.approx(want, rel=1e-14, abs=1e-322)
         assert got > 0.0
@@ -880,12 +880,13 @@ class TestOutOfRange:
     @pytest.mark.parametrize("fn", [density_at, wavefunction_at])
     def test_overflowing_square_of_a_wide_packet_answers(self, fn):
         # Delta_t^2 = 1e306 at x = 1.5e154, where (x - x0)^2 overflows: it raised "noise variance
-        # 1e+306 is too wide". 50-digit decimal gives 5.530709549844319e-203; |psi| is checked
+        # 1e+306 is too wide". The density is 5.530709549844319e-203; |psi| is checked
         # against its root, since squaring doubles the relative error.
-        prep, want = GaussianPrep(0.0, 1e306, 1.0), 5.530709549844319e-203
-        got = fn(prep, 1.5e154, 0.0, NAT)
+        prep, x = WIDE_PACKET
+        want = float(exact.density(prep, x, 0.0, NAT))
+        got = fn(prep, x, 0.0, NAT)
         assert abs(got) == pytest.approx(want if fn is density_at else math.sqrt(want), rel=1e-14, abs=0.0)
-        assert fn(prep, np.array([0.0, 1.5e154]), 0.0, NAT)[1] == got
+        assert fn(prep, np.array([0.0, x]), 0.0, NAT)[1] == got
 
     def test_wavefunction_width_overflow_rejected(self):
         # b = hbar t / (2 m) overflows: it gave nan+nanj with an "invalid value" warning. Delta_t

@@ -1,10 +1,12 @@
 import math
 import re
 
+import exact
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import corner_channels
 
 from chancap import cli, infotheory, kernels, verify
 from chancap.infotheory import (
@@ -186,10 +188,23 @@ class TestClosedForm:
     def test_z_channel_near_one(self):
         # Rows (1, 0) and (1-d, d): C = ln(1 + d (1-d)^((1-d)/d)), about d/e.
         p10 = 1.0 - 1e-9
-        d = 1.0 - p10
-        want = math.log1p(d * math.exp((1.0 - d) / d * math.log1p(-d)))
+        want = float(exact.capacity(1.0, p10))
         assert capacity_binary(binary(1.0, p10)).capacity == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(3.68e-10, rel=1e-3)
+
+    #: The closed form's worst absolute error, in nats, on the channels below.
+    #: Measured: 1.95e-16 on a uniform channel, 1.49e-16 on a corner, 7.7e-17
+    #: on an adversarial one. Where C is below 1e-16 the error is all of C or
+    #: more: (0.3, 0.3 + 1e-16) gives 5.55e-17 for C = 7.3e-33.
+    BUDGET = 2.2e-16
+
+    def test_within_an_absolute_budget_of_the_exact_capacity(self):
+        rng = np.random.default_rng(0)
+        uniform = [random_channel(rng).matrix[:, 0].tolist() for _ in range(100)]
+        corners = [c for seed in range(4) for c in corner_channels(np.random.default_rng(seed))]
+        for p00, p10 in list(verify.ADVERSARIAL_CHANNELS) + corners + uniform:
+            err = exact.error(_channel_capacity(p00, p10)[0], exact.capacity(p00, p10))
+            assert err <= self.BUDGET, (p00, p10, float(err))
 
     def test_stack_is_bounded_and_matches_single_channels_bit_for_bit(self):
         rng = np.random.default_rng(35)

@@ -1,11 +1,10 @@
 """The scalar capacity kernels: known values, validation, and bit identity to reference loops."""
 
-import decimal
 import math
 import re
 import tracemalloc
-from decimal import Decimal
 
+import exact
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -346,19 +345,6 @@ def scan_values(p00, p10, indices, n):
     return kernels._neg_mi(idx, n, p00, p10, h0, h1, clamp, a, b, s), h0, h1
 
 
-def exact_neg_mi(p00, p10, h0, h1, i, n):
-    """f(i/n) = y0 ln y0 + y1 ln y1 + q h0 + (1-q) h1 in 60-digit decimal arithmetic."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        q = Decimal(i) / Decimal(n)
-        y0 = q * Decimal(p00) + (1 - q) * Decimal(p10)
-        total = q * Decimal(h0) + (1 - q) * Decimal(h1)
-        for y in (y0, 1 - y0):
-            if y > 0:
-                total += y * y.ln()
-        return total
-
-
 _TINY = kernels._TINY
 #: Channel entries at and one ulp around the bounds of kernels._needs_clamp,
 #: lo >= 2 _TINY and hi <= 1 - 2**-50, with the grid's extremes.
@@ -468,7 +454,7 @@ class TestGridErrorBound:
             s, h0, h1 = scan_values(p00, p10, indices, n)
             bound = kernels._grid_error_bound(p00, p10)
             for i, got in zip(indices, s.tolist()):
-                err = abs(Decimal(got) - exact_neg_mi(p00, p10, h0, h1, i, n))
+                err = exact.error(got, exact.neg_mi(p00, p10, h0, h1, i, n))
                 assert err <= bound, (p00, p10, i, float(err), bound)
 
     def test_log_within_assumed_ulps(self):
@@ -480,12 +466,10 @@ class TestGridErrorBound:
                 np.random.default_rng(3).uniform(0.0, 1.0, 500),
             ]
         )
-        with decimal.localcontext() as ctx:
-            ctx.prec = 40
-            for y, got in zip(ys.tolist(), np.log(ys).tolist()):
-                want = Decimal(y).ln()
-                ulp = Decimal(float(np.spacing(abs(float(want)))))
-                assert abs(Decimal(got) - want) <= kernels._LOG_ULPS * ulp, y
+        for y, got in zip(ys.tolist(), np.log(ys).tolist()):
+            want = exact.ln(y)
+            ulp = float(np.spacing(abs(float(want))))
+            assert exact.error(got, want) <= kernels._LOG_ULPS * ulp, y
 
 
 def reference_ba(p00, p10, tol, max_iter):
